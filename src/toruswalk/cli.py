@@ -8,6 +8,12 @@ a pure function of (config, seed, workers-independent streams): floats
 are printed with 17 significant digits and no timestamps, so re-runs
 are byte-identical; timing and provenance live in the metadata file.
 
+Each command declares its config blocks as frozen dataclasses next to
+its cmd_* function, filled by `config.read`.  A block's __post_init__
+holds only the rules no library object owns; the rest are left to the
+library constructors, which run for every torus, kernel, seed and
+start region before the first numeric call.
+
 Commands and their CSV columns:
   laplace     L, M, lam, sup_gap, target
   uniformity  L, M, t, gap
@@ -25,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -35,20 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .config import (
-    ConfigError,
-    KernelPlan,
-    check_keys,
-    get_block,
-    get_int,
-    get_number,
-    get_number_list,
-    load_config,
-    mc_block,
-    parse_kernel_block,
-    require_even,
-    torus_sides,
-)
+from .config import ConfigError, KernelPlan, load_config, read
 from .kernels import JumpKernel, QuadratureError
 from .limits import (
     QuadratureSpec,
@@ -60,8 +54,16 @@ from .limits import (
     t_scale,
     target_laplace,
 )
-from .mc import SeedSpec, StepCapExceeded, estimate_laplace, lineage_count_law, simulate_hits
-from .spectral import build_grid, condition_report, laplace_hit, uniformity_gap
+from .mc import (
+    DEFAULT_CHUNK,
+    DEFAULT_STEP_CAP,
+    SeedSpec,
+    StepCapExceeded,
+    estimate_laplace,
+    lineage_count_law,
+    simulate_hits,
+)
+from .spectral import N_ANGLES, N_RADII, build_grid, condition_report, laplace_hit, uniformity_gap
 from .torus import Annulus, TorusSpec, enumerate_region, index_of
 
 
@@ -71,7 +73,60 @@ class RunReport:
     columns: tuple[str, ...]
     rows: list[tuple]
     resolved: dict
-    basename: str
+
+
+# ---------------------------------------------------------------------------
+# blocks shared by several commands
+
+
+@dataclass(frozen=True)
+class Torus:
+    """The `torus` block: the table has one section per side L."""
+
+    L: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class MonteCarlo:
+    """The `mc` block of simulate and coalesce."""
+
+    replicates: int
+    seed: int = 0
+    chunk_size: int = DEFAULT_CHUNK
+    step_cap: int = DEFAULT_STEP_CAP
+
+    def __post_init__(self) -> None:
+        if self.replicates < 2:
+            raise ValueError(f"'replicates' must be >= 2, got {self.replicates}")
+        if self.chunk_size < 1 or self.step_cap < 1:
+            raise ValueError("'chunk_size' and 'step_cap' must be positive")
+        SeedSpec(self.seed)  # a config seed must be valid even where --seed overrides it
+
+    def seeds(self, flag_seed: int | None) -> SeedSpec:
+        return SeedSpec(self.seed if flag_seed is None else flag_seed)
+
+
+@dataclass(frozen=True)
+class TorusRun:
+    """The `torus` and `kernel` blocks of the commands that run on tori."""
+
+    torus: Torus
+    kernel: KernelPlan
+
+    def tori(self) -> list[tuple[TorusSpec, JumpKernel]]:
+        """The torus and kernel of each side, built (and so checked) up front."""
+        return [(TorusSpec(L), self.kernel.build(L)) for L in self.torus.L]
+
+
+@dataclass(frozen=True)
+class Output:
+    """The optional `output` block: basename of the CSV and metadata files."""
+
+    basename: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.basename is not None and (not self.basename or os.sep in self.basename):
+            raise ValueError("'basename' must be a plain file name")
 
 
 def _kernel_sigma2(kernel: JumpKernel, plan: KernelPlan) -> float:
@@ -87,93 +142,77 @@ def _kernel_sigma2(kernel: JumpKernel, plan: KernelPlan) -> float:
     return kernel.sigma2_M / kernel.M**2
 
 
-def _output_basename(cfg: dict, command: str) -> str:
-    if "output" not in cfg:
-        return command
-    block = get_block(cfg, "output", command)
-    check_keys(block, {"basename"}, f"{command}.output")
-    name = block.get("basename", command)
-    if not isinstance(name, str) or not name or os.sep in name:
-        raise ConfigError(f"'basename' in {command}.output must be a plain file name")
-    return name
-
-
-def _resolve_seed(flag_seed: int | None, cfg_seed: int | None) -> int:
-    if flag_seed is not None:
-        return flag_seed
-    if cfg_seed is not None:
-        return cfg_seed
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # laplace
 
 
+@dataclass(frozen=True)
+class LaplaceScale:
+    lams: tuple[float, ...]
+    mode: str
+    rho: float | None = None
+    alpha: float | None = None
+    v_exponent: float | None = None
+
+    def __post_init__(self) -> None:
+        if any(lam <= 0 for lam in self.lams):
+            raise ValueError("lams must be positive")
+        if self.mode == "meanfield":
+            extra = [k for k in ("rho", "alpha", "v_exponent") if getattr(self, k) is not None]
+            if extra:
+                raise ValueError(
+                    f"key(s) {extra} are inconsistent with meanfield mode "
+                    "(the homogeneous limit has no start-scale or rho)"
+                )
+        elif self.mode != "finite":
+            raise ValueError(f"'mode' must be 'meanfield' or 'finite', got {self.mode!r}")
+        elif self.rho is None:
+            raise ValueError("finite mode requires 'rho'")
+        elif self.v_exponent is not None and self.v_exponent <= 0:
+            raise ValueError("'v_exponent' must be positive")
+
+
+@dataclass(frozen=True)
+class LaplaceConfig(TorusRun):
+    scale: LaplaceScale
+
+
+def _start_indices(spec: TorusSpec, region: Annulus | None) -> np.ndarray:
+    """Linear indices of the starts: the annulus, or in meanfield mode
+    (region None) the punctured torus."""
+    if region is None:
+        idx = np.arange(spec.n_points)
+        return idx[idx != int(index_of(np.zeros(2, dtype=np.int64), spec))]
+    pts = enumerate_region(region)
+    if pts.shape[0] == 0:
+        raise ConfigError(f"{region} contains no lattice points; pick a larger L or smaller alpha")
+    return index_of(pts, spec)
+
+
 def cmd_laplace(cfg: dict, seed: int | None, workers: int) -> RunReport:
-    check_keys(cfg, {"command", "torus", "kernel", "scale", "output"}, "laplace")
-    sides = torus_sides(cfg, "laplace")
-    plan = parse_kernel_block(get_block(cfg, "kernel", "laplace"), "laplace.kernel")
-    scale = get_block(cfg, "scale", "laplace")
-    check_keys(scale, {"lams", "mode", "rho", "alpha", "v_exponent"}, "laplace.scale")
-    lams = get_number_list(scale, "lams", "laplace.scale")
-    if any(lam <= 0 for lam in lams):
-        raise ConfigError("laplace.scale lams must be positive")
-    mode = scale.get("mode")
-    if mode not in ("meanfield", "finite"):
-        raise ConfigError(
-            f"laplace.scale 'mode' must be 'meanfield' or 'finite', got {mode!r}"
+    run = read(LaplaceConfig, cfg, "laplace")
+    scale, plan = run.scale, run.kernel
+    meanfield = scale.mode == "meanfield"
+    alpha = 1.0 if scale.alpha is None else scale.alpha
+    v_exp = 1.0 if scale.v_exponent is None else scale.v_exponent
+    sections = []
+    for spec, kernel in run.tori():
+        params = RegimeParams(
+            rho=math.inf if meanfield else scale.rho,
+            sigma2=_kernel_sigma2(kernel, plan),
+            alpha=alpha,
         )
-    if mode == "meanfield":
-        extra = {"rho", "alpha", "v_exponent"} & set(scale)
-        if extra:
-            raise ConfigError(
-                f"laplace.scale key(s) {sorted(extra)} are inconsistent with "
-                "meanfield mode (the homogeneous limit has no start-scale or rho)"
-            )
-        rho = math.inf
-        alpha = 1.0
-        v_exp = None
-    else:
-        rho = get_number(scale, "rho", "laplace.scale")
-        if not 0.0 <= rho < math.inf:
-            raise ConfigError(
-                f"laplace.scale 'rho' must be a finite nonnegative number, got {rho}"
-            )
-        alpha = get_number(scale, "alpha", "laplace.scale", default=1.0)
-        if not 0.0 <= alpha <= 1.0:
-            raise ConfigError(f"laplace.scale 'alpha' must lie in [0, 1], got {alpha}")
-        v_exp = get_number(scale, "v_exponent", "laplace.scale", default=1.0)
-        if v_exp <= 0:
-            raise ConfigError("laplace.scale 'v_exponent' must be positive")
-    for L in sides:
-        plan.validate_for(L)
+        region = None if meanfield else Annulus(alpha, math.log(spec.L) ** v_exp, spec.L)
+        idx = _start_indices(spec, region)
+        sections.append((spec, kernel, params, idx))
 
     rows: list[tuple] = []
-    resolved: dict = {"mode": mode, "kernel": plan.label(), "regions": {}}
-    for L in sides:
-        spec = TorusSpec(L)
-        kernel = plan.build(L)
+    regions = {str(spec.L): int(idx.size) for spec, _, _, idx in sections}
+    for spec, kernel, params, idx in sections:
+        L = spec.L
         grid = build_grid(kernel, spec)
-        sigma2 = _kernel_sigma2(kernel, plan)
-        if mode == "meanfield":
-            idx = np.arange(spec.n_points)
-            idx = idx[idx != int(index_of(np.zeros(2, dtype=np.int64), spec))]
-            region_size = int(idx.size)
-        else:
-            v = math.log(L) ** v_exp
-            pts = enumerate_region(Annulus(alpha=alpha, v=v, L=L))
-            if pts.shape[0] == 0:
-                raise ConfigError(
-                    f"annulus(alpha={alpha}, v=(log {L})**{v_exp}) contains no "
-                    f"lattice points at L={L}; pick a larger L or smaller alpha"
-                )
-            idx = index_of(pts, spec)
-            region_size = int(pts.shape[0])
-        resolved["regions"][str(L)] = region_size
-        params = RegimeParams(rho=rho, sigma2=sigma2, alpha=alpha)
-        for lam in lams:
-            b = lam / L**2 if mode == "meanfield" else lam / (L**2 * t_scale(L, kernel.M))
+        for lam in scale.lams:
+            b = lam / L**2 if meanfield else lam / (L**2 * t_scale(L, kernel.M))
             F = laplace_hit(grid, b)
             target = target_laplace(params, lam)
             gap = float(np.max(np.abs(F.values[idx] - target)))
@@ -182,8 +221,7 @@ def cmd_laplace(cfg: dict, seed: int | None, workers: int) -> RunReport:
         command="laplace",
         columns=("L", "M", "lam", "sup_gap", "target"),
         rows=rows,
-        resolved=resolved,
-        basename=_output_basename(cfg, "laplace"),
+        resolved={"mode": scale.mode, "kernel": plan.label(), "regions": regions},
     )
 
 
@@ -191,25 +229,28 @@ def cmd_laplace(cfg: dict, seed: int | None, workers: int) -> RunReport:
 # uniformity
 
 
-def cmd_uniformity(cfg: dict, seed: int | None, workers: int) -> RunReport:
-    check_keys(cfg, {"command", "torus", "kernel", "scale", "output"}, "uniformity")
-    sides = torus_sides(cfg, "uniformity")
-    plan = parse_kernel_block(get_block(cfg, "kernel", "uniformity"), "uniformity.kernel")
-    scale = get_block(cfg, "scale", "uniformity")
-    check_keys(scale, {"k_values"}, "uniformity.scale")
-    k_values = get_number_list(scale, "k_values", "uniformity.scale")
-    if any(k < 0 for k in k_values):
-        raise ConfigError("uniformity.scale k_values must be nonnegative")
-    for L in sides:
-        plan.validate_for(L)
+@dataclass(frozen=True)
+class UniformityScale:
+    k_values: tuple[float, ...]
 
+    def __post_init__(self) -> None:
+        if any(k < 0 for k in self.k_values):
+            raise ValueError("k_values must be nonnegative")
+
+
+@dataclass(frozen=True)
+class UniformityConfig(TorusRun):
+    scale: UniformityScale
+
+
+def cmd_uniformity(cfg: dict, seed: int | None, workers: int) -> RunReport:
+    run = read(UniformityConfig, cfg, "uniformity")
     rows: list[tuple] = []
-    for L in sides:
-        spec = TorusSpec(L)
-        kernel = plan.build(L)
+    for spec, kernel in run.tori():
+        L = spec.L
         grid = build_grid(kernel, spec)
         base_t = max(L**2 / kernel.M**2, math.log(L))
-        for k in k_values:
+        for k in run.scale.k_values:
             t = k * base_t
             gap, _bound = uniformity_gap(grid, t)
             rows.append((L, kernel.M, t, gap))
@@ -217,8 +258,7 @@ def cmd_uniformity(cfg: dict, seed: int | None, workers: int) -> RunReport:
         command="uniformity",
         columns=("L", "M", "t", "gap"),
         rows=rows,
-        resolved={"kernel": plan.label(), "base_time": "max(L^2/M^2, log L)"},
-        basename=_output_basename(cfg, "uniformity"),
+        resolved={"kernel": run.kernel.label(), "base_time": "max(L^2/M^2, log L)"},
     )
 
 
@@ -226,43 +266,32 @@ def cmd_uniformity(cfg: dict, seed: int | None, workers: int) -> RunReport:
 # beta0
 
 
-def cmd_beta0(cfg: dict, seed: int | None, workers: int) -> RunReport:
-    check_keys(cfg, {"command", "q0", "c_values", "quad", "output"}, "beta0")
-    plan = parse_kernel_block(
-        get_block(cfg, "q0", "beta0"), "beta0.q0", allow_meanfield=False
-    )
-    if plan.M is None:
-        raise ConfigError("beta0.q0 requires a fixed 'M' (no torus side to derive from)")
-    if "c_values" not in cfg:
-        raise ConfigError("beta0 requires 'c_values'")
-    c_values = get_number_list(cfg, "c_values", "beta0")
-    if any(not 0.0 < c <= 1.0 for c in c_values):
-        raise ConfigError("beta0 c_values must lie in (0, 1]")
-    quad = QuadratureSpec()
-    if "quad" in cfg:
-        qb = get_block(cfg, "quad", "beta0")
-        check_keys(qb, {"base", "max_axis", "tol"}, "beta0.quad")
-        try:
-            quad = QuadratureSpec(
-                base=get_int(qb, "base", "beta0.quad") if "base" in qb else 64,
-                max_axis=get_int(qb, "max_axis", "beta0.quad") if "max_axis" in qb else 4096,
-                tol=get_number(qb, "tol", "beta0.quad", default=1e-6),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"beta0.quad: {exc}") from exc
+@dataclass(frozen=True)
+class Beta0Config:
+    q0: KernelPlan
+    c_values: tuple[float, ...]
+    quad: QuadratureSpec = QuadratureSpec()
 
-    q0 = plan.build_with_M(plan.M)
+    def __post_init__(self) -> None:
+        if self.q0.M is None:
+            raise ValueError("'q0' requires a fixed 'M' (no torus side to derive from)")
+        if any(not 0.0 < c <= 1.0 for c in self.c_values):
+            raise ValueError("c_values must lie in (0, 1]")
+
+
+def cmd_beta0(cfg: dict, seed: int | None, workers: int) -> RunReport:
+    run = read(Beta0Config, cfg, "beta0")
+    q0 = run.q0.build_with_M(run.q0.M)
     rows: list[tuple] = []
-    for c in c_values:
-        result = beta0(c, q0, quad)
+    for c in run.c_values:
+        result = beta0(c, q0, run.quad)
         for level_n, estimate in result.levels:
             rows.append((c, level_n, estimate))
     return RunReport(
         command="beta0",
         columns=("c", "level", "estimate"),
         rows=rows,
-        resolved={"q0": plan.label(), "quad": {"base": quad.base, "max_axis": quad.max_axis, "tol": quad.tol}},
-        basename=_output_basename(cfg, "beta0"),
+        resolved={"q0": run.q0.label(), "quad": dataclasses.asdict(run.quad)},
     )
 
 
@@ -270,33 +299,38 @@ def cmd_beta0(cfg: dict, seed: int | None, workers: int) -> RunReport:
 # simulate
 
 
+@dataclass(frozen=True)
+class SimulateScale:
+    lams: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if any(lam < 0 for lam in self.lams):
+            raise ValueError("lams must be nonnegative")
+
+
+@dataclass(frozen=True)
+class SimulateConfig(TorusRun):
+    scale: SimulateScale
+    mc: MonteCarlo
+
+
 def cmd_simulate(cfg: dict, seed: int | None, workers: int) -> RunReport:
-    check_keys(cfg, {"command", "torus", "kernel", "scale", "mc", "output"}, "simulate")
-    sides = torus_sides(cfg, "simulate")
-    plan = parse_kernel_block(get_block(cfg, "kernel", "simulate"), "simulate.kernel")
-    scale = get_block(cfg, "scale", "simulate")
-    check_keys(scale, {"lams"}, "simulate.scale")
-    lams = get_number_list(scale, "lams", "simulate.scale")
-    if any(lam < 0 for lam in lams):
-        raise ConfigError("simulate.scale lams must be nonnegative")
-    replicates, cfg_seed, chunk, step_cap = mc_block(cfg, "simulate")
-    master = _resolve_seed(seed, cfg_seed)
-    for L in sides:
-        plan.validate_for(L)
+    run = read(SimulateConfig, cfg, "simulate")
+    tori = run.tori()
+    seeds = run.mc.seeds(seed)
+    lams = run.scale.lams
 
     rows: list[tuple] = []
-    for li, L in enumerate(sides):
-        spec = TorusSpec(L)
-        kernel = plan.build(L)
+    for li, (spec, kernel) in enumerate(tori):
         grid = build_grid(kernel, spec)
         batch = simulate_hits(
             kernel,
             spec,
-            replicates,
-            SeedSpec(master).subspace(li),
-            chunk_size=chunk,
+            run.mc.replicates,
+            seeds.subspace(li),
+            chunk_size=run.mc.chunk_size,
             workers=workers,
-            step_cap=step_cap,
+            step_cap=run.mc.step_cap,
         )
         est, se = estimate_laplace(batch.hit_times, np.array(lams))
         for j, lam in enumerate(lams):
@@ -309,18 +343,17 @@ def cmd_simulate(cfg: dict, seed: int | None, workers: int) -> RunReport:
                 z = (float(est[j]) - exact) / float(se[j])
             else:
                 z = 0.0 if float(est[j]) == exact else math.inf
-            rows.append((L, lam, float(est[j]), float(se[j]), exact, z))
+            rows.append((spec.L, lam, float(est[j]), float(se[j]), exact, z))
     return RunReport(
         command="simulate",
         columns=("L", "lam", "mc_estimate", "se", "exact", "z_score"),
         rows=rows,
         resolved={
-            "kernel": plan.label(),
-            "replicates": replicates,
-            "seed": master,
+            "kernel": run.kernel.label(),
+            "replicates": run.mc.replicates,
+            "seed": seeds.master,
             "starts": "uniform over the punctured torus",
         },
-        basename=_output_basename(cfg, "simulate"),
     )
 
 
@@ -328,76 +361,65 @@ def cmd_simulate(cfg: dict, seed: int | None, workers: int) -> RunReport:
 # coalesce
 
 
-def _diagonal_starts(n: int, L: int) -> np.ndarray:
-    pts = np.array([[(i * L) // n, (i * L) // n] for i in range(n)], dtype=np.int64)
-    return pts
+@dataclass(frozen=True)
+class CoalesceScale:
+    s_values: tuple[float, ...]
+    n: int | None = None
+    starts: tuple[tuple[int, int], ...] | None = None
+    sigma2: float | None = None
+
+    def __post_init__(self) -> None:
+        if any(s < 0 for s in self.s_values):
+            raise ValueError("s_values must be nonnegative")
+        if (self.n is None) == (self.starts is None):
+            raise ValueError("give exactly one of 'n' or 'starts'")
+
+    def starts_on(self, L: int) -> np.ndarray:
+        """The explicit starts, or n starts spread along the diagonal."""
+        if self.starts is not None:
+            return np.array(self.starts, dtype=np.int64)
+        if self.n > L:
+            raise ValueError(f"cannot place {self.n} distinct diagonal starts on L={L}")
+        n = self.n
+        return np.array([[(i * L) // n, (i * L) // n] for i in range(n)], dtype=np.int64)
+
+
+@dataclass(frozen=True)
+class CoalesceConfig(TorusRun):
+    scale: CoalesceScale
+    mc: MonteCarlo
+
+    def __post_init__(self) -> None:
+        if self.kernel.M is None:
+            raise ValueError(
+                "the kernel needs a fixed 'M': the death-clock target holds for a "
+                "fixed kernel (rho = 0), and a ranged or meanfield kernel has rho = inf"
+            )
 
 
 def cmd_coalesce(cfg: dict, seed: int | None, workers: int) -> RunReport:
-    check_keys(cfg, {"command", "torus", "kernel", "scale", "mc", "output"}, "coalesce")
-    sides = torus_sides(cfg, "coalesce")
-    plan = parse_kernel_block(get_block(cfg, "kernel", "coalesce"), "coalesce.kernel")
-    if plan.family == "meanfield" or plan.M_exponent is not None:
-        raise ConfigError(
-            "coalesce.kernel must be a fixed-M kernel: the death-clock target "
-            "holds in the fixed-kernel regime (rho = 0), and a ranged or "
-            "meanfield kernel has rho = inf"
-        )
-    scale = get_block(cfg, "scale", "coalesce")
-    check_keys(scale, {"s_values", "n", "starts", "sigma2"}, "coalesce.scale")
-    s_values = get_number_list(scale, "s_values", "coalesce.scale")
-    if any(s < 0 for s in s_values):
-        raise ConfigError("coalesce.scale s_values must be nonnegative")
-    if ("n" in scale) == ("starts" in scale):
-        raise ConfigError("coalesce.scale requires exactly one of 'n' or 'starts'")
-    explicit = None
-    if "starts" in scale:
-        raw = scale["starts"]
-        if (
-            not isinstance(raw, list)
-            or len(raw) < 1
-            or not all(
-                isinstance(p, list)
-                and len(p) == 2
-                and all(isinstance(v, int) and not isinstance(v, bool) for v in p)
-                for p in raw
-            )
-        ):
-            raise ConfigError("coalesce.scale 'starts' must be a list of [x, y] integer pairs")
-        explicit = np.array(raw, dtype=np.int64)
-        n = explicit.shape[0]
-    else:
-        n = get_int(scale, "n", "coalesce.scale", minimum=1)
-    sigma2_override = None
-    if "sigma2" in scale:
-        sigma2_override = get_number(scale, "sigma2", "coalesce.scale")
-        if sigma2_override <= 0:
-            raise ConfigError("coalesce.scale 'sigma2' must be positive")
-    replicates, cfg_seed, chunk, step_cap = mc_block(cfg, "coalesce")
-    master = _resolve_seed(seed, cfg_seed)
-    for L in sides:
-        plan.validate_for(L)
-        if explicit is None and n > L:
-            raise ConfigError(f"cannot place {n} distinct diagonal starts on L={L}")
+    run = read(CoalesceConfig, cfg, "coalesce")
+    scale = run.scale
+    sections = [(spec, kernel, scale.starts_on(spec.L)) for spec, kernel in run.tori()]
+    seeds = run.mc.seeds(seed)
+    n = scale.n if scale.starts is None else len(scale.starts)
 
     rows: list[tuple] = []
     separation: dict[str, bool] = {}
-    for li, L in enumerate(sides):
-        spec = TorusSpec(L)
-        kernel = plan.build(L)
-        starts = explicit if explicit is not None else _diagonal_starts(n, L)
-        for si, s in enumerate(s_values):
+    for li, (spec, kernel, starts) in enumerate(sections):
+        L = spec.L
+        for si, s in enumerate(scale.s_values):
             law = lineage_count_law(
                 kernel,
                 spec,
                 starts,
                 s,
-                replicates,
-                SeedSpec(master).subspace(li, si),
-                sigma2=sigma2_override,
-                chunk_size=chunk,
+                run.mc.replicates,
+                seeds.subspace(li, si),
+                sigma2=scale.sigma2,
+                chunk_size=run.mc.chunk_size,
                 workers=workers,
-                step_cap=step_cap,
+                step_cap=run.mc.step_cap,
             )
             separation[f"L={L},s={s:g}"] = law.separation_ok
             for k in range(1, n + 1):
@@ -409,13 +431,12 @@ def cmd_coalesce(cfg: dict, seed: int | None, workers: int) -> RunReport:
         columns=("L", "s", "k", "p_hat", "target", "se"),
         rows=rows,
         resolved={
-            "kernel": plan.label(),
-            "replicates": replicates,
-            "seed": master,
+            "kernel": run.kernel.label(),
+            "replicates": run.mc.replicates,
+            "seed": seeds.master,
             "n": n,
             "separation_ok": separation,
         },
-        basename=_output_basename(cfg, "coalesce"),
     )
 
 
@@ -423,64 +444,48 @@ def cmd_coalesce(cfg: dict, seed: int | None, workers: int) -> RunReport:
 # conditions
 
 
-def cmd_conditions(cfg: dict, seed: int | None, workers: int) -> RunReport:
-    check_keys(cfg, {"command", "kernel", "M_values", "params", "output"}, "conditions")
-    plan = parse_kernel_block(
-        get_block(cfg, "kernel", "conditions"),
-        "conditions.kernel",
-        ranged=False,
-        allow_meanfield=False,
-    )
-    if "M_values" not in cfg or not isinstance(cfg["M_values"], list) or not cfg["M_values"]:
-        raise ConfigError("conditions requires a nonempty 'M_values' list")
-    Ms = []
-    for v in cfg["M_values"]:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ConfigError(f"conditions M_values entries must be integers, got {v!r}")
-        Ms.append(require_even(v, "conditions M_values entry"))
-    delta, delta_prime, a, eps = 0.5, 1.0, 1.0, 0.05
-    n_angles = n_radii = 64
-    if "params" in cfg:
-        pb = get_block(cfg, "params", "conditions")
-        check_keys(
-            pb, {"delta", "delta_prime", "a", "eps", "n_angles", "n_radii"}, "conditions.params"
-        )
-        delta = get_number(pb, "delta", "conditions.params", default=delta)
-        delta_prime = get_number(pb, "delta_prime", "conditions.params", default=delta_prime)
-        a = get_number(pb, "a", "conditions.params", default=a)
-        eps = get_number(pb, "eps", "conditions.params", default=eps)
-        n_angles = get_int(pb, "n_angles", "conditions.params") if "n_angles" in pb else n_angles
-        n_radii = get_int(pb, "n_radii", "conditions.params") if "n_radii" in pb else n_radii
+@dataclass(frozen=True)
+class ConditionParams:
+    delta: float = 0.5
+    delta_prime: float = 1.0
+    a: float = 1.0
+    eps: float = 0.05
+    n_angles: int = N_ANGLES
+    n_radii: int = N_RADII
 
-    kernels = [plan.build_with_M(M) for M in Ms]
-    try:
-        report = condition_report(
-            kernels,
-            delta=delta,
-            delta_prime=delta_prime,
-            a=a,
-            eps=eps,
-            n_angles=n_angles,
-            n_radii=n_radii,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"conditions parameters are inconsistent: {exc}") from exc
+
+@dataclass(frozen=True)
+class ConditionsConfig:
+    kernel: KernelPlan
+    M_values: tuple[int, ...]
+    params: ConditionParams = ConditionParams()
+
+    def __post_init__(self) -> None:
+        k = self.kernel
+        if k.family == "meanfield" or k.M is not None or k.M_exponent is not None:
+            raise ValueError("'kernel' must be a family template: M_values gives its ranges")
+
+
+def cmd_conditions(cfg: dict, seed: int | None, workers: int) -> RunReport:
+    run = read(ConditionsConfig, cfg, "conditions")
+    kernels = [run.kernel.build_with_M(M) for M in run.M_values]
+    report = condition_report(kernels, **dataclasses.asdict(run.params))
     rows = [
         (row.M, row.sigma2, row.p1_max_dev, row.p2_min, row.p3_max_abs)
         for row in report.rows
     ]
+    p = run.params
     return RunReport(
         command="conditions",
         columns=("M", "sigma2", "p1_max_dev", "p2_min", "p3_max_abs"),
         rows=rows,
         resolved={
-            "kernel": plan.label(),
-            "delta": delta,
-            "delta_prime": delta_prime,
-            "a": a,
-            "eps": eps,
+            "kernel": run.kernel.label(),
+            "delta": p.delta,
+            "delta_prime": p.delta_prime,
+            "a": p.a,
+            "eps": p.eps,
         },
-        basename=_output_basename(cfg, "conditions"),
     )
 
 
@@ -488,25 +493,22 @@ def cmd_conditions(cfg: dict, seed: int | None, workers: int) -> RunReport:
 # audit
 
 
-def cmd_audit(cfg: dict, seed: int | None, workers: int) -> RunReport:
-    check_keys(cfg, {"command", "audit", "output"}, "audit")
-    block = get_block(cfg, "audit", "audit")
-    check_keys(block, {"K", "J", "thetas"}, "audit.audit")
-    K = get_int(block, "K", "audit.audit", minimum=2)
-    J = get_int(block, "J", "audit.audit", minimum=1)
-    if J >= K:
-        raise ConfigError(f"audit requires J < K, got J={J}, K={K}")
-    raw = block.get("thetas")
-    if not isinstance(raw, list) or not raw or not all(
-        isinstance(p, list) and len(p) == 2 for p in raw
-    ):
-        raise ConfigError("audit.audit 'thetas' must be a nonempty list of [t1, t2] pairs")
-    thetas = np.array(raw, dtype=np.float64)
-    sup = np.max(np.abs(thetas), axis=1)
-    if np.any(sup == 0) or np.any(sup > math.pi + 1e-12):
-        raise ConfigError("audit thetas must be nonzero points of the closed pi-ball")
+@dataclass(frozen=True)
+class AuditBlock:
+    K: int
+    J: int
+    thetas: tuple[tuple[float, float], ...]
 
-    report = lemma21_audit(K, J, thetas)
+
+@dataclass(frozen=True)
+class AuditConfig:
+    audit: AuditBlock
+
+
+def cmd_audit(cfg: dict, seed: int | None, workers: int) -> RunReport:
+    run = read(AuditConfig, cfg, "audit").audit
+    K, J = run.K, run.J
+    report = lemma21_audit(K, J, np.array(run.thetas, dtype=np.float64))
     rows: list[tuple] = []
     for exp_row in report.exp_rows:
         t1, t2 = exp_row.theta
@@ -522,8 +524,7 @@ def cmd_audit(cfg: dict, seed: int | None, workers: int) -> RunReport:
         command="audit",
         columns=("kind", "K", "J", "theta1", "theta2", "value", "reference"),
         rows=rows,
-        resolved={"K": K, "J": J, "n_thetas": int(thetas.shape[0])},
-        basename=_output_basename(cfg, "audit"),
+        resolved={"K": K, "J": J, "n_thetas": len(run.thetas)},
     )
 
 
@@ -554,14 +555,15 @@ def _fmt(value) -> str:
 def write_outputs(
     report: RunReport,
     out_dir: str,
+    basename: str,
     raw_cfg: dict,
     seed: int | None,
     workers: int,
     wall_seconds: float,
 ) -> tuple[str, str]:
     os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, report.basename + ".csv")
-    meta_path = os.path.join(out_dir, report.basename + ".meta.json")
+    csv_path = os.path.join(out_dir, basename + ".csv")
+    meta_path = os.path.join(out_dir, basename + ".meta.json")
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(report.columns)
@@ -613,11 +615,12 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.perf_counter()
     try:
         cfg = load_config(args.config)
-        if "command" in cfg and cfg["command"] != args.command:
-            raise ConfigError(
-                f"config is for command {cfg['command']!r}, not {args.command!r}"
-            )
-        report = COMMANDS[args.command](cfg, seed=args.seed, workers=args.workers)
+        blocks = dict(cfg)
+        command = blocks.pop("command", args.command)
+        if command != args.command:
+            raise ConfigError(f"config is for command {command!r}, not {args.command!r}")
+        output = read(Output, blocks.pop("output", {}), f"{args.command}.output")
+        report = COMMANDS[args.command](blocks, seed=args.seed, workers=args.workers)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -632,7 +635,7 @@ def main(argv: list[str] | None = None) -> int:
         return 4
     wall = time.perf_counter() - t0
     csv_path, meta_path = write_outputs(
-        report, args.out, cfg, args.seed, args.workers, wall
+        report, args.out, output.basename or args.command, cfg, args.seed, args.workers, wall
     )
     print(f"wrote {csv_path} and {meta_path} ({len(report.rows)} rows, {wall:.2f}s)")
     return 0

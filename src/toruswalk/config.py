@@ -1,16 +1,22 @@
-"""Config parsing and validation for the batch runner.
+"""Config loading for the batch runner: one strict reader and the kernel block.
 
-Configs are single JSON documents with nested blocks.  Validation is
-strict: unknown keys anywhere are errors, and every (L, M) pair the
-run would touch is checked (evenness, M < L) before any computation
-starts.  All failures raise ConfigError, which the CLI maps to exit
+Configs are single JSON documents with nested blocks.  `read` fills a
+frozen dataclass from one block by its type hints and rejects unknown
+or missing keys, booleans and fractions where numbers or integers
+belong, non-finite numbers, empty lists and entries of the wrong
+length.  Range rules live in the constructors `read` calls: a block's
+__post_init__ (such as KernelPlan's keys per family) or a library
+object.  All failures raise ConfigError, which the CLI maps to exit
 code 2.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import types
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +30,14 @@ from .kernels import (
     uniform_kernel,
 )
 
-FAMILIES = ("uniform", "density", "mixture", "meanfield")
+# The keys each family requires besides "family"; every family but
+# meanfield also takes one of "M" or "M_exponent".
+FAMILY_KEYS = {
+    "uniform": (),
+    "density": ("density",),
+    "mixture": ("c", "q0"),
+    "meanfield": (),
+}
 
 
 class ConfigError(Exception):
@@ -44,62 +57,58 @@ def load_config(path: str) -> dict:
     return raw
 
 
-def check_keys(block: dict, allowed: set[str], context: str) -> None:
-    unknown = set(block) - allowed
-    if unknown:
-        raise ConfigError(
-            f"unknown key(s) in {context}: {', '.join(sorted(unknown))}"
-        )
+def read(cls, block, context: str):
+    """Fill the frozen dataclass `cls` from the JSON object `block`.
 
-
-def get_block(cfg: dict, key: str, context: str) -> dict:
-    if key not in cfg:
-        raise ConfigError(f"{context} requires a '{key}' block")
-    block = cfg[key]
+    Type hints: int, float, str, a dataclass (a sub-block), tuple[T, ...]
+    (a nonempty list), tuple[T1, T2] (a list of that length), T | None (an
+    optional key).  A ValueError of the constructor becomes a ConfigError.
+    """
     if not isinstance(block, dict):
-        raise ConfigError(f"'{key}' in {context} must be an object")
-    return block
+        raise ConfigError(f"{context} must be an object, got {block!r}")
+    fields = dataclasses.fields(cls)
+    unknown = set(block) - {f.name for f in fields}
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {context}: {', '.join(sorted(unknown))}")
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for f in fields:
+        if f.name in block:
+            values[f.name] = _value(hints[f.name], block[f.name], context, f.name)
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"{context} requires '{f.name}'")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
 
 
-def get_int(block: dict, key: str, context: str, minimum: int | None = None) -> int:
-    if key not in block:
-        raise ConfigError(f"{context} requires '{key}'")
-    v = block[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"'{key}' in {context} must be an integer, got {v!r}")
-    if minimum is not None and v < minimum:
-        raise ConfigError(f"'{key}' in {context} must be >= {minimum}, got {v}")
-    return v
-
-
-def get_number(block: dict, key: str, context: str, default: float | None = None) -> float:
-    if key not in block:
-        if default is None:
-            raise ConfigError(f"{context} requires '{key}'")
-        return default
-    v = block[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"'{key}' in {context} must be a number, got {v!r}")
-    return float(v)
-
-
-def get_number_list(block: dict, key: str, context: str) -> list[float]:
-    if key not in block:
-        raise ConfigError(f"{context} requires '{key}'")
-    v = block[key]
-    if not isinstance(v, list) or not v:
-        raise ConfigError(f"'{key}' in {context} must be a nonempty list")
-    out = []
-    for item in v:
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ConfigError(f"'{key}' in {context} must contain numbers, got {item!r}")
-        out.append(float(item))
-    return out
-
-
-def require_even(value: int, what: str) -> int:
-    if value < 2 or value % 2 != 0:
-        raise ConfigError(f"{what} must be a positive even integer, got {value}")
+def _value(hint, value, context: str, key: str):
+    """Check one JSON value against a type hint of `read`'s vocabulary."""
+    where = f"'{key}' in {context}"
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:
+        # `T | None` marks an optional key; an explicit null is no value
+        (hint,) = [a for a in args if a is not type(None)]
+        return _value(hint, value, context, key)
+    if dataclasses.is_dataclass(hint):
+        return read(hint, value, f"{context}.{key}")
+    if origin is tuple:
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{where} must be a nonempty list, got {value!r}")
+        if args[-1] is Ellipsis:
+            return tuple(_value(args[0], item, context, key) for item in value)
+        if len(value) != len(args):
+            raise ConfigError(f"{where} entries must have length {len(args)}, got {value!r}")
+        return tuple(_value(a, item, context, key) for a, item in zip(args, value))
+    if hint is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{where} must be a number, got {value!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"{where} must be finite, got {value!r}")
+        return float(value)
+    if isinstance(value, bool) or not isinstance(value, hint):
+        raise ConfigError(f"{where} must be of type {hint.__name__}, got {value!r}")
     return value
 
 
@@ -108,19 +117,6 @@ def even_ceil(x: float) -> int:
     derived ranges like M = even_ceil(L**0.8)."""
     m = int(math.ceil(x))
     return m + (m % 2)
-
-
-def torus_sides(cfg: dict, context: str) -> list[int]:
-    block = get_block(cfg, "torus", context)
-    check_keys(block, {"L"}, f"{context}.torus")
-    if "L" not in block or not isinstance(block["L"], list) or not block["L"]:
-        raise ConfigError(f"{context}.torus requires a nonempty 'L' list")
-    sides = []
-    for v in block["L"]:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ConfigError(f"{context}.torus L entries must be integers, got {v!r}")
-        sides.append(require_even(v, f"{context}.torus L entry"))
-    return sides
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +131,10 @@ _DENSITY_REGISTRY = {
 
 @dataclass(frozen=True)
 class KernelPlan:
-    """Parsed kernel block; ranges may be derived from L at build time."""
+    """A kernel block.  The range is a fixed `M`, derived from the torus
+    side L as even_ceil(L**M_exponent), or, in a family template, given
+    by the command (the conditions command's M ladder).  A mixture's
+    base kernel `q0` has a fixed M of its own."""
 
     family: str
     M: int | None = None
@@ -144,35 +143,36 @@ class KernelPlan:
     density: str | None = None
     q0: KernelPlan | None = None
 
-    def resolve_M(self, L: int) -> int:
-        if self.family == "meanfield":
-            return L
-        if self.M is not None:
-            return self.M
-        M = even_ceil(L**self.M_exponent)
-        require_even(M, f"derived range even_ceil(L**{self.M_exponent})")
-        return M
-
-    def validate_for(self, L: int) -> None:
-        """The runner's gate: configured ranges must be even and < L."""
-        require_even(L, "torus side")
-        if self.family == "meanfield":
-            return
-        M = self.resolve_M(L)
-        require_even(M, "kernel range")
-        if M >= L:
-            raise ConfigError(
-                f"kernel range {M} must be smaller than the torus side {L}"
-            )
-        if self.q0 is not None:
-            q0_M = self.q0.resolve_M(L)
-            if q0_M > M:
-                raise ConfigError(
-                    f"mixture base range {q0_M} exceeds the mixture range {M}"
-                )
+    def __post_init__(self) -> None:
+        if self.family not in FAMILY_KEYS:
+            raise ValueError(f"'family' must be one of {tuple(FAMILY_KEYS)}, got {self.family!r}")
+        own = FAMILY_KEYS[self.family]
+        allowed = own if self.family == "meanfield" else own + ("M", "M_exponent")
+        for key in ("M", "M_exponent", "c", "density", "q0"):
+            given = getattr(self, key) is not None
+            if given and key not in allowed:
+                raise ValueError(f"the {self.family} family takes no '{key}'")
+            if not given and key in own:
+                raise ValueError(f"the {self.family} family requires '{key}'")
+        if self.M is not None and self.M_exponent is not None:
+            raise ValueError("give one of 'M' or 'M_exponent', not both")
+        if self.M_exponent is not None and not 0.0 < self.M_exponent <= 1.0:
+            raise ValueError(f"'M_exponent' must lie in (0, 1], got {self.M_exponent}")
+        if self.density is not None and self.density not in _DENSITY_REGISTRY:
+            raise ValueError(f"'density' must be one of {sorted(_DENSITY_REGISTRY)}")
+        if self.q0 is not None and self.q0.M is None:
+            raise ValueError("'q0' requires a fixed 'M'")
 
     def build(self, L: int) -> JumpKernel:
-        return self.build_with_M(self.resolve_M(L))
+        """The kernel on the torus of side L; its range must stay below L."""
+        if self.family == "meanfield":
+            return self.build_with_M(L)
+        if self.M is None and self.M_exponent is None:
+            raise ConfigError(f"the {self.family} kernel requires 'M' or 'M_exponent'")
+        M = self.M if self.M is not None else even_ceil(L**self.M_exponent)
+        if M >= L:
+            raise ConfigError(f"kernel range {M} must be smaller than the torus side {L}")
+        return self.build_with_M(M)
 
     def build_with_M(self, M: int) -> JumpKernel:
         if self.family == "meanfield":
@@ -182,7 +182,7 @@ class KernelPlan:
         if self.family == "density":
             fn = _DENSITY_REGISTRY[self.density]
             return density_kernel(M, KernelDensity(fn, label=self.density))
-        base = self.q0.build_with_M(self.q0.resolve_M(M))
+        base = self.q0.build_with_M(self.q0.M)
         return mixture_kernel(self.c, M, base)
 
     def label(self) -> str:
@@ -191,87 +191,3 @@ class KernelPlan:
         if self.family == "mixture":
             return f"mixture(c={self.c}, q0={self.q0.label()})"
         return self.family
-
-
-def parse_kernel_block(
-    block: dict, context: str, ranged: bool = True, allow_meanfield: bool = True
-) -> KernelPlan:
-    """ranged=False parses a family template whose M comes from elsewhere
-    (the conditions command's M ladder)."""
-    if not isinstance(block, dict):
-        raise ConfigError(f"{context} must be an object")
-    family = block.get("family")
-    if family not in FAMILIES:
-        raise ConfigError(
-            f"{context} requires 'family' in {FAMILIES}, got {family!r}"
-        )
-    if family == "meanfield":
-        if not allow_meanfield:
-            raise ConfigError(f"{context}: the meanfield family is not valid here")
-        check_keys(block, {"family"}, context)
-        return KernelPlan(family=family)
-
-    allowed = {"family"}
-    if ranged:
-        allowed |= {"M", "M_exponent"}
-    if family == "density":
-        allowed.add("density")
-    if family == "mixture":
-        allowed |= {"c", "q0"}
-    check_keys(block, allowed, context)
-
-    M = None
-    M_exp = None
-    if ranged:
-        if ("M" in block) == ("M_exponent" in block):
-            raise ConfigError(f"{context} requires exactly one of 'M' or 'M_exponent'")
-        if "M" in block:
-            M = require_even(get_int(block, "M", context), f"'M' in {context}")
-        else:
-            M_exp = get_number(block, "M_exponent", context)
-            if not 0.0 < M_exp <= 1.0:
-                raise ConfigError(
-                    f"'M_exponent' in {context} must lie in (0, 1], got {M_exp}"
-                )
-
-    density = None
-    if family == "density":
-        density = block.get("density")
-        if density not in _DENSITY_REGISTRY:
-            raise ConfigError(
-                f"'density' in {context} must be one of "
-                f"{sorted(_DENSITY_REGISTRY)}, got {density!r}"
-            )
-
-    c = None
-    q0 = None
-    if family == "mixture":
-        c = get_number(block, "c", context)
-        if not 0.0 < c < 1.0:
-            raise ConfigError(f"'c' in {context} must lie in (0, 1), got {c}")
-        q0 = parse_kernel_block(
-            get_block(block, "q0", context),
-            f"{context}.q0",
-            ranged=True,
-            allow_meanfield=False,
-        )
-        if q0.M is None:
-            raise ConfigError(f"{context}.q0 requires a fixed 'M'")
-    return KernelPlan(family=family, M=M, M_exponent=M_exp, c=c, density=density, q0=q0)
-
-
-def mc_block(cfg: dict, context: str) -> tuple[int, int | None, int, int]:
-    """(replicates, seed-or-None, chunk_size, step_cap) from the mc block."""
-    block = get_block(cfg, "mc", context)
-    check_keys(block, {"replicates", "seed", "chunk_size", "step_cap"}, f"{context}.mc")
-    replicates = get_int(block, "replicates", f"{context}.mc", minimum=2)
-    seed = None
-    if "seed" in block:
-        seed = get_int(block, "seed", f"{context}.mc", minimum=0)
-    chunk = block.get("chunk_size", 4096)
-    if isinstance(chunk, bool) or not isinstance(chunk, int) or chunk < 1:
-        raise ConfigError(f"'chunk_size' in {context}.mc must be a positive integer")
-    step_cap = block.get("step_cap", 10**10)
-    if isinstance(step_cap, bool) or not isinstance(step_cap, int) or step_cap < 1:
-        raise ConfigError(f"'step_cap' in {context}.mc must be a positive integer")
-    return replicates, seed, chunk, step_cap

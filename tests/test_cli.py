@@ -373,3 +373,89 @@ def test_module_entry_point_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "wrote" in proc.stdout
     assert (tmp_path / "sub" / "audit.csv").exists()
+
+
+UNIFORMITY_CFG = {
+    "command": "uniformity",
+    "torus": {"L": [16]},
+    "kernel": {"family": "uniform", "M": 4},
+    "scale": {"k_values": [1]},
+}
+
+CONDITIONS_CFG = {
+    "command": "conditions",
+    "kernel": {"family": "uniform"},
+    "M_values": [2, 8],
+    "params": {"n_angles": 16, "n_radii": 16},
+}
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("laplace", dict(MEANFIELD_LAPLACE, scale={"lams": [math.nan], "mode": "meanfield"})),
+        ("uniformity", dict(UNIFORMITY_CFG, scale={"k_values": [math.inf]})),
+        ("audit", {"command": "audit", "audit": dict(AUDIT_CFG["audit"], thetas=[[math.nan, 0.5]])}),
+        ("conditions", dict(CONDITIONS_CFG, params={"delta": math.nan})),
+        ("coalesce", dict(COALESCE_CFG, scale=dict(COALESCE_CFG["scale"], sigma2=math.inf))),
+        ("audit", {"command": "audit", "audit": dict(AUDIT_CFG["audit"], thetas=[[True, 0.5]])}),
+    ],
+    ids=["laplace-nan", "uniformity-inf", "audit-nan", "conditions-nan", "coalesce-inf", "audit-bool"],
+)
+def test_non_finite_and_boolean_numbers_are_exit_2(tmp_path, command, cfg):
+    # json writes NaN and Infinity, and json.load reads them back as floats
+    code, out = _run(tmp_path, cfg, command)
+    assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, cfg, extra",
+    [
+        ("simulate", SIMULATE_CFG, ["--seed", "-1"]),
+        ("simulate", SIMULATE_CFG, ["--seed", str(2**64)]),
+        (
+            # the annulus at the second side holds no lattice point
+            "laplace",
+            {
+                "command": "laplace",
+                "torus": {"L": [64, 2]},
+                "kernel": {"family": "meanfield"},
+                "scale": {"lams": [1.0], "mode": "finite", "rho": 0.0, "alpha": 0.0},
+            },
+            None,
+        ),
+    ],
+    ids=["seed-negative", "seed-too-large", "empty-annulus-at-second-side"],
+)
+def test_config_errors_are_refused_before_any_numeric_work(tmp_path, monkeypatch, command, cfg, extra):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numeric work started before the config was checked")
+
+    monkeypatch.setattr("toruswalk.cli.build_grid", forbidden)
+    monkeypatch.setattr("toruswalk.cli.simulate_hits", forbidden)
+    code, _ = _run(tmp_path, cfg, command, extra=extra)
+    assert code == 2
+
+
+def test_benchmark_tracer_hooks_resolve():
+    """The benchmark's tracer wraps toruswalk functions by module attribute;
+    a renamed or moved one must fail here, not in the benchmark."""
+    import importlib.util
+    from pathlib import Path
+
+    import toruswalk
+    import toruswalk.cli
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    original = toruswalk.cli.build_grid
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install(toruswalk)
+        assert toruswalk.cli.build_grid is not original
+    finally:
+        tracer.uninstall()
+    assert toruswalk.cli.build_grid is original

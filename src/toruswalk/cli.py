@@ -61,10 +61,12 @@ from .mc import (
     StepCapExceeded,
     estimate_laplace,
     lineage_count_law,
+    lineage_starts,
     simulate_hits,
 )
 from .spectral import N_ANGLES, N_RADII, build_grid, condition_report, laplace_hit, uniformity_gap
-from .torus import Annulus, TorusSpec, enumerate_region, index_of
+from .torus import Annulus, TorusSpec, TorusSquare, region_mask
+from .torus import enumerate_region, index_of  # noqa: F401  (wrapped by perfbench/tracer.py)
 
 
 @dataclass
@@ -177,16 +179,10 @@ class LaplaceConfig(TorusRun):
     scale: LaplaceScale
 
 
-def _start_indices(spec: TorusSpec, region: Annulus | None) -> np.ndarray:
-    """Linear indices of the starts: the annulus, or in meanfield mode
-    (region None) the punctured torus."""
-    if region is None:
-        idx = np.arange(spec.n_points)
-        return idx[idx != int(index_of(np.zeros(2, dtype=np.int64), spec))]
-    pts = enumerate_region(region)
-    if pts.shape[0] == 0:
-        raise ConfigError(f"{region} contains no lattice points; pick a larger L or smaller alpha")
-    return index_of(pts, spec)
+def _sup_gap(F: np.ndarray, target: float, mask: np.ndarray) -> float:
+    """max |F(x) - target| over the starts x."""
+    dev = F - target
+    return float(np.max(np.abs(dev, out=dev), where=mask, initial=0.0))
 
 
 def cmd_laplace(cfg: dict, seed: int | None, workers: int) -> RunReport:
@@ -202,20 +198,25 @@ def cmd_laplace(cfg: dict, seed: int | None, workers: int) -> RunReport:
             sigma2=_kernel_sigma2(kernel, plan),
             alpha=alpha,
         )
-        region = None if meanfield else Annulus(alpha, math.log(spec.L) ** v_exp, spec.L)
-        idx = _start_indices(spec, region)
-        sections.append((spec, kernel, params, idx))
+        if meanfield:
+            region = TorusSquare(spec.L, punctured=True)
+        else:
+            region = Annulus(alpha, math.log(spec.L) ** v_exp, spec.L)
+        mask = region_mask(region, spec)
+        if not mask.any():
+            raise ConfigError(f"{region} contains no lattice points; pick a larger L or smaller alpha")
+        sections.append((spec, kernel, params, mask))
 
     rows: list[tuple] = []
-    regions = {str(spec.L): int(idx.size) for spec, _, _, idx in sections}
-    for spec, kernel, params, idx in sections:
+    regions = {str(spec.L): int(mask.sum()) for spec, _, _, mask in sections}
+    for spec, kernel, params, mask in sections:
         L = spec.L
         grid = build_grid(kernel, spec)
         for lam in scale.lams:
             b = lam / L**2 if meanfield else lam / (L**2 * t_scale(L, kernel.M))
-            F = laplace_hit(grid, b)
             target = target_laplace(params, lam)
-            gap = float(np.max(np.abs(F.values[idx] - target)))
+            # no array of this lam outlives the call, so the next transform has the room
+            gap = _sup_gap(laplace_hit(grid, b).values, target, mask)
             rows.append((L, kernel.M, lam, gap, target))
     return RunReport(
         command="laplace",
@@ -375,13 +376,14 @@ class CoalesceScale:
             raise ValueError("give exactly one of 'n' or 'starts'")
 
     def starts_on(self, L: int) -> np.ndarray:
-        """The explicit starts, or n starts spread along the diagonal."""
+        """The explicit starts, or n starts spread along the diagonal,
+        wrapped onto the torus of side L."""
         if self.starts is not None:
-            return np.array(self.starts, dtype=np.int64)
+            return lineage_starts(self.starts, L)
         if self.n > L:
             raise ValueError(f"cannot place {self.n} distinct diagonal starts on L={L}")
         n = self.n
-        return np.array([[(i * L) // n, (i * L) // n] for i in range(n)], dtype=np.int64)
+        return lineage_starts([[(i * L) // n, (i * L) // n] for i in range(n)], L)
 
 
 @dataclass(frozen=True)

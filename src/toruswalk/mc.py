@@ -391,6 +391,20 @@ def _pair_merge_horizon_rounds(t_abs: float) -> int:
     return int(math.ceil(lam + 12.0 * math.sqrt(lam) + 100.0))
 
 
+def lineage_starts(starts: np.ndarray, L: int) -> np.ndarray:
+    """Starting positions wrapped onto the torus of side L.
+
+    Raises ValueError unless there is at least one start and the
+    wrapped starts are distinct.
+    """
+    pos = wrap(np.asarray(starts, dtype=np.int64).reshape(-1, 2), L)
+    if pos.shape[0] < 1:
+        raise ValueError("need at least one lineage")
+    if np.unique(pos, axis=0).shape[0] != pos.shape[0]:
+        raise ValueError(f"starting positions must be distinct on the torus of side {L}")
+    return pos
+
+
 def lineage_count_law(
     kernel: JumpKernel,
     spec: TorusSpec,
@@ -420,12 +434,8 @@ def lineage_count_law(
     so n=2 runs as a vectorized first-passage batch; larger systems
     replay the event-driven construction per replicate.
     """
-    pos = wrap(np.asarray(starts, dtype=np.int64).reshape(-1, 2), spec.L)
+    pos = lineage_starts(starts, spec.L)
     n = pos.shape[0]
-    if n < 1:
-        raise ValueError("need at least one lineage")
-    if len({(int(p[0]), int(p[1])) for p in pos}) != n:
-        raise ValueError("starting positions must be distinct on the torus")
     if s < 0:
         raise ValueError(f"scaled time must be nonnegative, got {s}")
     if replicates < 1:

@@ -10,10 +10,13 @@ frequency grid theta_y = 2*pi*y/L:
 * resolvent ("green"):       G(x, lam)    = L^-2 sum_y e^{i theta_y . x} / (lam + 1 - phi)
 * hitting transform:         F(x, lam)    = G(x, lam) / G(0, lam)
 
-Grids store phi over all L^2 frequencies in the documented row-major
-layout of `torus`; transforms run through numpy's FFT after a layout
-roll.  A direct summation path exists for cross-checking the FFT path
-at small sizes.
+phi is even, so a grid stores it only on the rfft2 half-plane
+(L x (L/2 + 1) frequencies, indexed by coordinate mod L): built by one
+rfft2 of the wrapped kernel mass, inverted by one irfft2 per
+transform.  Fields over the torus (heat, green, hitting transform)
+come back in the sorted layout of `torus`, after one roll; that
+layout is the only one at the API.  A direct summation path exists
+for cross-checking the FFT path at small sizes.
 
 Kernels whose range equals the torus side are wrapped with colliding
 pre-images summed, which is exact at torus frequencies; ranges
@@ -32,15 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import JumpKernel
-from .torus import (
-    TWO_PI,
-    TorusSpec,
-    from_fft_layout,
-    frequencies,
-    index_of,
-    to_fft_layout,
-    wrap,
-)
+from .torus import TWO_PI, TorusSpec, from_fft_layout, frequencies, index_of, wrap
 
 IMAG_TOL = 1e-12
 SYMMETRY_TOL = 1e-12
@@ -89,10 +84,13 @@ def char_fn(kernel: JumpKernel, theta: np.ndarray, checked: bool = False) -> np.
 
 @dataclass(frozen=True)
 class SpectralGrid:
-    """phi evaluated on the full frequency grid of one torus.
+    """phi evaluated on the rfft2 half-plane of one torus's frequencies.
 
-    values[i] = phi(2*pi*y_i/L) with y_i the torus point at linear
-    index i.  The origin frequency is pinned to exactly 1.
+    half[k1, k2] = phi(2*pi*(k1, k2)/L) for k1 in 0..L-1 and k2 in
+    0..L/2, indexed by coordinate mod L (numpy's FFT order).  phi is
+    even, so the other half of the frequency grid mirrors this one;
+    `values` expands it to all L^2 frequencies in the sorted layout of
+    `torus`.  The origin frequency is pinned to exactly 1.
     """
 
     spec: TorusSpec
@@ -100,32 +98,47 @@ class SpectralGrid:
     M: int
     sigma2_M: float
     sigma2_limit: float | None
-    values: np.ndarray
+    half: np.ndarray
 
     def __post_init__(self) -> None:
-        v = self.values
-        if v.shape != (self.spec.n_points,):
-            raise ValueError("grid values must have length L^2")
-        origin = int(index_of(np.zeros(2, dtype=np.int64), self.spec))
-        if v[origin] != 1.0:
+        L = self.spec.L
+        h = self.half
+        if h.shape != (L, L // 2 + 1):
+            raise ValueError("half-plane grid must have shape (L, L/2 + 1)")
+        if h[0, 0] != 1.0:
             raise ValueError("origin frequency must carry phi = 1 exactly")
-        if float(np.max(np.abs(v))) > 1.0 + 1e-12:
+        if _max_abs(h) > 1.0 + 1e-12:
             raise ValueError("characteristic values must lie in [-1, 1]")
-        sq = v.reshape(self.spec.L, self.spec.L)
-        if float(np.max(np.abs(sq - _negated(sq)))) > SYMMETRY_TOL:
+        # Columns k2 = 0 and L/2 are their own mirror image; every other
+        # entry stands for itself and its mirror, so symmetry there is
+        # structural.
+        edges = h[:, [0, L // 2]]
+        if _max_abs(edges - np.roll(edges[::-1], 1, axis=0)) > SYMMETRY_TOL:
             raise ValueError("grid must be symmetric under y -> -y")
 
-    def as_square(self) -> np.ndarray:
-        return self.values.reshape(self.spec.L, self.spec.L)
+    @property
+    def values(self) -> np.ndarray:
+        """phi over all L^2 frequencies, in the sorted layout of `torus`."""
+        L = self.spec.L
+        mirror = np.roll(self.half[::-1, L // 2 - 1 : 0 : -1], 1, axis=0)
+        return from_fft_layout(np.concatenate([self.half, mirror], axis=1)).ravel()
 
 
-def _negated(square: np.ndarray) -> np.ndarray:
-    """Values at the negated (mod L) points, for a sorted-layout square."""
-    f = to_fft_layout(square)
-    return from_fft_layout(np.roll(f[::-1, ::-1], (1, 1), axis=(0, 1)))
+def _max_abs(a: np.ndarray) -> float:
+    """max |a|, without an |a| temporary."""
+    return max(float(a.max()), -float(a.min()))
 
 
-def _wrapped_mass_fft_layout(kernel: JumpKernel, spec: TorusSpec) -> np.ndarray:
+def _half_plane_thetas(spec: TorusSpec) -> np.ndarray:
+    """Canonical angular frequencies of the half-plane, shape (L, L/2 + 1, 2)."""
+    L = spec.L
+    k1 = wrap(np.arange(L), L)
+    k2 = np.arange(L // 2 + 1)
+    y = np.stack(np.meshgrid(k1, k2, indexing="ij"), axis=-1)
+    return TWO_PI * y / L
+
+
+def _wrapped_mass(kernel: JumpKernel, spec: TorusSpec) -> np.ndarray:
     """Kernel mass wrapped onto the torus, indexed by coordinate mod L."""
     m = np.zeros((spec.L, spec.L))
     idx = kernel.points % spec.L
@@ -134,7 +147,7 @@ def _wrapped_mass_fft_layout(kernel: JumpKernel, spec: TorusSpec) -> np.ndarray:
 
 
 def build_grid(kernel: JumpKernel, spec: TorusSpec, method: str = "fft") -> SpectralGrid:
-    """Evaluate phi over all torus frequencies.
+    """Evaluate phi over the half-plane of torus frequencies.
 
     method="fft" transforms the wrapped mass array (exact at torus
     frequencies for any range <= L); method="direct" sums cosines
@@ -145,35 +158,33 @@ def build_grid(kernel: JumpKernel, spec: TorusSpec, method: str = "fft") -> Spec
             f"kernel range {kernel.M} exceeds torus side {spec.L}; wrap is ambiguous"
         )
     if method == "fft":
-        mass = _wrapped_mass_fft_layout(kernel, spec)
-        transform = np.fft.fft2(mass)
-        if float(np.max(np.abs(transform.imag))) > IMAG_TOL:
+        # given `out`, rfft2 transforms its second axis in place
+        out = np.empty((spec.L, spec.L // 2 + 1), dtype=np.complex128)
+        transform = np.fft.rfft2(_wrapped_mass(kernel, spec), out=out)
+        if _max_abs(transform.imag) > IMAG_TOL:
             raise ArithmeticError("characteristic grid acquired an imaginary part")
-        square = from_fft_layout(transform.real)
+        half = transform.real.copy()
     elif method == "direct":
         if spec.L > DIRECT_MAX_SIDE:
             raise ValueError(f"direct summation is for sides <= {DIRECT_MAX_SIDE}")
-        _, thetas = frequencies(spec)
-        square = char_fn(kernel, thetas, checked=True).reshape(spec.L, spec.L)
+        half = char_fn(kernel, _half_plane_thetas(spec), checked=True)
     else:
         raise ValueError(f"unknown method {method!r}")
-    values = square.ravel().copy()
-    origin = int(index_of(np.zeros(2, dtype=np.int64), spec))
-    values[origin] = 1.0
+    half[0, 0] = 1.0
     return SpectralGrid(
         spec=spec,
         kernel_label=kernel.label,
         M=kernel.M,
         sigma2_M=kernel.sigma2_M,
         sigma2_limit=kernel.sigma2_limit,
-        values=values,
+        half=half,
     )
 
 
-def _inverse_real_transform(w_fft: np.ndarray) -> np.ndarray:
-    """(1/L^2) sum_y w[y] e^{i theta_y . x} for real symmetric w, fft layout."""
-    L = w_fft.shape[0]
-    return np.fft.irfft2(w_fft[:, : L // 2 + 1], s=(L, L))
+def _sorted_inverse(weights: np.ndarray, L: int) -> np.ndarray:
+    """(1/L^2) sum_y w[y] e^{i theta_y . x} for half-plane weights of an
+    even w, over all x in the sorted layout."""
+    return from_fft_layout(np.fft.irfft2(weights, s=(L, L))).ravel()
 
 
 @dataclass(frozen=True)
@@ -201,13 +212,18 @@ class HeatGrid:
         return np.maximum(self.raw, 0.0)
 
 
+def _heat_weights(grid: SpectralGrid, t: float) -> np.ndarray:
+    """exp(-t(1 - phi)) on the half-plane."""
+    w = 1.0 - grid.half
+    w *= -t
+    return np.exp(w, out=w)
+
+
 def heat(grid: SpectralGrid, t: float) -> HeatGrid:
     """Distribution of the walk at time t, started at the origin."""
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    w = np.exp(-t * (1.0 - grid.as_square()))
-    p = _inverse_real_transform(to_fft_layout(w))
-    return HeatGrid(spec=grid.spec, t=t, raw=from_fft_layout(p).ravel())
+    return HeatGrid(spec=grid.spec, t=t, raw=_sorted_inverse(_heat_weights(grid, t), grid.spec.L))
 
 
 @dataclass(frozen=True)
@@ -226,9 +242,16 @@ class GreenField:
             raise ArithmeticError("resolvent must be strictly positive")
         if float(self.values.max()) > self.values[origin] * (1.0 + 1e-12):
             raise ArithmeticError("resolvent must peak at the origin")
+        # In the sorted layout x -> -x reverses axis indices 0..L-2 and
+        # fixes index L-1 (coordinate L/2 is its own negative).
         sq = self.values.reshape(self.spec.L, self.spec.L)
-        scale = float(self.values[origin])
-        if float(np.max(np.abs(sq - _negated(sq)))) > 1e-10 * scale:
+        inner, row, col = sq[:-1, :-1], sq[-1, :-1], sq[:-1, -1]
+        asym = max(
+            _max_abs(inner - inner[::-1, ::-1]),
+            _max_abs(row - row[::-1]),
+            _max_abs(col - col[::-1]),
+        )
+        if asym > 1e-10 * float(self.values[origin]):
             raise ArithmeticError("resolvent must be symmetric under x -> -x")
 
 
@@ -236,9 +259,10 @@ def green(grid: SpectralGrid, lam: float) -> GreenField:
     """Resolvent G(x, lam) = integral exp(-lam s) P_x(X_s = 0) ds, all x."""
     if lam <= 0:
         raise ValueError(f"resolvent parameter must be positive, got {lam}")
-    denom = lam + (1.0 - grid.as_square())
-    g = _inverse_real_transform(to_fft_layout(1.0 / denom))
-    return GreenField(spec=grid.spec, lam=lam, values=from_fft_layout(g).ravel())
+    w = 1.0 - grid.half
+    w += lam
+    np.reciprocal(w, out=w)
+    return GreenField(spec=grid.spec, lam=lam, values=_sorted_inverse(w, grid.spec.L))
 
 
 @dataclass(frozen=True)
@@ -275,12 +299,12 @@ def uniformity_gap(grid: SpectralGrid, t: float) -> tuple[float, float]:
     bound = sum over nonzero frequencies of exp(-t(1-phi)), which
     dominates the gap by the triangle inequality.
     """
-    h = heat(grid, t)
     n = grid.spec.n_points
-    gap = float(n * np.max(np.abs(h.raw - 1.0 / n)))
-    w = np.exp(-t * (1.0 - grid.values))
-    origin = int(index_of(np.zeros(2, dtype=np.int64), grid.spec))
-    bound = float(w.sum() - w[origin])
+    gap = n * _max_abs(heat(grid, t).raw - 1.0 / n)
+    # columns 1..L/2-1 stand for themselves and their mirror images
+    w = _heat_weights(grid, t)
+    L = grid.spec.L
+    bound = float(w[:, 0].sum() + w[:, L // 2].sum() + 2.0 * w[:, 1 : L // 2].sum() - w[0, 0])
     if gap > bound * (1.0 + 1e-9) + 1e-12:
         raise ArithmeticError("uniformity gap exceeded its analytic bound")
     return gap, bound

@@ -16,13 +16,18 @@ Index sets used throughout:
       0 < alpha < 1:    torus_square(L^alpha * v) minus torus_square(L^alpha / v),
       alpha = 1:        torus_square(L) minus torus_square(L / v).
 
-Each region supports vectorized membership and enumeration; punctured
+Each region supports vectorized membership and enumeration, and
+region_mask gives its membership over a whole torus; punctured
 variants drop the origin.
 
-Grid storage convention: arrays over the torus are laid out row-major
-with linear index (x1 + L/2 - 1) * L + (x2 + L/2 - 1), i.e. axis
-values sorted increasingly from -L/2+1 to L/2.  The frequency at
-linear index i is 2*pi/L times the point at linear index i.
+Layouts: fields over the torus are laid out row-major with linear
+index (x1 + L/2 - 1) * L + (x2 + L/2 - 1), i.e. axis values sorted
+increasingly from -L/2+1 to L/2 (the sorted layout); index_of,
+point_of, point_grid and region_mask speak it.  The frequency at
+linear index i is 2*pi/L times the point at linear index i.  FFT
+layout indexes an axis by coordinate mod L instead; spectral grids
+store only its rfft2 half-plane, and to_fft_layout/from_fft_layout
+convert a full (L, L) grid between the two.
 """
 
 from __future__ import annotations
@@ -209,31 +214,38 @@ class Annulus:
 Region = Box | TorusSquare | Disc | Annulus
 
 
-def _in_torus_square(p: np.ndarray, r: float) -> np.ndarray:
-    return ((p > -r / 2.0) & (p <= r / 2.0)).all(axis=-1)
+def _in_torus_square(x1: np.ndarray, x2: np.ndarray, r: float) -> np.ndarray:
+    lo, hi = -r / 2.0, r / 2.0
+    return (x1 > lo) & (x1 <= hi) & (x2 > lo) & (x2 <= hi)
+
+
+def _member(region: Region, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """Membership of the points (x1, x2); the coordinate arrays broadcast."""
+    origin = (x1 == 0) & (x2 == 0)
+    if isinstance(region, Box):
+        half = region.K / 2.0
+        inside = (np.abs(x1) <= half) & (np.abs(x2) <= half)
+        return inside & ~origin if region.punctured else inside
+    if isinstance(region, TorusSquare):
+        inside = _in_torus_square(x1, x2, region.r)
+        return inside & ~origin if region.punctured else inside
+    if isinstance(region, Disc):
+        r2 = (region.k / 2.0) ** 2
+        inside = (x1.astype(np.float64) ** 2 + x2**2) <= r2
+        return inside & ~origin if region.punctured else inside
+    if isinstance(region, Annulus):
+        inner, outer = region.bounds()
+        inside = _in_torus_square(x1, x2, outer) & ~origin
+        if inner > 0.0:
+            inside &= ~_in_torus_square(x1, x2, inner)
+        return inside
+    raise TypeError(f"not a region: {region!r}")
 
 
 def contains(region: Region, points: np.ndarray) -> np.ndarray:
     """Vectorized membership test; points has shape (..., 2)."""
     p = np.asarray(points, dtype=np.int64)
-    origin = (p == 0).all(axis=-1)
-    if isinstance(region, Box):
-        inside = (np.abs(p) <= region.K / 2.0).all(axis=-1)
-        return inside & ~origin if region.punctured else inside
-    if isinstance(region, TorusSquare):
-        inside = _in_torus_square(p, region.r)
-        return inside & ~origin if region.punctured else inside
-    if isinstance(region, Disc):
-        r2 = (region.k / 2.0) ** 2
-        inside = (p[..., 0].astype(np.float64) ** 2 + p[..., 1] ** 2) <= r2
-        return inside & ~origin if region.punctured else inside
-    if isinstance(region, Annulus):
-        inner, outer = region.bounds()
-        inside = _in_torus_square(p, outer) & ~origin
-        if inner > 0.0:
-            inside &= ~_in_torus_square(p, inner)
-        return inside
-    raise TypeError(f"not a region: {region!r}")
+    return _member(region, p[..., 0], p[..., 1])
 
 
 def _torus_square_axis_range(r: float) -> tuple[int, int]:
@@ -241,24 +253,53 @@ def _torus_square_axis_range(r: float) -> tuple[int, int]:
     return int(math.floor(-r / 2.0)) + 1, int(math.floor(r / 2.0))
 
 
-def enumerate_region(region: Region) -> np.ndarray:
-    """All integer points of a region, shape (n, 2), row-major sorted order."""
+def _axis_range(region: Region) -> tuple[int, int]:
+    """(lo, hi): every point of the region has both coordinates in [lo, hi]."""
     if isinstance(region, Box):
         m = int(math.floor(region.K / 2.0))
-        lo, hi = -m, m
-    elif isinstance(region, TorusSquare):
-        lo, hi = _torus_square_axis_range(region.r)
-    elif isinstance(region, Disc):
+        return -m, m
+    if isinstance(region, TorusSquare):
+        return _torus_square_axis_range(region.r)
+    if isinstance(region, Disc):
         m = int(math.floor(region.k / 2.0))
-        lo, hi = -m, m
-    elif isinstance(region, Annulus):
-        _, outer = region.bounds()
-        lo, hi = _torus_square_axis_range(outer)
-    else:
-        raise TypeError(f"not a region: {region!r}")
+        return -m, m
+    if isinstance(region, Annulus):
+        return _torus_square_axis_range(region.bounds()[1])
+    raise TypeError(f"not a region: {region!r}")
+
+
+def enumerate_region(region: Region) -> np.ndarray:
+    """All integer points of a region, shape (n, 2), row-major sorted order."""
+    lo, hi = _axis_range(region)
     if hi < lo:
         return np.empty((0, 2), dtype=np.int64)
     ax = np.arange(lo, hi + 1, dtype=np.int64)
     x1, x2 = np.meshgrid(ax, ax, indexing="ij")
     pts = np.stack([x1.ravel(), x2.ravel()], axis=-1)
     return pts[contains(region, pts)]
+
+
+def region_mask(region: Region, spec: TorusSpec) -> np.ndarray:
+    """Membership of every torus point, shape (L^2,), in the documented layout.
+
+    The True entries are index_of(enumerate_region(region), spec); like
+    index_of, this raises ValueError when a point of the region lies
+    outside the canonical torus range, rather than clipping the region.
+    """
+    lo, hi = _axis_range(region)
+    half = spec.L // 2
+    # Every region is symmetric under swapping the axes, and a row x1 = c
+    # of its bounding square holds a member iff one of (c, lo), (c, 0),
+    # (c, hi) is one (the annulus hole can only empty the middle), with
+    # the extreme rows c = lo, hi the most likely; so these few points
+    # decide whether any member lies off the torus.
+    ends = np.array([lo, hi], dtype=np.int64)
+    off = ends[(ends < 1 - half) | (ends > half)]
+    probe = np.array([lo, 0, hi], dtype=np.int64)
+    if off.size and (
+        _member(region, off[:, None], probe[None, :]).any()
+        or _member(region, probe[:, None], off[None, :]).any()
+    ):
+        raise ValueError("point outside canonical torus range; wrap() it first")
+    ax = spec.axis_coords()
+    return _member(region, ax[:, None], ax[None, :]).ravel()

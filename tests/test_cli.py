@@ -425,8 +425,35 @@ def test_non_finite_and_boolean_numbers_are_exit_2(tmp_path, command, cfg):
             },
             None,
         ),
+        (
+            # the starts are distinct on L=64 but wrap onto each other on L=8
+            "coalesce",
+            dict(
+                COALESCE_CFG,
+                torus={"L": [64, 8]},
+                scale={"s_values": [0.2], "starts": [[0, 0], [8, 0], [16, 0]]},
+            ),
+            None,
+        ),
+        (
+            # the outer side 8 * (log 64)^2 ~ 138 exceeds the torus side
+            "laplace",
+            {
+                "command": "laplace",
+                "torus": {"L": [64]},
+                "kernel": {"family": "uniform", "M": 2},
+                "scale": {"lams": [1.0], "mode": "finite", "rho": 0.0, "alpha": 0.5, "v_exponent": 2},
+            },
+            None,
+        ),
     ],
-    ids=["seed-negative", "seed-too-large", "empty-annulus-at-second-side"],
+    ids=[
+        "seed-negative",
+        "seed-too-large",
+        "empty-annulus-at-second-side",
+        "starts-collide-at-second-side",
+        "annulus-larger-than-torus",
+    ],
 )
 def test_config_errors_are_refused_before_any_numeric_work(tmp_path, monkeypatch, command, cfg, extra):
     def forbidden(*args, **kwargs):
@@ -434,6 +461,7 @@ def test_config_errors_are_refused_before_any_numeric_work(tmp_path, monkeypatch
 
     monkeypatch.setattr("toruswalk.cli.build_grid", forbidden)
     monkeypatch.setattr("toruswalk.cli.simulate_hits", forbidden)
+    monkeypatch.setattr("toruswalk.cli.lineage_count_law", forbidden)
     code, _ = _run(tmp_path, cfg, command, extra=extra)
     assert code == 2
 

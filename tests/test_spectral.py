@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -76,6 +77,42 @@ def test_grid_range_equal_side_is_wrapped_exactly():
     fast = build_grid(k, spec, method="fft")
     slow = build_grid(k, spec, method="direct")
     assert np.max(np.abs(fast.values - slow.values)) < 1e-12
+
+
+def test_grid_values_expand_the_half_plane():
+    spec = TorusSpec(8)
+    grid = build_grid(mixture_kernel(0.5, 4, uniform_kernel(2)), spec)
+    assert grid.half.shape == (8, 5)
+    sq = grid.values.reshape(8, 8)
+    # sorted-layout axis index i holds coordinate i - 3; fft index k holds k mod 8
+    for k1 in range(8):
+        for k2 in range(5):
+            c1, c2 = (k1 + 3) % 8, (k2 + 3) % 8
+            n1, n2 = (-k1 + 3) % 8, (-k2 + 3) % 8
+            assert sq[c1, c2] == grid.half[k1, k2] == sq[n1, n2]
+
+
+def test_grid_rejects_malformed_half_plane():
+    grid = build_grid(uniform_kernel(2), TorusSpec(8))
+    dataclasses.replace(grid)
+    with pytest.raises(ValueError):
+        dataclasses.replace(grid, half=grid.values.reshape(8, 8))
+    for column in (0, 4):
+        half = grid.half.copy()
+        half[1, column] += 1e-6  # frequency (1, k2) no longer matches (-1, k2)
+        with pytest.raises(ValueError):
+            dataclasses.replace(grid, half=half)
+
+
+def test_green_rejects_asymmetric_field():
+    g = green(build_grid(uniform_kernel(2), TorusSpec(8)), 0.5)
+    dataclasses.replace(g)
+    # an interior point, and points on the row and the column of coordinate L/2
+    for point in ([1, 2], [4, 1], [1, 4]):
+        values = g.values.copy()
+        values[int(index_of(np.array(point), TorusSpec(8)))] *= 1.0 + 1e-6
+        with pytest.raises(ArithmeticError):
+            dataclasses.replace(g, values=values)
 
 
 def test_heat_point_mass_at_time_zero():

@@ -22,6 +22,7 @@ from toruswalk.torus import (
     index_of,
     point_grid,
     point_of,
+    region_mask,
     to_fft_layout,
     wrap,
 )
@@ -209,3 +210,26 @@ def test_index_of_is_vectorized():
     assert idx.shape == (3,)
     for k in range(3):
         assert np.array_equal(point_of(int(idx[k]), spec), pts[k])
+
+
+@pytest.mark.parametrize("L", [2, 8, 64])
+def test_region_mask_matches_enumerated_indices(L):
+    spec = TorusSpec(L)
+    regions = [Box(L * f) for f in (0.0, 0.5, 0.99, 1.0)]
+    regions += [TorusSquare(L * f, punctured=p) for f in (0.3, 1.0, 1.2) for p in (False, True)]
+    regions += [Disc(L * f, punctured=p) for f in (0.5, 1.0, 1.5) for p in (False, True)]
+    regions += [Annulus(a, v, L) for a in (0.0, 0.5, 1.0) for v in (0.5, 1.5, 3.0, 40.0)]
+    refused = 0
+    for region in regions:
+        try:
+            expected = np.sort(index_of(enumerate_region(region), spec))
+        except ValueError:
+            # a region point off the torus: refused, never clipped
+            with pytest.raises(ValueError):
+                region_mask(region, spec)
+            refused += 1
+            continue
+        mask = region_mask(region, spec)
+        assert mask.shape == (spec.n_points,) and mask.dtype == bool
+        assert np.array_equal(np.flatnonzero(mask), expected), region
+    assert 0 < refused < len(regions)

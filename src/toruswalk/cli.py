@@ -173,6 +173,14 @@ class LaplaceScale:
         elif self.v_exponent is not None and self.v_exponent <= 0:
             raise ValueError("'v_exponent' must be positive")
 
+    def window(self, L: int) -> float:
+        """The annulus window v = (log L)^v_exponent of finite mode."""
+        v_exp = 1.0 if self.v_exponent is None else self.v_exponent
+        try:
+            return math.log(L) ** v_exp
+        except OverflowError:
+            raise ValueError(f"annulus window (log {L})^{v_exp:g} overflows a float") from None
+
 
 @dataclass(frozen=True)
 class LaplaceConfig(TorusRun):
@@ -190,7 +198,6 @@ def cmd_laplace(cfg: dict, seed: int | None, workers: int) -> RunReport:
     scale, plan = run.scale, run.kernel
     meanfield = scale.mode == "meanfield"
     alpha = 1.0 if scale.alpha is None else scale.alpha
-    v_exp = 1.0 if scale.v_exponent is None else scale.v_exponent
     sections = []
     for spec, kernel in run.tori():
         params = RegimeParams(
@@ -201,7 +208,7 @@ def cmd_laplace(cfg: dict, seed: int | None, workers: int) -> RunReport:
         if meanfield:
             region = TorusSquare(spec.L, punctured=True)
         else:
-            region = Annulus(alpha, math.log(spec.L) ** v_exp, spec.L)
+            region = Annulus(alpha, scale.window(spec.L), spec.L)
         mask = region_mask(region, spec)
         if not mask.any():
             raise ConfigError(f"{region} contains no lattice points; pick a larger L or smaller alpha")
@@ -408,6 +415,7 @@ def cmd_coalesce(cfg: dict, seed: int | None, workers: int) -> RunReport:
 
     rows: list[tuple] = []
     separation: dict[str, bool] = {}
+    work: dict[str, dict[str, int]] = {}
     for li, (spec, kernel, starts) in enumerate(sections):
         L = spec.L
         for si, s in enumerate(scale.s_values):
@@ -423,7 +431,9 @@ def cmd_coalesce(cfg: dict, seed: int | None, workers: int) -> RunReport:
                 workers=workers,
                 step_cap=run.mc.step_cap,
             )
-            separation[f"L={L},s={s:g}"] = law.separation_ok
+            cell = f"L={L},s={s:g}"
+            separation[cell] = law.separation_ok
+            work[cell] = {"events": law.events, "merges": law.merges, "censored": law.censored}
             for k in range(1, n + 1):
                 rows.append(
                     (L, s, k, float(law.p_hat[k - 1]), float(law.target[k - 1]), float(law.se[k - 1]))
@@ -438,6 +448,7 @@ def cmd_coalesce(cfg: dict, seed: int | None, workers: int) -> RunReport:
             "seed": seeds.master,
             "n": n,
             "separation_ok": separation,
+            "work": work,
         },
     )
 

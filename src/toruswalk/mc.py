@@ -12,6 +12,10 @@ Coalescing systems use a single global exponential clock with rate
 equal to the live lineage count, a uniform pick of the mover, and a
 kernel jump; two lineages merge the instant one lands on the other's
 site.  This event-driven construction is exact (no discretization).
+simulate_coalescent replays it one event at a time and returns the
+whole trace; lineage_count_law runs all replicates of a chunk in
+lockstep, one event of every live system per numpy round, and keeps
+only the lineage count at the horizon.
 
 Reproducibility: replicates are split into fixed-size chunks; chunk i
 always draws from the substream SeedSequence(master, spawn_key=(i,)),
@@ -370,6 +374,9 @@ class LineageCountLaw:
     se: np.ndarray  # binomial standard errors
     target: np.ndarray  # death_process_dist(n, PAIR_CLOCK * s / beta)
     separation_ok: bool  # starts pairwise >= L/log(L) apart, as the target assumes
+    events: int  # kernel jumps taken (n = 2: difference-walk steps up to the hit or cut)
+    merges: int  # mergers before the horizon, summed over replicates
+    censored: int  # pair walkers cut at the merge horizon, counted as unmerged
 
 
 def _torus_separation_ok(pos: np.ndarray, L: int) -> bool:
@@ -381,6 +388,74 @@ def _torus_separation_ok(pos: np.ndarray, L: int) -> bool:
             if math.hypot(float(d[0]), float(d[1])) < floor:
                 return False
     return True
+
+
+def _lockstep_coalescent(
+    kernel: JumpKernel,
+    L: int,
+    starts: np.ndarray,
+    horizon: float,
+    count: int,
+    rng: np.random.Generator,
+    step_cap: int,
+) -> tuple[np.ndarray, int]:
+    """Lineage counts at the horizon of `count` coalescing systems, run together.
+
+    The same construction as simulate_coalescent, one event of every
+    live system per round: each draws its holding time Exp(k), drops
+    out once its clock passes the horizon, then draws a mover rank in
+    [0, k); one sample_jumps call moves all movers.  Sites are codes
+    x*L + y with x, y in [0, L).  The k live lineages of a system fill
+    its first k columns; an absorbed mover swaps with the last live
+    column, which is then set to -1, a code no site has.  A live system
+    has taken an event in every round so far, so the round count is the
+    largest event count of any system and `rounds > step_cap` raises
+    exactly when the per-event loop would.
+
+    Returns (hist, events): hist[k-1] counts the systems left with k
+    lineages, events the jumps taken.
+    """
+    n = starts.shape[0]
+    mod = np.mod(starts, L)
+    codes = np.tile(mod[:, 0] * L + mod[:, 1], (count, 1))
+    k = np.full(count, n, dtype=np.int64)
+    t = np.zeros(count)
+    hist = np.zeros(n, dtype=np.int64)
+    events = 0
+    rounds = 0
+    while k.size:
+        t += rng.standard_exponential(k.size) / k
+        keep = t <= horizon
+        if not keep.all():
+            hist += np.bincount(k[~keep] - 1, minlength=n)
+            codes, k, t = codes[keep], k[keep], t[keep]
+            if not k.size:
+                break
+        rounds += 1
+        if rounds > step_cap:
+            raise StepCapExceeded(step_cap, int(k.size))
+        rows = np.arange(k.size)
+        rank = rng.integers(k)
+        jumps = sample_jumps(kernel, rng, k.size)
+        x, y = np.divmod(codes[rows, rank], L)
+        x += jumps[:, 0]
+        y += jumps[:, 1]
+        new = np.mod(x, L) * L + np.mod(y, L)
+        codes[rows, rank] = new
+        events += k.size
+        merged = np.count_nonzero(codes == new[:, None], axis=1) > 1
+        if merged.any():
+            j = rows[merged]
+            last = k[j] - 1
+            codes[j, rank[j]] = codes[j, last]
+            codes[j, last] = -1
+            k[j] = last
+            done = k == 1
+            if done.any():
+                hist[0] += int(np.count_nonzero(done))
+                live = ~done
+                codes, k, t = codes[live], k[live], t[live]
+    return hist, events
 
 
 def _pair_merge_horizon_rounds(t_abs: float) -> int:
@@ -431,8 +506,11 @@ def lineage_count_law(
 
     Two lineages reduce exactly to a rate-2 difference walk (the
     increment law of the difference is again the kernel, by symmetry),
-    so n=2 runs as a vectorized first-passage batch; larger systems
-    replay the event-driven construction per replicate.
+    so n=2 runs as a vectorized first-passage batch; larger systems run
+    the event-driven construction for all replicates of a chunk in
+    lockstep (_lockstep_coalescent).  The law also reports its work:
+    kernel jumps taken, mergers, and pair walkers censored at
+    _pair_merge_horizon_rounds.
     """
     pos = lineage_starts(starts, spec.L)
     n = pos.shape[0]
@@ -445,14 +523,15 @@ def lineage_count_law(
     regime = RegimeParams(rho=0.0, sigma2=float(sigma2))
     t_abs = s * spec.L**2 * t_scale(spec.L, kernel.M)
 
+    # each part is (hist, events, censored) of one chunk; hist[k-1]
+    # counts the replicates left with k lineages
     if n == 1:
-        counts = np.zeros(1, dtype=np.int64)
-        counts[0] = replicates
+        parts = [(np.array([replicates], dtype=np.int64), 0, 0)]
     elif n == 2:
         d0 = wrap(pos[0] - pos[1], spec.L)
         max_rounds = _pair_merge_horizon_rounds(t_abs)
 
-        def pair_task(_i: int, count: int, rng: np.random.Generator) -> int:
+        def pair_task(_i: int, count: int, rng: np.random.Generator):
             steps = _skeleton_first_passage(
                 kernel,
                 spec,
@@ -462,25 +541,23 @@ def lineage_count_law(
                 max_rounds=max_rounds,
             )
             resolved = steps[steps > 0]
-            if resolved.size == 0:
-                return 0
-            merge_times = rng.gamma(resolved.astype(np.float64)) / PAIR_CLOCK
-            return int(np.count_nonzero(merge_times <= t_abs))
+            cut = count - resolved.size
+            events = int(resolved.sum()) + cut * max_rounds
+            merged = 0
+            if resolved.size:
+                merge_times = rng.gamma(resolved.astype(np.float64)) / PAIR_CLOCK
+                merged = int(np.count_nonzero(merge_times <= t_abs))
+            return np.array([merged, count - merged], dtype=np.int64), events, cut
 
-        merged = sum(
-            _run_chunked(replicates, chunk_size, workers, seeds, pair_task)
-        )
-        counts = np.array([merged, replicates - merged], dtype=np.int64)
+        parts = _run_chunked(replicates, chunk_size, workers, seeds, pair_task)
     else:
 
-        def multi_task(_i: int, count: int, rng: np.random.Generator) -> np.ndarray:
-            local = np.zeros(n, dtype=np.int64)
-            for _ in range(count):
-                trace = simulate_coalescent(kernel, spec, pos, t_abs, rng, step_cap)
-                local[len(trace.survivors) - 1] += 1
-            return local
+        def multi_task(_i: int, count: int, rng: np.random.Generator):
+            hist, events = _lockstep_coalescent(kernel, spec.L, pos, t_abs, count, rng, step_cap)
+            return hist, events, 0
 
-        counts = sum(_run_chunked(replicates, chunk_size, workers, seeds, multi_task))
+        parts = _run_chunked(replicates, chunk_size, workers, seeds, multi_task)
+    counts, events, censored = (sum(column) for column in zip(*parts))
 
     p_hat = counts / float(replicates)
     se = np.sqrt(p_hat * (1.0 - p_hat) / replicates)
@@ -494,4 +571,7 @@ def lineage_count_law(
         se=se,
         target=death_process_dist(n, PAIR_CLOCK * s / beta(regime)),
         separation_ok=_torus_separation_ok(pos, spec.L),
+        events=int(events),
+        merges=int(np.dot(n - np.arange(1, n + 1), counts)),
+        censored=int(censored),
     )

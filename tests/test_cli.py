@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import toruswalk
 from toruswalk import __version__
 from toruswalk.cli import main
 
@@ -221,6 +223,25 @@ def test_coalesce_explicit_starts(tmp_path):
     assert meta["resolved"]["separation_ok"]["L=8,s=0.1"] is False
 
 
+def test_coalesce_meta_reports_work(tmp_path):
+    for n in (2, 3):
+        cfg = dict(COALESCE_CFG, scale={"s_values": [0.2], "n": n})
+        code, out = _run(tmp_path, cfg, "coalesce", out=f"n{n}")
+        assert code == 0
+        rows = (out / "coalesce.csv").read_text().splitlines()[1:]
+        p_hat = [float(line.split(",")[3]) for line in rows]
+        work = json.loads((out / "coalesce.meta.json").read_text())["resolved"]["work"]
+        assert set(work) == {"L=8,s=0.2"}
+        cell = work["L=8,s=0.2"]
+        assert set(cell) == {"events", "merges", "censored"}
+        replicates = COALESCE_CFG["mc"]["replicates"]
+        expected = sum((n - k) * p * replicates for k, p in enumerate(p_hat, start=1))
+        assert cell["merges"] == round(expected)
+        assert cell["events"] >= cell["merges"]
+        if n > 2:
+            assert cell["censored"] == 0  # only the pair path cuts walkers
+
+
 def test_conditions_ladder_improves(tmp_path):
     cfg = {
         "command": "conditions",
@@ -356,6 +377,10 @@ def test_mixture_kernel_via_config(tmp_path):
 
 def test_module_entry_point_runs(tmp_path):
     cfg_path = _write_cfg(tmp_path / "aud.json", AUDIT_CFG)
+    # the child finds the package where this process found it, also when
+    # pytest's own `pythonpath` setting put it on the path
+    src = os.path.dirname(os.path.dirname(toruswalk.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [
             sys.executable,
@@ -369,6 +394,7 @@ def test_module_entry_point_runs(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert "wrote" in proc.stdout
@@ -446,6 +472,17 @@ def test_non_finite_and_boolean_numbers_are_exit_2(tmp_path, command, cfg):
             },
             None,
         ),
+        (
+            # (log 4096)^1000 overflows a float
+            "laplace",
+            {
+                "command": "laplace",
+                "torus": {"L": [4096]},
+                "kernel": {"family": "uniform", "M": 2},
+                "scale": {"lams": [1.0], "mode": "finite", "rho": 0.0, "v_exponent": 1000},
+            },
+            None,
+        ),
     ],
     ids=[
         "seed-negative",
@@ -453,6 +490,7 @@ def test_non_finite_and_boolean_numbers_are_exit_2(tmp_path, command, cfg):
         "empty-annulus-at-second-side",
         "starts-collide-at-second-side",
         "annulus-larger-than-torus",
+        "annulus-window-overflows",
     ],
 )
 def test_config_errors_are_refused_before_any_numeric_work(tmp_path, monkeypatch, command, cfg, extra):

@@ -342,3 +342,125 @@ def test_pair_merge_probability_grows_toward_one():
         p1[s] = law.p_hat[0]
     assert p1[10.0] > p1[0.5] + 0.2
     assert p1[10.0] > 0.6
+
+
+def _diagonal_starts(n: int, L: int) -> np.ndarray:
+    return np.array([[(i * L) // n, (i * L) // n] for i in range(n)])
+
+
+def _replayed_counts(k, spec, starts, horizon, reps, seeds) -> np.ndarray:
+    """Lineage counts at the horizon from per-event simulate_coalescent traces."""
+    counts = np.zeros(starts.shape[0], dtype=np.int64)
+    for i in range(reps):
+        trace = simulate_coalescent(k, spec, starts, horizon, seeds.stream(i))
+        counts[len(trace.survivors) - 1] += 1
+    return counts
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_lockstep_law_matches_per_event_replay(n):
+    # the lockstep engine and the per-event construction sample the same
+    # law; per-cell z-test with each se floored at one replicate's, as in
+    # the benchmark's coalesce check
+    k = uniform_kernel(2)
+    spec = TorusSpec(8)
+    starts = _diagonal_starts(n, spec.L)
+    reps = 3000
+    for si, s in enumerate((0.05, 0.3)):
+        law = lineage_count_law(k, spec, starts, s, 20_000, SeedSpec(31, (n, si)))
+        p = _replayed_counts(k, spec, starts, law.t_abs, reps, SeedSpec(32, (n, si))) / reps
+        se = np.hypot(
+            np.maximum(law.se, 1.0 / law.replicates),
+            np.maximum(np.sqrt(p * (1 - p) / reps), 1.0 / reps),
+        )
+        z = np.abs(law.p_hat - p) / se
+        assert z.max() < 5.0, (s, law.p_hat, p)
+
+
+def _exact_coalescing_count_law(k, L: int, starts: np.ndarray, t: float) -> np.ndarray:
+    """P(count = j) at time t from the generator of the coalescing system,
+    whose states are the sets of occupied sites (x*L + y)."""
+    import itertools
+
+    from scipy.linalg import expm
+
+    n = starts.shape[0]
+    states = [
+        frozenset(c) for m in range(1, n + 1) for c in itertools.combinations(range(L * L), m)
+    ]
+    index = {st: i for i, st in enumerate(states)}
+    Q = np.zeros((len(states), len(states)))
+    for st, i in index.items():
+        for site in st:
+            x, y = divmod(site, L)
+            for (dx, dy), w in zip(k.points, k.masses):
+                moved = (st - {site}) | {((x + dx) % L) * L + (y + dy) % L}
+                Q[i, index[moved]] += w
+        Q[i, i] -= len(st)
+    p0 = np.zeros(len(states))
+    p0[index[frozenset(int(a % L) * L + int(b % L) for a, b in starts)]] = 1.0
+    pt = p0 @ expm(Q * t)
+    law = np.zeros(n)
+    for st, p in zip(states, pt):
+        law[len(st) - 1] += p
+    return law
+
+
+def test_lockstep_law_matches_exact_chain():
+    # three lineages on the 4x4 torus: 696 occupied-site sets, small
+    # enough for the generator's matrix exponential.  Unequal spacings,
+    # so that a mover pick that favours some lineage shows.
+    k = uniform_kernel(2)
+    spec = TorusSpec(4)
+    starts = np.array([[0, 0], [1, 0], [2, 2]])
+    law = lineage_count_law(k, spec, starts, 0.2, 100_000, SeedSpec(41))
+    exact = _exact_coalescing_count_law(k, spec.L, starts, law.t_abs)
+    assert exact.sum() == pytest.approx(1.0, abs=1e-10)
+    se = np.maximum(np.sqrt(exact * (1 - exact) / law.replicates), 1.0 / law.replicates)
+    assert np.max(np.abs(law.p_hat - exact) / se) < 5.0
+
+
+def test_lockstep_law_worker_count_never_changes_results():
+    k = uniform_kernel(2)
+    spec = TorusSpec(8)
+    starts = _diagonal_starts(4, spec.L)
+    one = lineage_count_law(k, spec, starts, 0.3, 500, SeedSpec(51), chunk_size=64, workers=1)
+    three = lineage_count_law(k, spec, starts, 0.3, 500, SeedSpec(51), chunk_size=64, workers=3)
+    assert np.array_equal(one.p_hat, three.p_hat)
+    assert (one.events, one.merges) == (three.events, three.merges)
+
+
+def test_lockstep_step_cap_is_exact():
+    # one replicate runs one event per round, so its event count is the
+    # smallest cap it passes
+    k = uniform_kernel(2)
+    spec = TorusSpec(8)
+    starts = _diagonal_starts(3, spec.L)
+    law = lineage_count_law(k, spec, starts, 0.3, 1, SeedSpec(61))
+    assert law.events > 0
+    again = lineage_count_law(k, spec, starts, 0.3, 1, SeedSpec(61), step_cap=law.events)
+    assert again.events == law.events
+    with pytest.raises(StepCapExceeded) as info:
+        lineage_count_law(k, spec, starts, 0.3, 1, SeedSpec(61), step_cap=law.events - 1)
+    assert info.value.cap == law.events - 1
+    with pytest.raises(StepCapExceeded):
+        lineage_count_law(k, spec, starts, 1.0, 200, SeedSpec(62), step_cap=5)
+
+
+def test_lineage_law_work_counters():
+    k = uniform_kernel(2)
+    spec = TorusSpec(8)
+    single = lineage_count_law(k, spec, np.array([[1, 1]]), 1.0, 50, SeedSpec(71))
+    assert (single.events, single.merges, single.censored) == (0, 0, 0)
+    # at s = 0 no pair can merge, and walkers that miss the origin within
+    # the merge horizon's rounds are cut, not dropped
+    pair = lineage_count_law(k, TorusSpec(64), np.array([[0, 0], [32, 32]]), 0.0, 200, SeedSpec(72))
+    assert pair.merges == 0
+    assert pair.censored > 0
+    assert pair.events >= pair.censored
+    starts = _diagonal_starts(4, spec.L)
+    law = lineage_count_law(k, spec, starts, 0.3, 400, SeedSpec(73))
+    counts = np.rint(law.p_hat * law.replicates)
+    assert law.merges == int(np.dot(4 - np.arange(1, 5), counts))
+    assert law.censored == 0
+    assert law.events >= law.merges > 0

@@ -30,12 +30,20 @@ from typing import Callable
 
 import numpy as np
 
+from .torus import TorusSpec
+
 MASS_TOL = 1e-12
 DENSITY_SYMMETRY_TOL = 1e-12
 DENSITY_GRID = 33
 DENSITY_RANDOM_PROBES = 1000
 QUAD_TOL = 1e-9
 QUAD_MAX_AXIS = 4096  # 2**12 points per axis
+
+
+def check_range(M: int) -> None:
+    """Refuse a kernel range that is not a positive even integer."""
+    if M < 2 or M % 2 != 0:
+        raise ValueError(f"kernel range must be a positive even integer, got {M}")
 
 
 class QuadratureError(RuntimeError):
@@ -162,8 +170,7 @@ class JumpKernel:
         mass = np.asarray(self.masses, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] != mass.shape[0]:
             raise ValueError("points must be (n, 2) with matching masses")
-        if self.M < 2 or self.M % 2 != 0:
-            raise ValueError(f"kernel range must be a positive even integer, got {self.M}")
+        check_range(self.M)
         if np.any(np.abs(pts) > self.M // 2):
             raise ValueError("support leaks outside the box of side M")
         if np.any((pts == 0).all(axis=1)):
@@ -215,8 +222,7 @@ def _variance(pts: np.ndarray, mass: np.ndarray) -> float:
 
 def uniform_kernel(M: int) -> JumpKernel:
     """Equal mass on the (M+1)^2 - 1 nonzero points of the box of side M."""
-    if M < 2 or M % 2 != 0:
-        raise ValueError(f"kernel range must be a positive even integer, got {M}")
+    check_range(M)
     pts = _box_points(M)
     mass = np.full(pts.shape[0], 1.0 / pts.shape[0])
     mass /= mass.sum()
@@ -232,8 +238,7 @@ def uniform_kernel(M: int) -> JumpKernel:
 
 def density_kernel(M: int, density: KernelDensity, quad_base: int = 64) -> JumpKernel:
     """Mass proportional to density(x / M) on the nonzero box points."""
-    if M < 2 or M % 2 != 0:
-        raise ValueError(f"kernel range must be a positive even integer, got {M}")
+    check_range(M)
     pts = _box_points(M)
     w = density(pts[:, 0] / M, pts[:, 1] / M)
     mass = w / w.sum()
@@ -284,8 +289,7 @@ def meanfield_kernel(L: int) -> JumpKernel:
     Wrapping mod L therefore yields mass exactly 1/(L^2 - 1) on every
     nonzero torus point.
     """
-    if L < 2 or L % 2 != 0:
-        raise ValueError(f"torus side must be a positive even integer, got {L}")
+    TorusSpec(L)  # refuses a side that is not a positive even integer
     pts = _box_points(L)
     half = L // 2
     n_boundary = (np.abs(pts) == half).sum(axis=1)

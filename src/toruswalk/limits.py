@@ -39,8 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .kernels import JumpKernel, QuadratureError, quadrature_midpoint_2d
+from .kernels import JumpKernel, QuadratureError, check_range, quadrature_midpoint_2d
 from .spectral import char_fn
+from .torus import TorusSpec
 
 TWO_PI = 2.0 * math.pi
 RING_LOG2_LIMIT = TWO_PI * math.log(2.0)
@@ -49,10 +50,8 @@ DEATH_EXACT_MAX = 30
 
 def t_scale(L: int, M: int) -> float:
     """Time-scale factor log(L) / M^2."""
-    if L < 2 or L % 2 != 0:
-        raise ValueError(f"torus side must be a positive even integer, got {L}")
-    if M < 2 or M % 2 != 0:
-        raise ValueError(f"kernel range must be a positive even integer, got {M}")
+    TorusSpec(L)  # refuses a side that is not a positive even integer
+    check_range(M)
     return math.log(L) / (M * M)
 
 

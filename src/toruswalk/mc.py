@@ -17,6 +17,11 @@ whole trace; lineage_count_law runs all replicates of a chunk in
 lockstep, one event of every live system per numpy round, and keeps
 only the lineage count at the horizon.
 
+Layout: walkers and lineages keep their sites as coordinates mod L,
+in [0, L), the layout of `torus` (the lockstep coalescent's site code
+x*L + y is a site's linear index there).  Starts and traces are given
+in canonical coordinates (-L/2, L/2].
+
 Reproducibility: replicates are split into fixed-size chunks; chunk i
 always draws from the substream SeedSequence(master, spawn_key=(i,)),
 so results are byte-identical for any worker count.
@@ -105,13 +110,6 @@ class HitBatch:
         return int(self.n_jumps.size)
 
 
-def _wrap_inplace(pos: np.ndarray, L: int) -> None:
-    shift = L // 2 - 1
-    np.add(pos, shift, out=pos)
-    np.mod(pos, L, out=pos)
-    np.subtract(pos, shift, out=pos)
-
-
 def _skeleton_first_passage(
     kernel: JumpKernel,
     spec: TorusSpec,
@@ -129,8 +127,7 @@ def _skeleton_first_passage(
     otherwise exceeding step_cap raises StepCapExceeded.
     """
     L = spec.L
-    pos = np.array(starts, dtype=np.int64)
-    _wrap_inplace(pos, L)
+    pos = np.mod(np.asarray(starts, dtype=np.int64), L)
     if np.any((pos[:, 0] == 0) & (pos[:, 1] == 0)):
         raise ValueError("walkers must start away from the origin")
     n = np.full(pos.shape[0], -1, dtype=np.int64)
@@ -143,7 +140,7 @@ def _skeleton_first_passage(
         if rounds > step_cap:
             raise StepCapExceeded(step_cap, int(idx.size))
         pos += sample_jumps(kernel, rng, idx.size)
-        _wrap_inplace(pos, L)
+        np.mod(pos, L, out=pos)
         hit = (pos[:, 0] == 0) & (pos[:, 1] == 0)
         if hit.any():
             n[idx[hit]] = rounds
@@ -405,12 +402,13 @@ def _lockstep_coalescent(
     live system per round: each draws its holding time Exp(k), drops
     out once its clock passes the horizon, then draws a mover rank in
     [0, k); one sample_jumps call moves all movers.  Sites are codes
-    x*L + y with x, y in [0, L).  The k live lineages of a system fill
-    its first k columns; an absorbed mover swaps with the last live
-    column, which is then set to -1, a code no site has.  A live system
-    has taken an event in every round so far, so the round count is the
-    largest event count of any system and `rounds > step_cap` raises
-    exactly when the per-event loop would.
+    x*L + y with x, y in [0, L), the linear index of `torus`.  The k
+    live lineages of a system fill its first k columns; an absorbed
+    mover swaps with the last live column, which is then set to -1, a
+    code no site has.  A live system has taken an event in every round
+    so far, so the round count is the largest event count of any system
+    and `rounds > step_cap` raises exactly when the per-event loop
+    would.
 
     Returns (hist, events): hist[k-1] counts the systems left with k
     lineages, events the jumps taken.
@@ -508,7 +506,8 @@ def lineage_count_law(
     increment law of the difference is again the kernel, by symmetry),
     so n=2 runs as a vectorized first-passage batch; larger systems run
     the event-driven construction for all replicates of a chunk in
-    lockstep (_lockstep_coalescent).  The law also reports its work:
+    lockstep (_lockstep_coalescent).  At s = 0 nothing is simulated:
+    the law is the point mass at n.  The law also reports its work:
     kernel jumps taken, mergers, and pair walkers censored at
     _pair_merge_horizon_rounds.
     """
@@ -525,8 +524,11 @@ def lineage_count_law(
 
     # each part is (hist, events, censored) of one chunk; hist[k-1]
     # counts the replicates left with k lineages
-    if n == 1:
-        parts = [(np.array([replicates], dtype=np.int64), 0, 0)]
+    if n == 1 or t_abs == 0.0:
+        # no lineage can move or merge: the point mass at n
+        hist = np.zeros(n, dtype=np.int64)
+        hist[-1] = replicates
+        parts = [(hist, 0, 0)]
     elif n == 2:
         d0 = wrap(pos[0] - pos[1], spec.L)
         max_rounds = _pair_merge_horizon_rounds(t_abs)

@@ -14,9 +14,9 @@ phi is even, so a grid stores it only on the rfft2 half-plane
 (L x (L/2 + 1) frequencies, indexed by coordinate mod L): built by one
 rfft2 of the wrapped kernel mass, inverted by one irfft2 per
 transform.  Fields over the torus (heat, green, hitting transform)
-come back in the sorted layout of `torus`, after one roll; that
-layout is the only one at the API.  A direct summation path exists
-for cross-checking the FFT path at small sizes.
+come back from that irfft2 as they are: its output order is the
+mod-L layout of `torus`, with the origin at index 0.  A direct
+summation path exists for cross-checking the FFT path at small sizes.
 
 Kernels whose range equals the torus side are wrapped with colliding
 pre-images summed, which is exact at torus frequencies; ranges
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import JumpKernel
-from .torus import TWO_PI, TorusSpec, from_fft_layout, frequencies, index_of, wrap
+from .torus import TWO_PI, TorusSpec, frequencies, wrap
 
 IMAG_TOL = 1e-12
 SYMMETRY_TOL = 1e-12
@@ -88,9 +88,8 @@ class SpectralGrid:
 
     half[k1, k2] = phi(2*pi*(k1, k2)/L) for k1 in 0..L-1 and k2 in
     0..L/2, indexed by coordinate mod L (numpy's FFT order).  phi is
-    even, so the other half of the frequency grid mirrors this one;
-    `values` expands it to all L^2 frequencies in the sorted layout of
-    `torus`.  The origin frequency is pinned to exactly 1.
+    even, so the other half of the frequency grid mirrors this one.
+    The origin frequency is pinned to exactly 1.
     """
 
     spec: TorusSpec
@@ -111,17 +110,10 @@ class SpectralGrid:
             raise ValueError("characteristic values must lie in [-1, 1]")
         # Columns k2 = 0 and L/2 are their own mirror image; every other
         # entry stands for itself and its mirror, so symmetry there is
-        # structural.
-        edges = h[:, [0, L // 2]]
-        if _max_abs(edges - np.roll(edges[::-1], 1, axis=0)) > SYMMETRY_TOL:
+        # structural.  y -> -y fixes row 0 and reverses rows 1..L-1.
+        edges = h[1:, [0, L // 2]]
+        if _max_abs(edges - edges[::-1]) > SYMMETRY_TOL:
             raise ValueError("grid must be symmetric under y -> -y")
-
-    @property
-    def values(self) -> np.ndarray:
-        """phi over all L^2 frequencies, in the sorted layout of `torus`."""
-        L = self.spec.L
-        mirror = np.roll(self.half[::-1, L // 2 - 1 : 0 : -1], 1, axis=0)
-        return from_fft_layout(np.concatenate([self.half, mirror], axis=1)).ravel()
 
 
 def _max_abs(a: np.ndarray) -> float:
@@ -132,7 +124,7 @@ def _max_abs(a: np.ndarray) -> float:
 def _half_plane_thetas(spec: TorusSpec) -> np.ndarray:
     """Canonical angular frequencies of the half-plane, shape (L, L/2 + 1, 2)."""
     L = spec.L
-    k1 = wrap(np.arange(L), L)
+    k1 = spec.axis_coords()
     k2 = np.arange(L // 2 + 1)
     y = np.stack(np.meshgrid(k1, k2, indexing="ij"), axis=-1)
     return TWO_PI * y / L
@@ -181,12 +173,6 @@ def build_grid(kernel: JumpKernel, spec: TorusSpec, method: str = "fft") -> Spec
     )
 
 
-def _sorted_inverse(weights: np.ndarray, L: int) -> np.ndarray:
-    """(1/L^2) sum_y w[y] e^{i theta_y . x} for half-plane weights of an
-    even w, over all x in the sorted layout."""
-    return from_fft_layout(np.fft.irfft2(weights, s=(L, L))).ravel()
-
-
 @dataclass(frozen=True)
 class HeatGrid:
     """Occupation probabilities from the origin at one time.
@@ -223,7 +209,9 @@ def _heat_weights(grid: SpectralGrid, t: float) -> np.ndarray:
 
 def heat(grid: SpectralGrid, t: float) -> HeatGrid:
     """Distribution of the walk at time t, started at the origin."""
-    return HeatGrid(spec=grid.spec, t=t, raw=_sorted_inverse(_heat_weights(grid, t), grid.spec.L))
+    L = grid.spec.L
+    raw = np.fft.irfft2(_heat_weights(grid, t), s=(L, L)).ravel()
+    return HeatGrid(spec=grid.spec, t=t, raw=raw)
 
 
 @dataclass(frozen=True)
@@ -237,21 +225,20 @@ class GreenField:
     def __post_init__(self) -> None:
         if self.values.shape != (self.spec.n_points,):
             raise ValueError("resolvent values must have length L^2")
-        origin = int(index_of(np.zeros(2, dtype=np.int64), self.spec))
         if float(self.values.min()) <= 0.0:
             raise ArithmeticError("resolvent must be strictly positive")
-        if float(self.values.max()) > self.values[origin] * (1.0 + 1e-12):
+        if float(self.values.max()) > self.values[0] * (1.0 + 1e-12):
             raise ArithmeticError("resolvent must peak at the origin")
-        # In the sorted layout x -> -x reverses axis indices 0..L-2 and
-        # fixes index L-1 (coordinate L/2 is its own negative).
+        # x -> -x fixes axis index 0 and reverses indices 1..L-1 (index
+        # L/2, coordinate L/2, is its own negative).
         sq = self.values.reshape(self.spec.L, self.spec.L)
-        inner, row, col = sq[:-1, :-1], sq[-1, :-1], sq[:-1, -1]
+        inner, row, col = sq[1:, 1:], sq[0, 1:], sq[1:, 0]
         asym = max(
             _max_abs(inner - inner[::-1, ::-1]),
             _max_abs(row - row[::-1]),
             _max_abs(col - col[::-1]),
         )
-        if asym > 1e-10 * float(self.values[origin]):
+        if asym > 1e-10 * float(self.values[0]):
             raise ArithmeticError("resolvent must be symmetric under x -> -x")
 
 
@@ -262,7 +249,8 @@ def green(grid: SpectralGrid, lam: float) -> GreenField:
     w = 1.0 - grid.half
     w += lam
     np.reciprocal(w, out=w)
-    return GreenField(spec=grid.spec, lam=lam, values=_sorted_inverse(w, grid.spec.L))
+    L = grid.spec.L
+    return GreenField(spec=grid.spec, lam=lam, values=np.fft.irfft2(w, s=(L, L)).ravel())
 
 
 @dataclass(frozen=True)
@@ -276,8 +264,7 @@ class LaplaceField:
     def __post_init__(self) -> None:
         if self.values.shape != (self.spec.n_points,):
             raise ValueError("transform values must have length L^2")
-        origin = int(index_of(np.zeros(2, dtype=np.int64), self.spec))
-        if self.values[origin] != 1.0:
+        if self.values[0] != 1.0:
             raise ValueError("hitting transform must equal 1 at the origin")
         if float(self.values.min()) <= 0.0 or float(self.values.max()) > 1.0:
             raise ArithmeticError("hitting transform must lie in (0, 1]")
@@ -286,9 +273,8 @@ class LaplaceField:
 def laplace_hit(grid: SpectralGrid, lam: float) -> LaplaceField:
     """F(x, lam) = G(x, lam) / G(0, lam); equals 1 exactly at the origin."""
     g = green(grid, lam)
-    origin = int(index_of(np.zeros(2, dtype=np.int64), grid.spec))
-    values = g.values / g.values[origin]
-    values[origin] = 1.0
+    values = g.values / g.values[0]
+    values[0] = 1.0
     return LaplaceField(spec=grid.spec, lam=lam, values=values)
 
 
@@ -305,7 +291,7 @@ def uniformity_gap(grid: SpectralGrid, t: float) -> tuple[float, float]:
     # columns 1..L/2-1 stand for themselves and their mirror images
     w = _heat_weights(grid, t)
     bound = float(w[:, 0].sum() + w[:, L // 2].sum() + 2.0 * w[:, 1 : L // 2].sum() - w[0, 0])
-    raw = HeatGrid(spec=grid.spec, t=t, raw=_sorted_inverse(w, L)).raw
+    raw = HeatGrid(spec=grid.spec, t=t, raw=np.fft.irfft2(w, s=(L, L)).ravel()).raw
     del w  # gone before the deviation temporary below
     gap = n * _max_abs(raw - 1.0 / n)
     if gap > bound * (1.0 + 1e-9) + 1e-12:

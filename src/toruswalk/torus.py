@@ -20,14 +20,13 @@ Each region supports vectorized membership and enumeration, and
 region_mask gives its membership over a whole torus; punctured
 variants drop the origin.
 
-Layouts: fields over the torus are laid out row-major with linear
-index (x1 + L/2 - 1) * L + (x2 + L/2 - 1), i.e. axis values sorted
-increasingly from -L/2+1 to L/2 (the sorted layout); index_of,
-point_of, point_grid and region_mask speak it.  The frequency at
-linear index i is 2*pi/L times the point at linear index i.  FFT
-layout indexes an axis by coordinate mod L instead; spectral grids
-store only its rfft2 half-plane, and to_fft_layout/from_fft_layout
-convert a full (L, L) grid between the two.
+Layout: fields over the torus are laid out row-major with linear
+index (x1 mod L) * L + (x2 mod L), the index order of numpy's FFT, so
+the origin sits at index 0 and axis index i holds coordinate i for
+i <= L/2 and i - L above.  index_of, point_of, point_grid,
+frequencies and region_mask speak it, as do the spectral transforms
+and the Monte Carlo site codes.  The frequency at linear index i is
+2*pi/L times the point at linear index i.
 """
 
 from __future__ import annotations
@@ -57,9 +56,8 @@ class TorusSpec:
         return self.L * self.L
 
     def axis_coords(self) -> np.ndarray:
-        """Coordinate values along one axis, sorted: -L/2+1, ..., L/2."""
-        half = self.L // 2
-        return np.arange(-half + 1, half + 1, dtype=np.int64)
+        """Coordinate held at each axis index: 0, 1, ..., L/2, -L/2+1, ..., -1."""
+        return wrap(np.arange(self.L), self.L)
 
 
 def wrap(points: np.ndarray, L: int) -> np.ndarray:
@@ -77,22 +75,20 @@ def wrap(points: np.ndarray, L: int) -> np.ndarray:
     ndarray of int64, same shape
         Congruent points with both coordinates in (-L/2, L/2].
     """
-    if L < 2 or L % 2 != 0:
-        raise ValueError(f"torus side must be a positive even integer, got {L}")
+    TorusSpec(L)  # refuses a side that is not a positive even integer
     p = np.asarray(points, dtype=np.int64)
     half = L // 2
     return (p + (half - 1)) % L - (half - 1)
 
 
 def index_of(points: np.ndarray, spec: TorusSpec) -> np.ndarray:
-    """Linear index of canonical torus points under the documented layout."""
+    """Linear index (x1 mod L) * L + (x2 mod L) of canonical torus points."""
     p = np.asarray(points, dtype=np.int64)
     half = spec.L // 2
-    i1 = p[..., 0] + half - 1
-    i2 = p[..., 1] + half - 1
-    if np.any((i1 < 0) | (i1 >= spec.L) | (i2 < 0) | (i2 >= spec.L)):
+    if np.any((p <= -half) | (p > half)):
         raise ValueError("point outside canonical torus range; wrap() it first")
-    return i1 * spec.L + i2
+    i = np.mod(p, spec.L)
+    return i[..., 0] * spec.L + i[..., 1]
 
 
 def point_of(indices: np.ndarray, spec: TorusSpec) -> np.ndarray:
@@ -100,14 +96,11 @@ def point_of(indices: np.ndarray, spec: TorusSpec) -> np.ndarray:
     idx = np.asarray(indices, dtype=np.int64)
     if np.any((idx < 0) | (idx >= spec.n_points)):
         raise ValueError("linear index out of range")
-    half = spec.L // 2
-    x1 = idx // spec.L - (half - 1)
-    x2 = idx % spec.L - (half - 1)
-    return np.stack([x1, x2], axis=-1)
+    return wrap(np.stack(np.divmod(idx, spec.L), axis=-1), spec.L)
 
 
 def point_grid(spec: TorusSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate grids X1, X2 of shape (L, L) in sorted layout."""
+    """Coordinate grids X1, X2 of shape (L, L) in the documented layout."""
     ax = spec.axis_coords()
     return np.meshgrid(ax, ax, indexing="ij")
 
@@ -125,18 +118,6 @@ def frequencies(spec: TorusSpec) -> tuple[np.ndarray, np.ndarray]:
     x1, x2 = point_grid(spec)
     pts = np.stack([x1.ravel(), x2.ravel()], axis=-1)
     return pts, TWO_PI * pts / spec.L
-
-
-def to_fft_layout(grid: np.ndarray) -> np.ndarray:
-    """Reindex a sorted-layout (L, L) grid so index i holds coordinate i mod L."""
-    L = grid.shape[0]
-    return np.roll(grid, -(L // 2 - 1), axis=(0, 1))
-
-
-def from_fft_layout(grid: np.ndarray) -> np.ndarray:
-    """Inverse of to_fft_layout."""
-    L = grid.shape[0]
-    return np.roll(grid, L // 2 - 1, axis=(0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +179,7 @@ class Annulus:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if self.v <= 0:
             raise ValueError(f"window parameter v must be positive, got {self.v}")
-        if self.L < 2 or self.L % 2 != 0:
-            raise ValueError(f"torus side must be a positive even integer, got {self.L}")
+        TorusSpec(self.L)  # refuses a side that is not a positive even integer
 
     def bounds(self) -> tuple[float, float]:
         """(inner, outer) torus-square sides; inner 0 means puncture only."""

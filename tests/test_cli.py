@@ -525,3 +525,13 @@ def test_benchmark_tracer_hooks_resolve():
     finally:
         tracer.uninstall()
     assert toruswalk.cli.build_grid is original
+
+
+def test_public_names_resolve():
+    """Every name in toruswalk.__all__ exists, so a deleted export fails
+    here rather than at a user's star import."""
+    missing = [name for name in toruswalk.__all__ if not hasattr(toruswalk, name)]
+    assert missing == []
+    namespace: dict = {}
+    exec("from toruswalk import *", namespace)
+    assert set(toruswalk.__all__) <= set(namespace)

@@ -452,10 +452,14 @@ def test_lineage_law_work_counters():
     spec = TorusSpec(8)
     single = lineage_count_law(k, spec, np.array([[1, 1]]), 1.0, 50, SeedSpec(71))
     assert (single.events, single.merges, single.censored) == (0, 0, 0)
-    # at s = 0 no pair can merge, and walkers that miss the origin within
-    # the merge horizon's rounds are cut, not dropped
-    pair = lineage_count_law(k, TorusSpec(64), np.array([[0, 0], [32, 32]]), 0.0, 200, SeedSpec(72))
-    assert pair.merges == 0
+    # at s = 0 nothing moves: the point mass at n, with no work done
+    far = np.array([[0, 0], [32, 32]])
+    still = lineage_count_law(k, TorusSpec(64), far, 0.0, 200, SeedSpec(72))
+    assert (still.events, still.merges, still.censored) == (0, 0, 0)
+    assert still.p_hat.tolist() == [0.0, 1.0]
+    # walkers that miss the origin within the merge horizon's rounds are
+    # cut, not dropped
+    pair = lineage_count_law(k, TorusSpec(64), far, 1e-3, 200, SeedSpec(72))
     assert pair.censored > 0
     assert pair.events >= pair.censored
     starts = _diagonal_starts(4, spec.L)

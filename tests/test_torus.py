@@ -18,12 +18,10 @@ from toruswalk.torus import (
     contains,
     enumerate_region,
     frequencies,
-    from_fft_layout,
     index_of,
     point_grid,
     point_of,
     region_mask,
-    to_fft_layout,
     wrap,
 )
 
@@ -68,12 +66,13 @@ def test_index_point_roundtrip(L, data):
     assert int(index_of(point_of(i, spec), spec)) == i
 
 
-def test_sorted_layout_index_formula():
-    spec = TorusSpec(8)
-    for pt in [(-3, -3), (0, 0), (4, 4), (1, -2)]:
-        x = np.array(pt)
-        expected = (pt[0] + 3) * 8 + (pt[1] + 3)
-        assert int(index_of(x, spec)) == expected
+@given(L=EVEN_SIDES, data=st.data())
+def test_layout_index_formula(L, data):
+    spec = TorusSpec(L)
+    assert int(index_of(np.zeros(2, dtype=np.int64), spec)) == 0
+    coord = st.integers(min_value=-L // 2 + 1, max_value=L // 2)
+    p1, p2 = data.draw(coord), data.draw(coord)
+    assert int(index_of(np.array([p1, p2]), spec)) == (p1 % L) * L + (p2 % L)
 
 
 def test_index_of_rejects_unwrapped_points():
@@ -84,23 +83,15 @@ def test_index_of_rejects_unwrapped_points():
         index_of(np.array([-4, 0]), spec)
 
 
-def test_fft_layout_roundtrip_and_origin():
-    grid = np.arange(64, dtype=np.float64).reshape(8, 8)
-    assert np.array_equal(from_fft_layout(to_fft_layout(grid)), grid)
-    # in sorted layout coordinate 0 sits at axis index L/2 - 1;
-    # fft layout moves it to index 0
-    sq = np.zeros((8, 8))
-    sq[3, 3] = 1.0
-    assert to_fft_layout(sq)[0, 0] == 1.0
-
-
 def test_fft_layout_index_contract():
+    # axis index i holds coordinate i for i <= L/2 and i - L above: the
+    # index order of numpy's FFT, so the origin sits at index 0
     spec = TorusSpec(8)
-    x1, _ = point_grid(spec)
-    f = to_fft_layout(np.asarray(x1, dtype=np.float64))
-    for i in range(8):
-        coord = i if i <= 4 else i - 8
-        assert f[i, 0] == coord
+    expected = [i if i <= 4 else i - 8 for i in range(8)]
+    assert spec.axis_coords().tolist() == expected
+    x1, x2 = point_grid(spec)
+    assert x1[:, 0].tolist() == expected and x2[0, :].tolist() == expected
+    assert point_of(0, spec).tolist() == [0, 0]
 
 
 def test_point_grid_matches_point_of():

@@ -22,13 +22,17 @@ smooth and periodic, so refinement converges fast; c = 1 gives
 12/pi + 1 exactly).
 
 death_process_dist is the lineage-count law of the n-to-1 pure death
-chain with rate k(k-1)/2 in state k: exact exponential-mixture
-formulas for n <= 30 (all rates distinct), matrix exponential above.
+chain with rate k(k-1)/2 in state k: the last row of the matrix
+exponential of its bidiagonal generator.
 
 lemma21_audit numerically audits the exponential-sum inequalities and
 logarithmic lattice-sum limits used by the asymptotic analysis:
 proven bounds are asserted (a violation is an implementation bug);
-limits are reported as finite-size ratios.
+limits are reported as finite-size ratios.  Every inverse-square
+lattice sum it reports (square, disc, dyadic ring, oscillating ring)
+runs over a region symmetric under y1 -> -y1 and y2 -> -y2, so each is
+one weighted sum over the closed quadrant a, b >= 0 with cosine
+weights: no sine and no complex arithmetic.
 """
 
 from __future__ import annotations
@@ -41,11 +45,9 @@ import scipy.linalg
 
 from .kernels import JumpKernel, QuadratureError, check_range, quadrature_midpoint_2d
 from .spectral import char_fn
-from .torus import TorusSpec
+from .torus import TWO_PI, TorusSpec
 
-TWO_PI = 2.0 * math.pi
 RING_LOG2_LIMIT = TWO_PI * math.log(2.0)
-DEATH_EXACT_MAX = 30
 
 
 def t_scale(L: int, M: int) -> float:
@@ -177,9 +179,7 @@ def death_process_dist(n: int, t: float) -> np.ndarray:
     """P(D_t = k) for k = 1..n; D is the pure death chain from n with
     rate k(k-1)/2 in state k.
 
-    For n <= 30 the passage times are hypoexponential with distinct
-    rates, so the distribution is an exact exponential mixture; larger
-    n falls back to the matrix exponential of the bidiagonal generator.
+    The law is the last row of expm(t Q) for the bidiagonal generator Q.
 
     Returns an array p of length n with p[k-1] = P(D_t = k).
     """
@@ -187,36 +187,12 @@ def death_process_dist(n: int, t: float) -> np.ndarray:
         raise ValueError(f"need at least one lineage, got {n}")
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    if n == 1:
-        return np.ones(1)
-    rates = np.array([k * (k - 1) / 2.0 for k in range(2, n + 1)])  # rates[j] = r_{j+2}
-    if n > DEATH_EXACT_MAX:
-        Q = np.zeros((n, n))
-        for k in range(2, n + 1):
-            r = k * (k - 1) / 2.0
-            Q[k - 1, k - 1] = -r
-            Q[k - 1, k - 2] = r
-        return scipy.linalg.expm(t * Q)[n - 1]
-
-    def passage_cdf(k: int) -> float:
-        # P(sum of Exp(r_j), j = k+1..n, <= t); 1 for k = n
-        lams = rates[k - 1 :]  # r_{k+1} ... r_n
-        if lams.size == 0:
-            return 1.0
-        coef = np.ones(lams.size)
-        for j in range(lams.size):
-            others = np.delete(lams, j)
-            coef[j] = np.prod(others / (others - lams[j]))
-        return float(1.0 - np.sum(coef * np.exp(-lams * t)))
-
-    p = np.empty(n)
-    cdf_prev = passage_cdf(1)  # P(reached 1 by t)
-    p[0] = cdf_prev
-    for k in range(2, n + 1):
-        cdf_k = passage_cdf(k)
-        p[k - 1] = cdf_k - cdf_prev
-        cdf_prev = cdf_k
-    return p
+    k = np.arange(2, n + 1)
+    rates = k * (k - 1) / 2.0
+    Q = np.zeros((n, n))
+    Q[k - 1, k - 1] = -rates
+    Q[k - 1, k - 2] = rates
+    return scipy.linalg.expm(t * Q)[n - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +213,7 @@ def _dirichlet(b: np.ndarray, u: float) -> np.ndarray:
 
 def _axis_torus_sum(K: int, u: float) -> complex:
     # sum over the half-open axis range (-K/2, K/2]
-    half = K // 2 if K % 2 == 0 else (K - 1) // 2
+    half = K // 2
     if K % 2 == 0:
         d = float(_dirichlet(np.array(half), u))
         return complex(d - math.cos(half * u), math.sin(half * u))
@@ -297,62 +273,42 @@ def exponential_sum_audit(K: int, theta: np.ndarray) -> ExponentialSumAudit:
     )
 
 
-def _disc_inv_r2_sum(K: float) -> float:
-    """Sum of 1/|y|^2 over the punctured disc |y| <= K/2."""
-    R = K / 2.0
-    half = int(math.floor(R))
-    total = 0.0
+def _quadrant_sum(n: int, inner: float, outer: float, end: int, thetas: np.ndarray) -> np.ndarray:
+    """Inverse-square sums over a region symmetric under y1 -> -y1 and y2 -> -y2.
+
+    For each row theta of thetas, returns
+
+        sum_{a, b = 0..n} m(a) m(b) [inner^2 < a^2 + b^2 <= outer^2]
+                          cos(theta_1 a) cos(theta_2 b) / (a^2 + b^2)
+
+    with m(0) = 1, m(a) = 2 for 0 < a < n and m(n) = end: each quadrant
+    point stands for its mirror images.  With end = 2 that is the sum of
+    e^{i theta . y} / |y|^2 over the points of the region with |y1|,
+    |y2| <= n; the sine terms cancel by the mirror symmetry.  end = 1
+    drops y_i = -n, which gives the half-open torus square of even
+    side; its sine terms do not cancel, so it is summed at theta = 0.
+    """
+    a = np.arange(n + 1, dtype=np.float64)
+    m = np.full(n + 1, 2.0)
+    m[0], m[n] = 1.0, end
+    th = np.asarray(thetas, dtype=np.float64).reshape(-1, 2)
+    cos_rows = m[:, None] * np.cos(np.outer(a, th[:, 0]))
+    cos_cols = m[:, None] * np.cos(np.outer(a, th[:, 1]))
+    total = np.zeros(th.shape[0])
     chunk = 256
-    for lo in range(0, half + 1, chunk):
-        x1 = np.arange(lo, min(lo + chunk, half + 1), dtype=np.float64)
-        b = np.floor(np.sqrt(np.maximum(R * R - x1**2, 0.0))).astype(np.int64)
-        bmax = int(b.max())
-        x2 = np.arange(-bmax, bmax + 1, dtype=np.float64)
-        grid = x1[:, None] ** 2 + x2[None, :] ** 2
-        mask = np.abs(x2[None, :]) <= b[:, None]
-        if lo == 0:
-            mask[0, bmax] = False  # puncture the origin
-        weight = np.where((x1 > 0)[:, None], 2.0, 1.0)  # mirror rows x1 < 0
-        vals = np.where(mask & (grid > 0), 1.0 / np.where(grid > 0, grid, 1.0), 0.0)
-        total += float((weight * vals).sum())
-    return total
-
-
-def _torus_inv_r2_sum(K: int) -> float:
-    """Sum of 1/|y|^2 over the punctured half-open square of side K."""
-    lo = int(math.floor(-K / 2.0)) + 1
-    hi = int(math.floor(K / 2.0))
-    ax = np.arange(lo, hi + 1, dtype=np.float64)
-    total = 0.0
-    chunk = 256
-    for start in range(0, ax.size, chunk):
-        x1 = ax[start : start + chunk]
-        grid = x1[:, None] ** 2 + ax[None, :] ** 2
-        vals = np.where(grid > 0, 1.0 / np.where(grid > 0, grid, 1.0), 0.0)
-        total += float(vals.sum())
-    return total
-
-
-def _ring_weighted_sum(K: int, J: int, theta: np.ndarray) -> complex:
-    """sum over J/2 < |y| <= K/2 of e^{i theta . y} / |y|^2."""
-    th = np.asarray(theta, dtype=np.float64).reshape(2)
-    RK, RJ = K / 2.0, J / 2.0
-    half = int(math.floor(RK))
-    total = 0.0 + 0.0j
-    chunk = 256
-    for lo in range(-half, half + 1, chunk):
-        x1 = np.arange(lo, min(lo + chunk, half + 1), dtype=np.float64)
-        x2 = np.arange(-half, half + 1, dtype=np.float64)
-        r2 = x1[:, None] ** 2 + x2[None, :] ** 2
-        mask = (r2 <= RK * RK) & (r2 > RJ * RJ)
-        w = np.where(mask, 1.0 / np.where(r2 > 0, r2, 1.0), 0.0)
-        phase = th[0] * x1[:, None] + th[1] * x2[None, :]
-        total += complex(float((w * np.cos(phase)).sum()), float((w * np.sin(phase)).sum()))
+    for lo in range(0, n + 1, chunk):
+        r2 = a[lo : lo + chunk, None] ** 2 + a[None, :] ** 2
+        inside = (r2 > inner * inner) & (r2 <= outer * outer)
+        w = np.where(inside, 1.0 / np.maximum(r2, 1.0), 0.0)  # r2 = 0 is never inside
+        total += np.einsum("ik,ik->k", w @ cos_cols, cos_rows[lo : lo + chunk])
     return total
 
 
 @dataclass(frozen=True)
 class RingRow:
+    """|sum of e^{i theta . y} / |y|^2| over J/2 < |y| <= K/2 at one theta;
+    the sum is real, a cosine sum over the mirror-symmetric ring."""
+
     theta: tuple[float, float]
     ring_abs: float
     implied_constant: float  # ring_abs * min(1, J * ||theta||_inf)
@@ -364,10 +320,12 @@ class Lemma21Audit:
 
     exp_rows carry the proven square/disc bounds (asserted); ring_rows
     report |sum e^{i theta y}/|y|^2| over the ring J/2 < |y| <= K/2
-    together with the constant it implies against 1/(1 ^ J||theta||_inf)
-    (no proven numeric constant to assert).  The scalars are the
-    finite-size ratios whose limits are 2 pi (log-weighted inverse-square
-    sums over the square and the disc) and 2 pi log 2 (the dyadic ring).
+    together with the constant it implies against
+    1/min(1, J ||theta||_inf) (no proven numeric constant to assert).
+    The scalars divide sum 1/|y|^2 over the punctured half-open square
+    (-K/2, K/2]^2 and over the punctured disc |y| <= K/2 by log K
+    (both tend to 2 pi), and ring_dyadic_sum is sum 1/|y|^2 over the
+    ring K/2 < |y| <= K (it tends to 2 pi log 2).
     """
 
     K: int
@@ -389,25 +347,25 @@ def lemma21_audit(K: int, J: int, thetas: np.ndarray) -> Lemma21Audit:
         raise ValueError(f"need K > J >= 1, got K={K}, J={J}")
     thetas = np.asarray(thetas, dtype=np.float64).reshape(-1, 2)
     exp_rows = tuple(exponential_sum_audit(K, th) for th in thetas)
-    ring_rows = []
-    for th in thetas:
-        val = abs(_ring_weighted_sum(K, J, th))
-        sup = float(np.max(np.abs(th)))
-        ring_rows.append(
-            RingRow(
-                theta=(float(th[0]), float(th[1])),
-                ring_abs=val,
-                implied_constant=val * min(1.0, J * sup),
-            )
+    ring_abs = np.abs(_quadrant_sum(K // 2, J / 2.0, K / 2.0, 2, thetas))
+    ring_rows = tuple(
+        RingRow(
+            theta=(float(th[0]), float(th[1])),
+            ring_abs=float(val),
+            implied_constant=float(val) * min(1.0, J * float(np.max(np.abs(th)))),
         )
+        for th, val in zip(thetas, ring_abs)
+    )
+    theta0 = np.zeros((1, 2))
+    disc = _quadrant_sum(K // 2, 0.0, K / 2.0, 2, theta0)[0]
+    torus = _quadrant_sum(K // 2, 0.0, math.inf, 1 if K % 2 == 0 else 2, theta0)[0]
     log_k = math.log(K)
-    disc_k = _disc_inv_r2_sum(K)
     return Lemma21Audit(
         K=K,
         J=J,
         exp_rows=exp_rows,
-        ring_rows=tuple(ring_rows),
-        torus_log_ratio=_torus_inv_r2_sum(K) / log_k,
-        disc_log_ratio=disc_k / log_k,
-        ring_dyadic_sum=_disc_inv_r2_sum(2 * K) - disc_k,
+        ring_rows=ring_rows,
+        torus_log_ratio=torus / log_k,
+        disc_log_ratio=disc / log_k,
+        ring_dyadic_sum=_quadrant_sum(K, K / 2.0, float(K), 2, theta0)[0],
     )

@@ -94,9 +94,6 @@ class SpectralGrid:
 
     spec: TorusSpec
     kernel_label: str
-    M: int
-    sigma2_M: float
-    sigma2_limit: float | None
     half: np.ndarray
 
     def __post_init__(self) -> None:
@@ -163,14 +160,7 @@ def build_grid(kernel: JumpKernel, spec: TorusSpec, method: str = "fft") -> Spec
     else:
         raise ValueError(f"unknown method {method!r}")
     half[0, 0] = 1.0
-    return SpectralGrid(
-        spec=spec,
-        kernel_label=kernel.label,
-        M=kernel.M,
-        sigma2_M=kernel.sigma2_M,
-        sigma2_limit=kernel.sigma2_limit,
-        half=half,
-    )
+    return SpectralGrid(spec=spec, kernel_label=kernel.label, half=half)
 
 
 @dataclass(frozen=True)

@@ -4,15 +4,14 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toruswalk.kernels import uniform_kernel
 from toruswalk.limits import (
-    DEATH_EXACT_MAX,
     RING_LOG2_LIMIT,
     AuditError,
     Beta0Result,
@@ -154,38 +153,40 @@ def test_death_dist_single_lineage():
     assert death_process_dist(1, 5.0).tolist() == [1.0]
 
 
-def test_death_dist_matches_matrix_exponential():
-    # the mixture coefficients alternate in sign and grow with n, so the
-    # worst-case cancellation at n = 30 costs a few digits; still far
-    # below anything a Monte Carlo comparison can resolve
-    for n, t, tol in ((4, 0.7, 1e-12), (9, 0.15, 1e-11), (30, 0.02, 1e-7)):
-        Q = np.zeros((n, n))
+def _death_dist_reference(n: int, t: float) -> np.ndarray:
+    # last row of expm(t Q) in 60-digit arithmetic
+    with mpmath.workdps(60):
+        Q = mpmath.zeros(n, n)
         for k in range(2, n + 1):
-            r = k * (k - 1) / 2.0
+            r = mpmath.mpf(k * (k - 1)) / 2
             Q[k - 1, k - 1] = -r
             Q[k - 1, k - 2] = r
-        ref = scipy.linalg.expm(t * Q)[n - 1]
-        assert np.max(np.abs(death_process_dist(n, t) - ref)) < tol
+        row = mpmath.expm(mpmath.mpf(t) * Q)[n - 1, :]
+        return np.array([float(v) for v in row])
+
+
+def test_death_dist_matches_matrix_exponential():
+    for n, t in ((4, 0.7), (9, 0.15), (30, 0.02), (30, 1e-3)):
+        ref = _death_dist_reference(n, t)
+        assert np.max(np.abs(death_process_dist(n, t) - ref)) < 1e-14
 
 
 def test_death_dist_large_n_path():
-    p = death_process_dist(DEATH_EXACT_MAX + 5, 0.05)
+    p = death_process_dist(35, 0.05)
     assert p.shape == (35,)
     assert p.sum() == pytest.approx(1.0, abs=1e-9)
     assert np.all(p > -1e-12)
 
 
 @given(
-    n=st.integers(min_value=1, max_value=30),
+    n=st.integers(min_value=1, max_value=40),
     t=st.floats(min_value=0.0, max_value=50.0),
 )
 @settings(max_examples=60, deadline=None)
 def test_death_dist_is_a_distribution(n, t):
     p = death_process_dist(n, t)
     assert p.shape == (n,)
-    # mixture-coefficient cancellation leaves residue ~1e-8 near n = 30
-    assert np.all(p > -1e-7)
-    # the telescoping construction makes the total exact
+    assert np.all(p > -1e-14)
     assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -278,24 +279,27 @@ def _brute_ring_sum(K: int, J: int, theta) -> complex:
     return total
 
 
-def test_lemma21_audit_small_sizes_brute_force():
+@pytest.mark.parametrize("K, J", [(16, 4), (17, 4), (15, 2), (2, 1)])
+def test_lemma21_audit_small_sizes_brute_force(K, J):
     thetas = np.array([[1.0, 0.3], [-2.0, 2.5]])
-    audit = lemma21_audit(16, 4, thetas)
-    assert audit.K == 16 and audit.J == 4
+    audit = lemma21_audit(K, J, thetas)
+    assert audit.K == K and audit.J == J
     assert len(audit.exp_rows) == 2 and len(audit.ring_rows) == 2
     for row, th in zip(audit.ring_rows, thetas):
         assert row.ring_abs == pytest.approx(
-            abs(_brute_ring_sum(16, 4, th)), rel=1e-10, abs=1e-10
+            abs(_brute_ring_sum(K, J, th)), rel=1e-10, abs=1e-10
         )
         sup = max(abs(th[0]), abs(th[1]))
         assert row.implied_constant == pytest.approx(
-            row.ring_abs * min(1.0, 4 * sup), rel=1e-12
+            row.ring_abs * min(1.0, J * sup), rel=1e-12
         )
     # brute-force the inverse-square scalars
     def brute_torus(K):
+        # the half-open square (-K/2, K/2]^2
+        axis = range(math.floor(-K / 2) + 1, K // 2 + 1)
         tot = 0.0
-        for x1 in range(-(K // 2) + 1, K // 2 + 1):
-            for x2 in range(-(K // 2) + 1, K // 2 + 1):
+        for x1 in axis:
+            for x2 in axis:
                 if x1 or x2:
                     tot += 1.0 / (x1 * x1 + x2 * x2)
         return tot
@@ -311,13 +315,13 @@ def test_lemma21_audit_small_sizes_brute_force():
         return tot
 
     assert audit.torus_log_ratio == pytest.approx(
-        brute_torus(16) / math.log(16), rel=1e-10
+        brute_torus(K) / math.log(K), rel=1e-10
     )
     assert audit.disc_log_ratio == pytest.approx(
-        brute_disc(16) / math.log(16), rel=1e-10
+        brute_disc(K) / math.log(K), rel=1e-10
     )
     assert audit.ring_dyadic_sum == pytest.approx(
-        brute_disc(32) - brute_disc(16), rel=1e-10
+        brute_disc(2 * K) - brute_disc(K), rel=1e-10
     )
 
 

@@ -43,8 +43,9 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, KernelPlan, load_config, read
-from .kernels import JumpKernel, QuadratureError
+from .kernels import JumpKernel
 from .limits import (
+    QuadratureError,
     QuadratureSpec,
     RegimeParams,
     RING_LOG2_LIMIT,

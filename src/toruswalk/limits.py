@@ -17,9 +17,10 @@ meanfield transform 1/(1 + lam) on the time scale L^2, with mean 1.
 beta0 evaluates the limiting mean constant of the mixture family,
     12/(c pi) + (2 pi)^-2 * integral over [-pi, pi]^2 of
         d theta / (1 - (1 - c) * q0_hat(theta)),
-by midpoint quadrature under dyadic refinement (the integrand is
-smooth and periodic, so refinement converges fast; c = 1 gives
-12/pi + 1 exactly).
+by quadrature_midpoint_2d, a midpoint rule under dyadic refinement
+with its controls in a QuadratureSpec (the integrand is smooth and
+periodic, so refinement converges fast; c = 1 gives 12/pi + 1
+exactly).
 
 death_process_dist is the lineage-count law of the n-to-1 pure death
 chain with rate k(k-1)/2 in state k: the last row of the matrix
@@ -39,11 +40,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
 
-from .kernels import JumpKernel, QuadratureError, check_range, quadrature_midpoint_2d
+from .kernels import JumpKernel, check_range
 from .spectral import char_fn
 from .torus import TWO_PI, TorusSpec
 
@@ -112,7 +114,7 @@ def target_mean(params: RegimeParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# beta0 quadrature
+# Midpoint quadrature and beta0
 
 
 @dataclass(frozen=True)
@@ -133,6 +135,53 @@ class QuadratureSpec:
             raise ValueError(f"tolerance must be positive, got {self.tol}")
 
 
+class QuadratureError(RuntimeError):
+    """Dyadic refinement failed to converge; carries the last two estimates."""
+
+    def __init__(self, message: str, last: float, previous: float):
+        super().__init__(message)
+        self.last = last
+        self.previous = previous
+
+
+def quadrature_midpoint_2d(
+    func: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    half_width: float,
+    quad: QuadratureSpec,
+) -> tuple[float, int, list[tuple[int, float]]]:
+    """Integrate func over the square [-h, h]^2 by refined midpoint sums.
+
+    The per-axis resolution doubles from quad.base until two successive
+    estimates agree within quad.tol.  When one more doubling would pass
+    quad.max_axis, QuadratureError is raised carrying the last two
+    estimates.
+
+    Returns
+    -------
+    (value, n_axis, history) : the final estimate, the resolution used,
+    and the (resolution, estimate) pair for every level visited.
+    """
+    prev = math.nan
+    history: list[tuple[int, float]] = []
+    n = quad.base
+    while True:
+        h = 2.0 * half_width / n
+        mids = -half_width + h * (np.arange(n) + 0.5)
+        x1, x2 = np.meshgrid(mids, mids, indexing="ij")
+        val = float(np.sum(func(x1, x2))) * h * h
+        history.append((n, val))
+        if abs(val - prev) < quad.tol:
+            return val, n, history
+        if 2 * n > quad.max_axis:
+            raise QuadratureError(
+                f"midpoint rule did not converge within {quad.max_axis} points per axis",
+                last=val,
+                previous=prev,
+            )
+        prev = val
+        n *= 2
+
+
 @dataclass(frozen=True)
 class Beta0Result:
     c: float
@@ -145,8 +194,9 @@ def beta0(c: float, q0: JumpKernel, quad: QuadratureSpec = QuadratureSpec()) -> 
 
     The integral runs over the full period square [-pi, pi]^2; the
     denominator is bounded below by c, so the integrand is smooth.
-    Raises QuadratureError (carrying the last two estimates) if the
-    refinement cap is hit before two levels agree within quad.tol.
+    Raises QuadratureError (carrying the last two estimates) if one
+    more doubling would pass quad.max_axis before two levels agree
+    within quad.tol.
     """
     if not 0.0 < c <= 1.0:
         raise ValueError(f"mixture weight must lie in (0, 1], got {c}")
@@ -155,14 +205,7 @@ def beta0(c: float, q0: JumpKernel, quad: QuadratureSpec = QuadratureSpec()) -> 
         q_hat = char_fn(q0, np.stack([t1, t2], axis=-1))
         return 1.0 / (1.0 - (1.0 - c) * q_hat)
 
-    value, _, history = quadrature_midpoint_2d(
-        integrand,
-        math.pi,
-        base=quad.base,
-        tol=quad.tol,
-        max_axis=quad.max_axis,
-        strict=True,
-    )
+    value, _, history = quadrature_midpoint_2d(integrand, math.pi, quad)
     lead = 12.0 / (c * math.pi)
     return Beta0Result(
         c=c,

@@ -328,6 +328,12 @@ class ConditionReport:
     p2_min: minimum of 1 - phi on the sup-norm annulus (delta/M, delta_prime].
     p3_max_abs: maximum of |phi| on the sup-norm annulus (a, pi].
     Measurement only; thresholds (eps) are echoed for the caller.
+
+    Accuracy floor: 1 - phi is formed as 1 - sum q cos(theta . x), which
+    cancels at the small-ball probes.  For uniform M = 128, p1_max_dev
+    reads 0.0156860551, 1.5e-6 relative above the cancellation-free
+    2 sum q sin^2(theta . x / 2) and above its theta -> 0 supremum
+    (129/128)^2 - 1 = 0.0156860352.
     """
 
     delta: float

@@ -2,22 +2,24 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toruswalk.config import KernelPlan
 from toruswalk.kernels import (
     JumpKernel,
     KernelDensity,
-    QuadratureError,
     density_kernel,
     meanfield_kernel,
     mixture_kernel,
-    quadrature_midpoint_2d,
     sample_jumps,
     uniform_kernel,
 )
+from toruswalk.limits import QuadratureError, QuadratureSpec, quadrature_midpoint_2d
 
 EVEN_M = st.integers(min_value=1, max_value=12).map(lambda k: 2 * k)
 
@@ -75,6 +77,7 @@ def test_mass_at_lookup():
     assert k.mass_at((1, -1)) == pytest.approx(1 / 8)
     assert k.mass_at((0, 0)) == 0.0
     assert k.mass_at((2, 0)) == 0.0
+    assert k.mass_at((-5, 1)) == 0.0
 
 
 def test_density_constant_matches_uniform():
@@ -83,8 +86,7 @@ def test_density_constant_matches_uniform():
     u = uniform_kernel(4)
     assert k.points.shape == u.points.shape
     assert np.allclose(np.sort(k.masses), np.sort(u.masses), atol=1e-12)
-    # limiting variance integral is resolved numerically, so a little loose
-    assert k.sigma2_limit == pytest.approx(1 / 12, abs=1e-7)
+    assert k.sigma2_limit == pytest.approx(1 / 12, rel=1e-12)
 
 
 def test_density_even_profile_invariants():
@@ -158,19 +160,12 @@ def test_meanfield_boundary_splitting():
 def test_quadrature_converges_on_smooth_integrand():
     # integral of cos(x)cos(y) over [-1,1]^2 = 4 sin(1)^2
     val, n_axis, history = quadrature_midpoint_2d(
-        lambda a, b: np.cos(a) * np.cos(b), 1.0, base=8, tol=1e-6
+        lambda a, b: np.cos(a) * np.cos(b), 1.0, QuadratureSpec(base=8, tol=1e-6)
     )
     assert val == pytest.approx(4 * np.sin(1.0) ** 2, abs=1e-6)
     assert n_axis >= 8
     assert [h[0] for h in history] == sorted(h[0] for h in history)
     assert history[-1] == (n_axis, val)
-
-
-def test_quadrature_rejects_bad_base():
-    with pytest.raises(ValueError):
-        quadrature_midpoint_2d(lambda a, b: a + b, 1.0, base=12)
-    with pytest.raises(ValueError):
-        quadrature_midpoint_2d(lambda a, b: a + b, 1.0, base=64, max_axis=32)
 
 
 def _rough(a, b):
@@ -180,19 +175,23 @@ def _rough(a, b):
 
 def test_quadrature_strict_raises_and_keeps_estimates():
     with pytest.raises(QuadratureError) as exc:
-        quadrature_midpoint_2d(_rough, np.pi, base=8, tol=1e-12, max_axis=16, strict=True)
+        quadrature_midpoint_2d(_rough, np.pi, QuadratureSpec(base=8, tol=1e-12, max_axis=16))
     assert np.isfinite(exc.value.last)
     assert np.isfinite(exc.value.previous)
     assert exc.value.last != exc.value.previous
 
 
-def test_quadrature_nonstrict_returns_cap_value():
-    val, n_axis, history = quadrature_midpoint_2d(
-        _rough, np.pi, base=8, tol=1e-12, max_axis=16, strict=False
-    )
-    assert n_axis == 16
-    assert np.isfinite(val)
-    assert len(history) == 2
+def test_quadrature_cap_holds_when_not_a_doubling_of_base():
+    levels = []
+
+    def recording(a, b):
+        levels.append(a.shape[0])
+        return _rough(a, b)
+
+    with pytest.raises(QuadratureError):
+        quadrature_midpoint_2d(recording, np.pi, QuadratureSpec(base=2, tol=1e-12, max_axis=6))
+    assert levels == [2, 4]
+    assert max(levels) <= 6
 
 
 def test_sample_jumps_frequencies():
@@ -215,3 +214,73 @@ def test_sample_jumps_deterministic_given_rng():
     a = sample_jumps(k, np.random.default_rng(11), 1000)
     b = sample_jumps(k, np.random.default_rng(11), 1000)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        ("constant", 1 / 12),
+        ("quartic", (1 / 12 + 1 / 960) / (1 + 1 / 144)),
+        ("gaussian", 1 / 8 - np.exp(-1) / (4 * np.sqrt(np.pi) * math.erf(1))),
+    ],
+)
+def test_registered_density_limits_match_closed_forms(name, expected):
+    k = KernelPlan(family="density", density=name, M=8).build(64)
+    assert k.sigma2_limit == pytest.approx(expected, rel=1e-12)
+
+
+def test_density_rejects_unresolved_profile():
+    # continuous but with a kink on the axes: Gauss-Legendre orders disagree
+    dens = KernelDensity(lambda a, b: 1.0 + np.abs(a) + np.abs(b), label="kinked")
+    with pytest.raises(ValueError, match="unresolved"):
+        density_kernel(4, dens)
+
+
+def _nearest_neighbour_box() -> np.ndarray:
+    box = np.zeros((3, 3))
+    box[[0, 2, 1, 1], [1, 1, 0, 2]] = 0.25
+    return box
+
+
+def test_box_validator_accepts_nearest_neighbour():
+    k = JumpKernel(_nearest_neighbour_box(), sigma2_limit=None, label="nn")
+    assert k.M == 2
+    assert k.n_support == 4
+    assert k.sigma2_M == pytest.approx(0.5)
+    assert k.mass_at((1, 1)) == 0.0
+    _check_kernel_invariants(k)
+    draws = sample_jumps(k, np.random.default_rng(3), 10_000)
+    steps = {tuple(p) for p in np.unique(draws, axis=0)}
+    assert steps == {(-1, 0), (1, 0), (0, -1), (0, 1)}
+
+
+def _broken_boxes():
+    nn = _nearest_neighbour_box()
+    asymmetric = nn.copy()
+    asymmetric[0, 1], asymmetric[2, 1] = 0.3, 0.2
+    origin = nn * 0.9
+    origin[1, 1] = 0.1
+    negative = nn.copy()
+    negative[0, 0] = negative[2, 2] = -0.1
+    negative[0, 2] = negative[2, 0] = 0.1
+    heavy = nn * 1.01
+    # all mass on the x1 axis: symmetric, but the variances differ
+    axis = np.zeros((3, 3))
+    axis[[0, 2], [1, 1]] = 0.5
+    odd = np.full((4, 4), 1 / 16)
+    # each box breaks one invariant and keeps the others
+    return {
+        "asymmetric": (asymmetric, r"q\(x\) = q\(-x\)"),
+        "origin": (origin, "origin"),
+        "negative": (negative, "nonnegative"),
+        "sum": (heavy, "sum to one"),
+        "variances": (axis, "variances"),
+        "odd M": (odd, "even"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_broken_boxes()))
+def test_box_validator_rejects(case):
+    box, reason = _broken_boxes()[case]
+    with pytest.raises(ValueError, match=reason):
+        JumpKernel(box, sigma2_limit=None, label=case)

@@ -15,6 +15,7 @@ from toruswalk.limits import (
     RING_LOG2_LIMIT,
     AuditError,
     Beta0Result,
+    QuadratureError,
     QuadratureSpec,
     RegimeParams,
     alpha_prime,
@@ -27,7 +28,6 @@ from toruswalk.limits import (
     target_laplace,
     target_mean,
 )
-from toruswalk.kernels import QuadratureError
 
 
 def test_t_scale_frozen_value():

@@ -20,11 +20,20 @@ build their boxes directly:
   outer product of the axis weights [1/2, 1, ..., 1, 1/2]: boundary
   mass is split across the +/-L/2 pre-images, so mirror symmetry holds
   exactly and wrapping onto the torus gives 1/(L^2 - 1) everywhere.
+
+Sampling is by inverse CDF: a jump is support point
+searchsorted(cdf, u, "right") for a uniform u.  sample_jumps finds that
+index with a guide table (Chen & Asau 1974, AIIE Trans. 6) instead of a
+binary search: B buckets, B a power of two, with start[b] = #{cdf <=
+b/B} <= the index sought for every u in bucket b = floor(u*B), then a
+few vectorized passes step each draw past the CDF values still <= u.
+The index, and so every drawn jump, is exactly the binary search's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -37,6 +46,7 @@ DENSITY_GRID = 33
 DENSITY_RANDOM_PROBES = 1000
 GAUSS_ORDERS = (48, 96)  # Gauss-Legendre nodes per axis, coarse and fine
 PROFILE_RTOL = 1e-12
+GUIDE_PASSES = 4  # guide-table correction passes before a binary search takes the rest
 
 
 def check_range(M: int) -> None:
@@ -66,6 +76,8 @@ class KernelDensity:
         x1 = np.concatenate([g1.ravel(), r[0]])
         x2 = np.concatenate([g2.ravel(), r[1]])
         v = self(x1, x2)
+        if v.shape != x1.shape:
+            raise ValueError(f"density profile must return one value per point, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("density profile returned non-finite values")
         if np.any(v <= 0.0):
@@ -85,7 +97,8 @@ class JumpKernel:
     box[i, j] is the probability of the jump (i - M/2, j - M/2).  The
     constructor checks the box with whole-array comparisons: even side
     M, no mass at the center, entries nonnegative and summing to one,
-    box == box[::-1, ::-1] to MASS_TOL, equal marginal variances.
+    box == box[::-1, ::-1] to MASS_TOL with exactly mirror-symmetric
+    support (so points[::-1] == -points), equal marginal variances.
     Violations raise ValueError.  sigma2_limit is the limit of
     sigma2_M / M^2 along the family, when the family defines one
     (uniform: 1/12; density: profile integral ratio; mixture: c/12;
@@ -121,6 +134,8 @@ class JumpKernel:
             raise ValueError("masses must sum to one")
         if np.max(np.abs(box - box[::-1, ::-1])) > MASS_TOL:
             raise ValueError("kernel must satisfy q(x) = q(-x)")
+        if not np.array_equal(box > 0.0, box[::-1, ::-1] > 0.0):
+            raise ValueError("kernel support must be mirror-symmetric: q(x) > 0 iff q(-x) > 0")
         x2 = _box_axis(M).astype(np.float64) ** 2
         v1, v2 = float(box.sum(axis=1) @ x2), float(box.sum(axis=0) @ x2)
         if abs(v1 - v2) > 1e-9 * max(v1, 1.0):
@@ -144,6 +159,18 @@ class JumpKernel:
     @property
     def n_support(self) -> int:
         return int(self.points.shape[0])
+
+    @cached_property
+    def _guide(self) -> tuple[np.ndarray, np.ndarray]:
+        """Guide table for sample_jumps, built on first use.
+
+        start[b] = #{cdf <= b/B} for B buckets, B the least power of two
+        >= n_support (so u*B and b/B are exact), and the CDF closed by
+        +inf, which stops every correction pass at index n_support.
+        """
+        B = 1 << max(self.n_support - 1, 1).bit_length()
+        start = np.searchsorted(self._cdf, np.arange(B) / B, side="right")
+        return start, np.append(self._cdf, np.inf)
 
 
 def _box_axis(M: int) -> np.ndarray:
@@ -215,13 +242,40 @@ def meanfield_kernel(L: int) -> JumpKernel:
     return JumpKernel(box, sigma2_limit=None, label=f"meanfield(L={L})")
 
 
+def _jump_index(kernel: JumpKernel, u: np.ndarray) -> np.ndarray:
+    """searchsorted(kernel._cdf, u, side="right"), capped at n_support - 1.
+
+    Starts from the guide table's bucket and steps forward while the
+    CDF is still <= u; after GUIDE_PASSES passes the few draws left
+    (those in a bucket holding many CDF steps) take the binary search.
+    """
+    start, cdf = kernel._guide
+    idx = start.take((u * start.size).astype(np.intp))
+    need = np.flatnonzero(cdf.take(idx) <= u)
+    for _ in range(GUIDE_PASSES):
+        if not need.size:
+            break
+        idx[need] += 1
+        need = need[cdf.take(idx[need]) <= u[need]]
+    if need.size:
+        idx[need] = np.searchsorted(cdf, u[need], side="right")
+    return np.minimum(idx, kernel.n_support - 1, out=idx)
+
+
 def sample_jumps(kernel: JumpKernel, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Draw `size` independent jumps, shape (size, 2), by inverse CDF."""
-    idx = np.searchsorted(kernel._cdf, rng.random(size), side="right")
-    idx = np.minimum(idx, kernel.n_support - 1)
-    return kernel.points[idx]
+    """Draw `size` independent jumps, shape (size, 2), by inverse CDF.
+
+    One uniform per jump, in order; the guide table only finds the
+    inverse-CDF index faster (see the module docstring).
+    """
+    return kernel.points.take(_jump_index(kernel, rng.random(size)), axis=0)
 
 
 def sample_jump(kernel: JumpKernel, rng: np.random.Generator) -> np.ndarray:
-    """Draw one jump, shape (2,)."""
-    return sample_jumps(kernel, rng, 1)[0]
+    """Draw one jump, shape (2,): sample_jumps(kernel, rng, 1)[0], by binary search.
+
+    For a single draw the search costs less than building a guide-table
+    pass; the uniform and the index are the same.
+    """
+    i = int(np.searchsorted(kernel._cdf, rng.random(), side="right"))
+    return kernel.points[min(i, kernel.n_support - 1)].copy()

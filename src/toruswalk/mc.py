@@ -6,7 +6,11 @@ independent of the skeleton.  Hitting times are therefore sampled
 exactly in distribution as H = Gamma(N, 1) where N is the skeleton
 step count at the first visit to the origin; this is about twice as
 fast as simulating clocks step by step and keeps N available for
-Wald-identity checks (E[H] = E[N]).
+Wald-identity checks (E[H] = E[N]).  The skeleton draws its jumps in
+blocks of up to SKELETON_BLOCK uniforms and afterwards rewinds the
+generator to just past the uniforms its rounds consumed, so the draws
+it uses and every draw after it are those of one sample_jumps call per
+round.
 
 Coalescing systems use a single global exponential clock with rate
 equal to the live lineage count, a uniform pick of the mover, and a
@@ -41,6 +45,7 @@ from .torus import TorusSpec, wrap
 
 DEFAULT_STEP_CAP = 10**10
 DEFAULT_CHUNK = 4096
+SKELETON_BLOCK = 2**16  # uniforms per sample_jumps call of the first-passage skeleton
 # The difference of two rate-1 walkers jumps at rate 2, so a pair merges
 # at half the difference walk's hitting time of the origin.
 PAIR_CLOCK = 2.0
@@ -110,6 +115,19 @@ class HitBatch:
         return int(self.n_jumps.size)
 
 
+def _rewind(bitgen: np.random.BitGenerator, saved: dict, draws: int) -> None:
+    """Set bitgen to the state `saved` advanced by `draws` 64-bit draws.
+
+    advance() clears the buffered half of a 32-bit draw, so the saved
+    pair (has_uint32, uinteger) is put back: no 64-bit draw touches it.
+    """
+    bitgen.state = saved
+    bitgen.advance(draws)
+    state = bitgen.state
+    state["has_uint32"], state["uinteger"] = saved["has_uint32"], saved["uinteger"]
+    bitgen.state = state
+
+
 def _skeleton_first_passage(
     kernel: JumpKernel,
     spec: TorusSpec,
@@ -125,28 +143,56 @@ def _skeleton_first_passage(
     max_rounds set, walkers still active at the cutoff are censored
     and reported as -1 (the caller owns the tail-probability argument);
     otherwise exceeding step_cap raises StepCapExceeded.
+
+    Jumps come from sample_jumps in blocks of up to SKELETON_BLOCK
+    (or k, if larger), and each round takes the next k of them, k the
+    walkers still active: the draws of one sample_jumps(k) call per
+    round, in the same order.  On return or raise, the generator is
+    rewound to just past the uniforms consumed, so what it draws next
+    is unchanged.
+    The rewind needs a PCG64-family bit generator (one advance() step
+    per 64-bit draw); any other raises TypeError.
     """
+    bitgen = rng.bit_generator
+    if not isinstance(bitgen, (np.random.PCG64, np.random.PCG64DXSM)):
+        raise TypeError(f"the skeleton rewinds with PCG64.advance, got {type(bitgen).__name__}")
     L = spec.L
-    pos = np.mod(np.asarray(starts, dtype=np.int64), L)
-    if np.any((pos[:, 0] == 0) & (pos[:, 1] == 0)):
+    # sites in [0, L) plus one jump of at most M/2 per coordinate
+    dtype = np.int32 if L + kernel.M < 2**31 else np.int64
+    pos = np.mod(np.asarray(starts, dtype=np.int64), L).T.astype(dtype)  # (2, walkers)
+    if not np.all(pos[0] | pos[1]):
         raise ValueError("walkers must start away from the origin")
-    n = np.full(pos.shape[0], -1, dtype=np.int64)
-    idx = np.arange(pos.shape[0])
-    rounds = 0
-    while idx.size:
-        rounds += 1
-        if max_rounds is not None and rounds > max_rounds:
-            break
-        if rounds > step_cap:
-            raise StepCapExceeded(step_cap, int(idx.size))
-        pos += sample_jumps(kernel, rng, idx.size)
-        np.mod(pos, L, out=pos)
-        hit = (pos[:, 0] == 0) & (pos[:, 1] == 0)
-        if hit.any():
-            n[idx[hit]] = rounds
-            keep = ~hit
-            idx = idx[keep]
-            pos = pos[keep]
+    n = np.full(pos.shape[1], -1, dtype=np.int64)
+    idx = np.arange(pos.shape[1])
+    jumps = np.empty((2, 0), dtype=dtype)  # drawn jumps; jumps[:, used:] not yet taken
+    used = consumed = rounds = 0
+    saved = bitgen.state
+    try:
+        while idx.size:
+            rounds += 1
+            if max_rounds is not None and rounds > max_rounds:
+                break
+            if rounds > step_cap:
+                raise StepCapExceeded(step_cap, int(idx.size))
+            k = idx.size
+            if used + k > jumps.shape[1]:
+                # blocks grow with the draws so far: a short run draws little
+                fresh = sample_jumps(kernel, rng, max(k, min(SKELETON_BLOCK, 2 * consumed))).T
+                jumps = np.concatenate([jumps[:, used:], fresh], axis=1, dtype=dtype)
+                used = 0
+            pos += jumps[:, used : used + k]
+            used += k
+            consumed += k
+            np.mod(pos, L, out=pos)
+            off = pos[0] | pos[1]  # zero exactly at the origin
+            if np.count_nonzero(off) < k:
+                hit = off == 0
+                n[idx[hit]] = rounds
+                keep = ~hit
+                idx = idx[keep]
+                pos = pos[:, keep]
+    finally:
+        _rewind(bitgen, saved, consumed)
     return n
 
 

@@ -66,16 +66,22 @@ def char_fn(kernel: JumpKernel, theta: np.ndarray, checked: bool = False) -> np.
     out_shape = th.shape[:-1]
     flat = th.reshape(-1, 2)
     pts = kernel.points.astype(np.float64)
+    # points[::-1] == -points and cos is even: the second half of each
+    # row of cosines is the first half reversed
+    half = kernel.n_support // 2
     vals = np.empty(flat.shape[0])
     chunk = max(1, int(2**22 // max(kernel.n_support, 1)))
     for start in range(0, flat.shape[0], chunk):
         block = flat[start : start + chunk]
-        phases = block @ pts.T
-        vals[start : start + chunk] = np.cos(phases) @ kernel.masses
+        phases = block @ (pts if checked else pts[:half]).T
         if checked:
             odd = np.abs(np.sin(phases) @ kernel.masses)
             if odd.size and float(odd.max()) > IMAG_TOL:
                 raise ArithmeticError("odd part of the characteristic sum did not vanish")
+        row = np.empty((block.shape[0], kernel.n_support))
+        np.cos(phases[:, :half], out=row[:, :half])
+        row[:, half:] = row[:, half - 1 :: -1]
+        vals[start : start + chunk] = row @ kernel.masses
     result = vals.reshape(out_shape)
     if np.asarray(theta).ndim == 1:
         return result[()] if result.shape == () else result[0]

@@ -15,7 +15,9 @@ from toruswalk.kernels import (
     KernelDensity,
     density_kernel,
     meanfield_kernel,
+    _jump_index,
     mixture_kernel,
+    sample_jump,
     sample_jumps,
     uniform_kernel,
 )
@@ -268,6 +270,9 @@ def _broken_boxes():
     axis = np.zeros((3, 3))
     axis[[0, 2], [1, 1]] = 0.5
     odd = np.full((4, 4), 1 / 16)
+    # a mass at x with none at -x, small enough for the MASS_TOL checks
+    one_sided = nn.copy()
+    one_sided[0, 0] = 1e-14
     # each box breaks one invariant and keeps the others
     return {
         "asymmetric": (asymmetric, r"q\(x\) = q\(-x\)"),
@@ -276,6 +281,7 @@ def _broken_boxes():
         "sum": (heavy, "sum to one"),
         "variances": (axis, "variances"),
         "odd M": (odd, "even"),
+        "one-sided": (one_sided, "mirror-symmetric"),
     }
 
 
@@ -284,3 +290,42 @@ def test_box_validator_rejects(case):
     box, reason = _broken_boxes()[case]
     with pytest.raises(ValueError, match=reason):
         JumpKernel(box, sigma2_limit=None, label=case)
+
+
+def _sampled_kernels():
+    quadratic = KernelDensity(lambda a, b: 1.0 + a * a + b * b, label="quadratic")
+    return {
+        "uniform": uniform_kernel(8),
+        # tiny masses put many CDF steps into one guide bucket
+        "mixture": mixture_kernel(0.003, 64, uniform_kernel(2)),
+        "density": density_kernel(8, quadratic),
+        "meanfield": meanfield_kernel(16),
+    }
+
+
+def _binary_search(kernel: JumpKernel, u: np.ndarray) -> np.ndarray:
+    return np.minimum(np.searchsorted(kernel._cdf, u, side="right"), kernel.n_support - 1)
+
+
+@pytest.mark.parametrize("name", sorted(_sampled_kernels()))
+def test_sample_jumps_matches_binary_search(name):
+    k = _sampled_kernels()[name]
+    draws = sample_jumps(k, np.random.default_rng(5), 50_000)
+    assert np.array_equal(draws, k.points[_binary_search(k, np.random.default_rng(5).random(50_000))])
+    # uniforms on, just below and just above every CDF value, and the extremes
+    cdf = k._cdf
+    u = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0), [0.0, np.nextafter(1.0, 0.0)]])
+    u = u[u < 1.0]
+    assert np.array_equal(_jump_index(k, u), _binary_search(k, u))
+
+
+def test_sample_jump_is_one_draw_of_sample_jumps():
+    k = mixture_kernel(0.3, 6, uniform_kernel(2))
+    rng = np.random.default_rng(8)
+    single = np.array([sample_jump(k, rng) for _ in range(500)])
+    assert np.array_equal(single, sample_jumps(k, np.random.default_rng(8), 500))
+
+
+def test_density_rejects_scalar_profile():
+    with pytest.raises(ValueError, match="one value per point"):
+        KernelDensity(lambda a, b: 1.0, label="scalar")

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from toruswalk.kernels import meanfield_kernel, uniform_kernel
+from toruswalk import mc
+from toruswalk.kernels import meanfield_kernel, sample_jumps, uniform_kernel
 from toruswalk.limits import RegimeParams, beta, death_process_dist
 from toruswalk.mc import (
     SeedSpec,
     StepCapExceeded,
+    _skeleton_first_passage,
     estimate_laplace,
     lineage_count_at,
     lineage_count_law,
@@ -468,3 +470,93 @@ def test_lineage_law_work_counters():
     assert law.merges == int(np.dot(4 - np.arange(1, 5), counts))
     assert law.censored == 0
     assert law.events >= law.merges > 0
+
+
+
+def _per_round_skeleton(kernel, L, starts, rng, step_cap, max_rounds=None):
+    """Reference first passage: one sample_jumps call per lockstep round."""
+    pos = np.mod(np.asarray(starts, dtype=np.int64), L)
+    n = np.full(pos.shape[0], -1, dtype=np.int64)
+    idx = np.arange(pos.shape[0])
+    rounds = 0
+    while idx.size:
+        rounds += 1
+        if max_rounds is not None and rounds > max_rounds:
+            break
+        if rounds > step_cap:
+            raise StepCapExceeded(step_cap, int(idx.size))
+        pos = np.mod(pos + sample_jumps(kernel, rng, idx.size), L)
+        hit = (pos[:, 0] == 0) & (pos[:, 1] == 0)
+        n[idx[hit]] = rounds
+        idx, pos = idx[~hit], pos[~hit]
+    return n
+
+
+def _buffered_skeleton(kernel, L, starts, rng, step_cap, max_rounds):
+    return _skeleton_first_passage(kernel, TorusSpec(L), starts, rng, step_cap, max_rounds)
+
+
+def _skeleton_runs(kernel, L, starts, step_cap, max_rounds, runner, seed=13):
+    """(n or the unresolved count, next float64, next float32) from one stream.
+
+    A float32 draw first leaves half a 64-bit draw buffered in the bit
+    generator, which the next float32 draw after the skeleton uses.
+    """
+    rng = SeedSpec(seed).stream(0)
+    rng.random(dtype=np.float32)
+    try:
+        out = runner(kernel, L, starts, rng, step_cap, max_rounds)
+    except StepCapExceeded as exc:
+        out = exc.unresolved
+    return out, rng.random(), rng.random(dtype=np.float32)
+
+
+@pytest.mark.parametrize("block", [7, 1000, mc.SKELETON_BLOCK])
+@pytest.mark.parametrize(
+    "step_cap, max_rounds",
+    [(10**10, None), (10**10, 150), (150, None)],
+    ids=["resolved", "censored", "step-cap"],
+)
+def test_skeleton_matches_per_round_loop(monkeypatch, block, step_cap, max_rounds):
+    # block caps below, near and above the walker count; runs of ~1e5
+    # draws cross many block boundaries
+    monkeypatch.setattr(mc, "SKELETON_BLOCK", block)
+    k = uniform_kernel(2)
+    L = 16
+    starts = mc._random_starts(TorusSpec(L), 500, np.random.default_rng(4))
+    got = _skeleton_runs(k, L, starts, step_cap, max_rounds, _buffered_skeleton)
+    ref = _skeleton_runs(k, L, starts, step_cap, max_rounds, _per_round_skeleton)
+    assert np.array_equal(got[0], ref[0])
+    assert got[1:] == ref[1:]
+    if max_rounds is not None:
+        assert np.count_nonzero(got[0] == -1) > 0  # some walkers were censored
+    if step_cap == 150:
+        assert np.ndim(got[0]) == 0 and got[0] > 0  # the raise carried an unresolved count
+
+
+def test_skeleton_single_walker_matches_per_round_loop():
+    # one walker: runs of 1 to ~800 steps, through the first, smallest blocks
+    k = uniform_kernel(2)
+    for seed in range(20):
+        args = (k, 16, np.array([[1, seed % 3]]), 10**10, None)
+        got = _skeleton_runs(*args, _buffered_skeleton, seed=seed)
+        ref = _skeleton_runs(*args, _per_round_skeleton, seed=seed)
+        assert np.array_equal(got[0], ref[0]) and got[1:] == ref[1:]
+
+
+def test_skeleton_keeps_sides_beyond_int32():
+    # a walker at x1 = 2^31 - 1 steps past the int32 range: kept in int64
+    k = uniform_kernel(2)
+    args = (k, 2**31, np.array([[-1, 0], [0, 1]]), 10**10, 40)
+    got = _skeleton_runs(*args, _buffered_skeleton)
+    ref = _skeleton_runs(*args, _per_round_skeleton)
+    assert np.array_equal(got[0], ref[0]) and got[1:] == ref[1:]
+
+
+def test_skeleton_refuses_generators_it_cannot_rewind():
+    # Philox has advance(), but its step is not one 64-bit draw
+    k = uniform_kernel(2)
+    starts = np.array([[1, 0]])
+    for bit_generator in (np.random.MT19937(1), np.random.Philox(1)):
+        with pytest.raises(TypeError, match="PCG64"):
+            _skeleton_first_passage(k, TorusSpec(8), starts, np.random.Generator(bit_generator), 10**6)

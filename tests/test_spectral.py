@@ -47,6 +47,20 @@ def test_char_fn_shapes_and_checked():
     ) == 0
 
 
+@pytest.mark.parametrize("checked", [False, True])
+def test_char_fn_matches_full_cosine_rows_bit_for_bit(checked):
+    # char_fn reuses the cosines of the first half of the support for the
+    # mirrored second half; the values must be those of the full rows,
+    # chunk by chunk, across a chunk boundary
+    k = mixture_kernel(0.3, 64, uniform_kernel(2))
+    chunk = 2**22 // k.n_support
+    rng = np.random.default_rng(2)
+    th = np.concatenate([rng.uniform(-math.pi, math.pi, (chunk + 50, 2)), rng.uniform(-1e-3, 1e-3, (50, 2))])
+    pts = k.points.astype(np.float64)
+    ref = np.concatenate([np.cos(th[i : i + chunk] @ pts.T) @ k.masses for i in range(0, th.shape[0], chunk)])
+    assert np.array_equal(char_fn(k, th, checked=checked), ref)
+
+
 def test_grid_fft_matches_direct():
     spec = TorusSpec(8)
     for kernel in (

@@ -66,7 +66,7 @@ from .mc import (
     simulate_hits,
 )
 from .spectral import N_ANGLES, N_RADII, build_grid, condition_report, laplace_hit, uniformity_gap
-from .torus import Annulus, TorusSpec, TorusSquare, region_mask
+from .torus import Annulus, TorusSpec, region_mask
 from .torus import enumerate_region, index_of  # noqa: F401  (wrapped by perfbench/tracer.py)
 
 
@@ -207,7 +207,7 @@ def cmd_laplace(cfg: dict, seed: int | None, workers: int) -> RunReport:
             alpha=alpha,
         )
         if meanfield:
-            region = TorusSquare(spec.L, punctured=True)
+            region = Annulus(0.0, float(spec.L), spec.L)  # the punctured torus
         else:
             region = Annulus(alpha, scale.window(spec.L), spec.L)
         mask = region_mask(region, spec)
@@ -385,11 +385,10 @@ class CoalesceScale:
 
     def starts_on(self, L: int) -> np.ndarray:
         """The explicit starts, or n starts spread along the diagonal,
-        wrapped onto the torus of side L."""
+        wrapped onto the torus of side L; lineage_starts refuses n > L,
+        where two diagonal starts coincide."""
         if self.starts is not None:
             return lineage_starts(self.starts, L)
-        if self.n > L:
-            raise ValueError(f"cannot place {self.n} distinct diagonal starts on L={L}")
         n = self.n
         return lineage_starts([[(i * L) // n, (i * L) // n] for i in range(n)], L)
 
@@ -463,7 +462,6 @@ class ConditionParams:
     delta: float = 0.5
     delta_prime: float = 1.0
     a: float = 1.0
-    eps: float = 0.05
     n_angles: int = N_ANGLES
     n_radii: int = N_RADII
 
@@ -498,7 +496,6 @@ def cmd_conditions(cfg: dict, seed: int | None, workers: int) -> RunReport:
             "delta": p.delta,
             "delta_prime": p.delta_prime,
             "a": p.a,
-            "eps": p.eps,
         },
     )
 

@@ -262,11 +262,7 @@ def simulate_hits(
         raise ValueError(f"need at least one replicate, got {replicates}")
     if chunk_size < 1:
         raise ValueError(f"chunk size must be positive, got {chunk_size}")
-    fixed = None
-    if start is not None:
-        fixed = wrap(np.asarray(start, dtype=np.int64).reshape(2), spec.L)
-        if fixed[0] == 0 and fixed[1] == 0:
-            raise ValueError("walkers must start away from the origin")
+    fixed = None if start is None else wrap(np.asarray(start, dtype=np.int64).reshape(2), spec.L)
 
     def task(_i: int, count: int, rng: np.random.Generator):
         pts = (
@@ -361,13 +357,9 @@ def simulate_coalescent(
     (holding time, mover, jump) is fixed, so a given stream always
     reproduces the same trace.
     """
-    pos = np.asarray(starts, dtype=np.int64).reshape(-1, 2)
-    if pos.shape[0] < 1:
-        raise ValueError("need at least one lineage")
-    pos = wrap(pos, spec.L)
+    starts = lineage_starts(starts, spec.L)
+    pos = starts.copy()
     n = pos.shape[0]
-    if len({(int(p[0]), int(p[1])) for p in pos}) != n:
-        raise ValueError("starting positions must be distinct on the torus")
     if horizon < 0:
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
 
@@ -390,7 +382,7 @@ def simulate_coalescent(
                 alive.remove(mover)
                 break
     return CoalescenceTrace(
-        starts=wrap(np.asarray(starts, dtype=np.int64).reshape(-1, 2), spec.L),
+        starts=starts,
         horizon=float(horizon),
         events=tuple(events),
         survivors=tuple(alive),

@@ -333,7 +333,7 @@ class ConditionReport:
     from 1 on the punctured sup-norm ball of radius delta/M.
     p2_min: minimum of 1 - phi on the sup-norm annulus (delta/M, delta_prime].
     p3_max_abs: maximum of |phi| on the sup-norm annulus (a, pi].
-    Measurement only; thresholds (eps) are echoed for the caller.
+    Measurement only: no threshold is applied.
 
     Accuracy floor: 1 - phi is formed as 1 - sum q cos(theta . x), which
     cancels at the small-ball probes.  For uniform M = 128, p1_max_dev
@@ -342,18 +342,10 @@ class ConditionReport:
     (129/128)^2 - 1 = 0.0156860352.
     """
 
-    delta: float
-    delta_prime: float
-    a: float
-    eps: float
-    n_angles: int
-    n_radii: int
     rows: tuple[ConditionRow, ...]
 
 
-def _supnorm_annulus_probes(
-    inner: float, outer: float, n_angles: int, n_radii: int, include_inner: bool = False
-) -> np.ndarray:
+def _supnorm_annulus_probes(inner: float, outer: float, n_angles: int, n_radii: int) -> np.ndarray:
     """Probe points of {theta : inner < ||theta||_inf <= outer} (sup-norm).
 
     Per angle, radii are log-spaced between the directional boundary
@@ -368,8 +360,6 @@ def _supnorm_annulus_probes(
         m = max(abs(direction[0]), abs(direction[1]))
         r_hi = outer / m
         r_lo = (inner / m) * (1.0 + 1e-12) if inner > 0.0 else r_hi * 1e-3
-        if include_inner and inner > 0.0:
-            r_lo = inner / m
         radii = np.geomspace(r_lo, r_hi, n_radii)
         out[j * n_radii : (j + 1) * n_radii] = radii[:, None] * direction[None, :]
     return out
@@ -380,7 +370,6 @@ def condition_report(
     delta: float,
     delta_prime: float,
     a: float,
-    eps: float,
     n_angles: int = N_ANGLES,
     n_radii: int = N_RADII,
 ) -> ConditionReport:
@@ -389,15 +378,17 @@ def condition_report(
     Probes three sup-norm regions per kernel: the punctured ball of
     radius delta/M (relative second-order deviation), the annulus
     (delta/M, delta_prime] (minimum of 1 - phi), and the annulus
-    (a, pi] (maximum of |phi|).  Raises on empty regions.
+    (a, pi] (maximum of |phi|).  Raises on empty regions, for every
+    kernel before the first probe.
     """
     if delta <= 0 or delta_prime <= 0 or not 0 < a < math.pi:
         raise ValueError("probe parameters must be positive with a < pi")
+    for kernel in kernels:
+        if delta / kernel.M >= delta_prime:
+            raise ValueError(f"empty mid region for M={kernel.M}: delta/M >= delta_prime")
     rows = []
     for kernel in kernels:
         M = kernel.M
-        if delta / M >= delta_prime:
-            raise ValueError(f"empty mid region for M={M}: delta/M >= delta_prime")
         sigma2 = kernel.sigma2_limit if kernel.sigma2_limit is not None else kernel.sigma2_M / M**2
         th1 = _supnorm_annulus_probes(0.0, delta / M, n_angles, n_radii)
         ratio = (1.0 - char_fn(kernel, th1)) / (
@@ -416,12 +407,4 @@ def condition_report(
                 p3_max_abs=float(far.max()),
             )
         )
-    return ConditionReport(
-        delta=delta,
-        delta_prime=delta_prime,
-        a=a,
-        eps=eps,
-        n_angles=n_angles,
-        n_radii=n_radii,
-        rows=tuple(rows),
-    )
+    return ConditionReport(rows=tuple(rows))

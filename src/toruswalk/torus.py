@@ -6,19 +6,19 @@ with arithmetic mod L.  Everything downstream (kernels, spectral
 grids, walkers) speaks in these canonical representatives, so the
 wrapping convention lives here and nowhere else.
 
-Index sets used throughout:
+Start windows:
 
-* box(K):          [-K/2, K/2]^2 in Z^2 (closed square),
-* torus_square(r): (-r/2, r/2]^2 in Z^2 (half-open square, real r),
-* disc(k):         Euclidean ball |x| <= k/2 in Z^2,
-* annulus(alpha, v, L): the scale-window used for start points,
-      alpha = 0:        torus_square(v) minus the origin,
-      0 < alpha < 1:    torus_square(L^alpha * v) minus torus_square(L^alpha / v),
-      alpha = 1:        torus_square(L) minus torus_square(L / v).
+* annulus(alpha, v, L): the scale window the lineages start in, the
+  half-open square (-r/2, r/2]^2 of side r = L^alpha * v minus the
+  one of side L^alpha / v,
+      alpha = 0:        the square of side v minus the origin,
+      0 < alpha < 1:    the shell between sides L^alpha / v and L^alpha * v,
+      alpha = 1:        the torus minus the square of side L / v.
+  The homogeneously mixing (meanfield) case starts anywhere on the
+  punctured torus: the alpha = 0 annulus with v = L.
 
-Each region supports vectorized membership and enumeration, and
-region_mask gives its membership over a whole torus; punctured
-variants drop the origin.
+An annulus supports vectorized membership and enumeration, and
+region_mask gives its membership over a whole torus.
 
 Layout: fields over the torus are laid out row-major with linear
 index (x1 mod L) * L + (x2 mod L), the index order of numpy's FFT, so
@@ -121,43 +121,7 @@ def frequencies(spec: TorusSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Regions
-
-
-@dataclass(frozen=True)
-class Box:
-    """Closed square [-K/2, K/2]^2 in Z^2, optionally punctured at the origin."""
-
-    K: float
-    punctured: bool = False
-
-    def __post_init__(self) -> None:
-        if self.K < 0:
-            raise ValueError(f"box size must be nonnegative, got {self.K}")
-
-
-@dataclass(frozen=True)
-class TorusSquare:
-    """Half-open square (-r/2, r/2]^2 in Z^2; r may be any positive real."""
-
-    r: float
-    punctured: bool = False
-
-    def __post_init__(self) -> None:
-        if self.r <= 0:
-            raise ValueError(f"torus-square size must be positive, got {self.r}")
-
-
-@dataclass(frozen=True)
-class Disc:
-    """Euclidean ball |x| <= k/2 in Z^2, optionally punctured."""
-
-    k: float
-    punctured: bool = False
-
-    def __post_init__(self) -> None:
-        if self.k < 0:
-            raise ValueError(f"disc size must be nonnegative, got {self.k}")
+# Start windows
 
 
 @dataclass(frozen=True)
@@ -191,65 +155,35 @@ class Annulus:
         return scale / self.v, scale * self.v
 
 
-Region = Box | TorusSquare | Disc | Annulus
-
-
 def _in_torus_square(x1: np.ndarray, x2: np.ndarray, r: float) -> np.ndarray:
     lo, hi = -r / 2.0, r / 2.0
     return (x1 > lo) & (x1 <= hi) & (x2 > lo) & (x2 <= hi)
 
 
-def _member(region: Region, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+def _member(region: Annulus, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     """Membership of the points (x1, x2); the coordinate arrays broadcast."""
-    origin = (x1 == 0) & (x2 == 0)
-    if isinstance(region, Box):
-        half = region.K / 2.0
-        inside = (np.abs(x1) <= half) & (np.abs(x2) <= half)
-        return inside & ~origin if region.punctured else inside
-    if isinstance(region, TorusSquare):
-        inside = _in_torus_square(x1, x2, region.r)
-        return inside & ~origin if region.punctured else inside
-    if isinstance(region, Disc):
-        r2 = (region.k / 2.0) ** 2
-        inside = (x1.astype(np.float64) ** 2 + x2**2) <= r2
-        return inside & ~origin if region.punctured else inside
-    if isinstance(region, Annulus):
-        inner, outer = region.bounds()
-        inside = _in_torus_square(x1, x2, outer) & ~origin
-        if inner > 0.0:
-            inside &= ~_in_torus_square(x1, x2, inner)
-        return inside
-    raise TypeError(f"not a region: {region!r}")
+    inner, outer = region.bounds()
+    inside = _in_torus_square(x1, x2, outer) & ~((x1 == 0) & (x2 == 0))
+    if inner > 0.0:
+        inside &= ~_in_torus_square(x1, x2, inner)
+    return inside
 
 
-def contains(region: Region, points: np.ndarray) -> np.ndarray:
+def contains(region: Annulus, points: np.ndarray) -> np.ndarray:
     """Vectorized membership test; points has shape (..., 2)."""
     p = np.asarray(points, dtype=np.int64)
     return _member(region, p[..., 0], p[..., 1])
 
 
-def _torus_square_axis_range(r: float) -> tuple[int, int]:
-    # integers k with -r/2 < k <= r/2
-    return int(math.floor(-r / 2.0)) + 1, int(math.floor(r / 2.0))
-
-
-def _axis_range(region: Region) -> tuple[int, int]:
+def _axis_range(region: Annulus) -> tuple[int, int]:
     """(lo, hi): every point of the region has both coordinates in [lo, hi]."""
-    if isinstance(region, Box):
-        m = int(math.floor(region.K / 2.0))
-        return -m, m
-    if isinstance(region, TorusSquare):
-        return _torus_square_axis_range(region.r)
-    if isinstance(region, Disc):
-        m = int(math.floor(region.k / 2.0))
-        return -m, m
-    if isinstance(region, Annulus):
-        return _torus_square_axis_range(region.bounds()[1])
-    raise TypeError(f"not a region: {region!r}")
+    outer = region.bounds()[1]
+    # integers k with -outer/2 < k <= outer/2
+    return int(math.floor(-outer / 2.0)) + 1, int(math.floor(outer / 2.0))
 
 
-def enumerate_region(region: Region) -> np.ndarray:
-    """All integer points of a region, shape (n, 2), row-major sorted order."""
+def enumerate_region(region: Annulus) -> np.ndarray:
+    """All integer points of an annulus, shape (n, 2), row-major sorted order."""
     lo, hi = _axis_range(region)
     if hi < lo:
         return np.empty((0, 2), dtype=np.int64)
@@ -259,18 +193,18 @@ def enumerate_region(region: Region) -> np.ndarray:
     return pts[contains(region, pts)]
 
 
-def region_mask(region: Region, spec: TorusSpec) -> np.ndarray:
+def region_mask(region: Annulus, spec: TorusSpec) -> np.ndarray:
     """Membership of every torus point, shape (L^2,), in the documented layout.
 
     The True entries are index_of(enumerate_region(region), spec); like
     index_of, this raises ValueError when a point of the region lies
-    outside the canonical torus range, rather than clipping the region.
+    outside the canonical torus range, rather than clipping the annulus.
     """
     lo, hi = _axis_range(region)
     half = spec.L // 2
-    # Every region is symmetric under swapping the axes, and a row x1 = c
+    # An annulus is symmetric under swapping the axes, and a row x1 = c
     # of its bounding square holds a member iff one of (c, lo), (c, 0),
-    # (c, hi) is one (the annulus hole can only empty the middle), with
+    # (c, hi) is one (the hole can only empty the middle), with
     # the extreme rows c = lo, hi the most likely; so these few points
     # decide whether any member lies off the torus.
     ends = np.array([lo, hi], dtype=np.int64)

@@ -462,6 +462,19 @@ def test_non_finite_and_boolean_numbers_are_exit_2(tmp_path, command, cfg):
             None,
         ),
         (
+            # nine diagonal starts on L=8: (i * 8) // 9 is 0 for i = 0 and 1
+            "coalesce",
+            dict(COALESCE_CFG, scale={"s_values": [0.2], "n": 9}),
+            None,
+        ),
+        (
+            # delta / M = 0.25 at M = 2 leaves the mid region (0.25, 0.2] empty;
+            # M = 128 comes first and must not be probed
+            "conditions",
+            dict(CONDITIONS_CFG, M_values=[128, 2], params={"delta_prime": 0.2}),
+            None,
+        ),
+        (
             # the outer side 8 * (log 64)^2 ~ 138 exceeds the torus side
             "laplace",
             {
@@ -489,6 +502,8 @@ def test_non_finite_and_boolean_numbers_are_exit_2(tmp_path, command, cfg):
         "seed-too-large",
         "empty-annulus-at-second-side",
         "starts-collide-at-second-side",
+        "diagonal-starts-collide",
+        "conditions-mid-region-empty",
         "annulus-larger-than-torus",
         "annulus-window-overflows",
     ],
@@ -500,31 +515,47 @@ def test_config_errors_are_refused_before_any_numeric_work(tmp_path, monkeypatch
     monkeypatch.setattr("toruswalk.cli.build_grid", forbidden)
     monkeypatch.setattr("toruswalk.cli.simulate_hits", forbidden)
     monkeypatch.setattr("toruswalk.cli.lineage_count_law", forbidden)
+    monkeypatch.setattr("toruswalk.spectral.char_fn", forbidden)
     code, _ = _run(tmp_path, cfg, command, extra=extra)
     assert code == 2
 
 
 def test_benchmark_tracer_hooks_resolve():
-    """The benchmark's tracer wraps toruswalk functions by module attribute;
-    a renamed or moved one must fail here, not in the benchmark."""
+    """The benchmark's tracer wraps toruswalk functions by module attribute
+    and reads their parameters and results; a renamed or moved function,
+    parameter or field must fail here, not in the benchmark."""
     import importlib.util
     from pathlib import Path
 
+    import numpy as np
+
     import toruswalk
     import toruswalk.cli
+    import toruswalk.spectral
 
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer_module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer_module)
     original = toruswalk.cli.build_grid
+    kernel, torus = toruswalk.uniform_kernel(2), toruswalk.TorusSpec(8)
     tracer = tracer_module.Tracer()
     try:
         tracer.install(toruswalk)
         assert toruswalk.cli.build_grid is not original
+        grid = toruswalk.cli.build_grid(kernel, torus)
+        toruswalk.spectral.green(grid, 1.0)
+        toruswalk.cli.simulate_hits(kernel, torus, 8, toruswalk.SeedSpec(1), chunk_size=4)
+        toruswalk.spectral.char_fn(kernel, np.zeros((3, 2)))
     finally:
         tracer.uninstall()
     assert toruswalk.cli.build_grid is original
+    assert tracer.grids == [(grid.kernel_label, 8)]
+    assert tracer.counts["spectral.fft_points"] == 2 * 64
+    assert tracer.counts["mc.hits.steps"] > 0 and tracer.counts["mc.hits.rounds"] > 0
+    assert tracer.counts["spectral.char_fn.terms"] == 3 * kernel.n_support
+    names = {span[0] for span in tracer.spans}
+    assert {"spectral.build_grid", "spectral.green", "mc.simulate_hits", "spectral.char_fn"} <= names
 
 
 def test_public_names_resolve():

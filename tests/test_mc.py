@@ -74,6 +74,8 @@ def test_simulate_hit_basics():
         simulate_hit(k, spec, np.array([0, 0]), SeedSpec(5).stream(0))
     with pytest.raises(ValueError):
         simulate_hit(k, spec, np.array([8, 8]), SeedSpec(5).stream(0))  # wraps to 0
+    with pytest.raises(ValueError, match="away from the origin"):
+        simulate_hits(k, spec, 4, SeedSpec(5), start=np.array([8, 8]))
 
 
 def test_step_cap_aborts_with_context():

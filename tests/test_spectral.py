@@ -246,7 +246,7 @@ def test_orthogonality_gap_rejects_origin():
 
 def test_condition_report_trends_over_uniform_ladder():
     ladder = [uniform_kernel(M) for M in (2, 8, 32)]
-    rep = condition_report(ladder, delta=0.5, delta_prime=1.0, a=1.0, eps=0.05)
+    rep = condition_report(ladder, delta=0.5, delta_prime=1.0, a=1.0)
     assert [r.M for r in rep.rows] == [2, 8, 32]
     devs = [r.p1_max_dev for r in rep.rows]
     # second-order match improves with range: dev is near (1 + 1/M)^2 - 1
@@ -263,8 +263,8 @@ def test_condition_report_trends_over_uniform_ladder():
 def test_condition_report_rejects_bad_probe_params():
     k = [uniform_kernel(2)]
     with pytest.raises(ValueError):
-        condition_report(k, delta=0.5, delta_prime=1.0, a=4.0, eps=0.05)
+        condition_report(k, delta=0.5, delta_prime=1.0, a=4.0)
     with pytest.raises(ValueError):
-        condition_report(k, delta=-1.0, delta_prime=1.0, a=1.0, eps=0.05)
+        condition_report(k, delta=-1.0, delta_prime=1.0, a=1.0)
     with pytest.raises(ValueError):
-        condition_report([uniform_kernel(2)], delta=3.0, delta_prime=1.0, a=1.0, eps=0.05)
+        condition_report([uniform_kernel(2)], delta=3.0, delta_prime=1.0, a=1.0)

@@ -11,10 +11,7 @@ from hypothesis import strategies as st
 
 from toruswalk.torus import (
     Annulus,
-    Box,
-    Disc,
     TorusSpec,
-    TorusSquare,
     contains,
     enumerate_region,
     frequencies,
@@ -111,26 +108,13 @@ def test_frequencies_axis_values():
     assert axis == pytest.approx(expected)
 
 
-def test_region_counts_small():
-    assert enumerate_region(Box(2)).shape[0] == 9
-    assert enumerate_region(Box(2, punctured=True)).shape[0] == 8
-    assert enumerate_region(TorusSquare(2)).shape[0] == 4
-    assert enumerate_region(Disc(2)).shape[0] == 5
-    assert enumerate_region(Disc(2, punctured=True)).shape[0] == 4
-
-
 def test_torus_square_is_half_open():
-    pts = enumerate_region(TorusSquare(4))
+    # alpha = 0 with v = L: the punctured half-open square (-L/2, L/2]^2
+    pts = enumerate_region(Annulus(0.0, 4.0, 4))
     as_set = {tuple(p) for p in pts}
     assert (-2, 0) not in as_set and (2, 0) in as_set
-    assert len(as_set) == 16
-
-
-def test_disc_boundary_is_euclidean():
-    pts = {tuple(p) for p in enumerate_region(Disc(4))}
-    assert (2, 0) in pts
-    assert (2, 1) not in pts  # |x| = sqrt(5) > 2
-    assert (1, 1) in pts
+    assert (0, 0) not in as_set
+    assert len(as_set) == 15
 
 
 def test_annulus_cases():
@@ -183,10 +167,9 @@ def test_contains_agrees_with_enumerate():
     g1, g2 = np.meshgrid(ax, ax, indexing="ij")
     pts = np.stack([g1.ravel(), g2.ravel()], axis=-1)
     regions = (
-        Box(6),
-        Disc(7, punctured=True),
-        TorusSquare(5),
+        Annulus(0.0, 5.0, 16),
         Annulus(0.5, 2.0, 16),
+        Annulus(1.0, 1.5, 16),
     )
     for region in regions:
         member = {tuple(p) for p, m in zip(pts, contains(region, pts)) if m}
@@ -206,10 +189,7 @@ def test_index_of_is_vectorized():
 @pytest.mark.parametrize("L", [2, 8, 64])
 def test_region_mask_matches_enumerated_indices(L):
     spec = TorusSpec(L)
-    regions = [Box(L * f) for f in (0.0, 0.5, 0.99, 1.0)]
-    regions += [TorusSquare(L * f, punctured=p) for f in (0.3, 1.0, 1.2) for p in (False, True)]
-    regions += [Disc(L * f, punctured=p) for f in (0.5, 1.0, 1.5) for p in (False, True)]
-    regions += [Annulus(a, v, L) for a in (0.0, 0.5, 1.0) for v in (0.5, 1.5, 3.0, 40.0)]
+    regions = [Annulus(a, v, L) for a in (0.0, 0.5, 1.0) for v in (0.5, 1.5, 3.0, 40.0)]
     refused = 0
     for region in regions:
         try:

@@ -65,8 +65,16 @@ from .mc import (
     lineage_starts,
     simulate_hits,
 )
-from .spectral import N_ANGLES, N_RADII, build_grid, condition_report, laplace_hit, uniformity_gap
-from .torus import Annulus, TorusSpec, region_mask
+from .spectral import (
+    N_ANGLES,
+    N_RADII,
+    build_grid,
+    condition_report,
+    laplace_hit,
+    torus_sum,
+    uniformity_gap,
+)
+from .torus import Annulus, TorusSpec, quadrant_mask, region_size
 from .torus import enumerate_region, index_of  # noqa: F401  (wrapped by perfbench/tracer.py)
 
 
@@ -189,9 +197,15 @@ class LaplaceConfig(TorusRun):
 
 
 def _sup_gap(F: np.ndarray, target: float, mask: np.ndarray) -> float:
-    """max |F(x) - target| over the starts x."""
-    dev = F - target
-    return float(np.max(np.abs(dev, out=dev), where=mask, initial=0.0))
+    """max |F(x) - target| over the starts x, on the quadrant: F is even
+    in each coordinate, and mask marks the images of the starts.
+
+    Rounding is monotone, so this is max(max F - target, target - min F)
+    bit for bit, and needs no temporary as large as F.
+    """
+    hi = float(np.max(F, where=mask, initial=-np.inf))
+    lo = float(np.min(F, where=mask, initial=np.inf))
+    return max(hi - target, target - lo, 0.0)
 
 
 def cmd_laplace(cfg: dict, seed: int | None, workers: int) -> RunReport:
@@ -200,6 +214,7 @@ def cmd_laplace(cfg: dict, seed: int | None, workers: int) -> RunReport:
     meanfield = scale.mode == "meanfield"
     alpha = 1.0 if scale.alpha is None else scale.alpha
     sections = []
+    regions = {}
     for spec, kernel in run.tori():
         params = RegimeParams(
             rho=math.inf if meanfield else scale.rho,
@@ -210,13 +225,13 @@ def cmd_laplace(cfg: dict, seed: int | None, workers: int) -> RunReport:
             region = Annulus(0.0, float(spec.L), spec.L)  # the punctured torus
         else:
             region = Annulus(alpha, scale.window(spec.L), spec.L)
-        mask = region_mask(region, spec)
+        mask = quadrant_mask(region, spec)
         if not mask.any():
             raise ConfigError(f"{region} contains no lattice points; pick a larger L or smaller alpha")
+        regions[str(spec.L)] = region_size(region)
         sections.append((spec, kernel, params, mask))
 
     rows: list[tuple] = []
-    regions = {str(spec.L): int(mask.sum()) for spec, _, _, mask in sections}
     for spec, kernel, params, mask in sections:
         L = spec.L
         grid = build_grid(kernel, spec)
@@ -224,7 +239,7 @@ def cmd_laplace(cfg: dict, seed: int | None, workers: int) -> RunReport:
             b = lam / L**2 if meanfield else lam / (L**2 * t_scale(L, kernel.M))
             target = target_laplace(params, lam)
             # no array of this lam outlives the call, so the next transform has the room
-            gap = _sup_gap(laplace_hit(grid, b).values, target, mask)
+            gap = _sup_gap(laplace_hit(grid, b).quadrant, target, mask)
             rows.append((L, kernel.M, lam, gap, target))
     return RunReport(
         command="laplace",
@@ -347,7 +362,7 @@ def cmd_simulate(cfg: dict, seed: int | None, workers: int) -> RunReport:
                 exact = 1.0
             else:
                 F = laplace_hit(grid, lam)
-                exact = float((F.values.sum() - 1.0) / (spec.n_points - 1))
+                exact = (torus_sum(F.quadrant) - 1.0) / (spec.n_points - 1)
             if se[j] > 0:
                 z = (float(est[j]) - exact) / float(se[j])
             else:

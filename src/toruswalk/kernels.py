@@ -97,9 +97,12 @@ class JumpKernel:
     box[i, j] is the probability of the jump (i - M/2, j - M/2).  The
     constructor checks the box with whole-array comparisons: even side
     M, no mass at the center, entries nonnegative and summing to one,
-    box == box[::-1, ::-1] to MASS_TOL with exactly mirror-symmetric
-    support (so points[::-1] == -points), equal marginal variances.
-    Violations raise ValueError.  sigma2_limit is the limit of
+    symmetry under each axis reflection, box == box[::-1, :] and
+    box == box[:, ::-1] to MASS_TOL, with exactly mirror-symmetric
+    support in each axis (so points[::-1] == -points), equal marginal
+    variances.  Violations raise ValueError.  The axis reflections,
+    not only x -> -x, are what let `spectral` store phi and every field
+    on one quadrant of the torus.  sigma2_limit is the limit of
     sigma2_M / M^2 along the family, when the family defines one
     (uniform: 1/12; density: profile integral ratio; mixture: c/12;
     meanfield: None); label is a family tag for reports.
@@ -132,10 +135,11 @@ class JumpKernel:
             raise ValueError("masses must be nonnegative")
         if abs(float(box.sum()) - 1.0) > MASS_TOL:
             raise ValueError("masses must sum to one")
-        if np.max(np.abs(box - box[::-1, ::-1])) > MASS_TOL:
-            raise ValueError("kernel must satisfy q(x) = q(-x)")
-        if not np.array_equal(box > 0.0, box[::-1, ::-1] > 0.0):
-            raise ValueError("kernel support must be mirror-symmetric: q(x) > 0 iff q(-x) > 0")
+        if max(np.max(np.abs(box - box[::-1, :])), np.max(np.abs(box - box[:, ::-1]))) > MASS_TOL:
+            raise ValueError("kernel must satisfy q(x) = q(-x) axis by axis: q(x1, x2) = q(-x1, x2) = q(x1, -x2)")
+        support = box > 0.0
+        if not (np.array_equal(support, support[::-1, :]) and np.array_equal(support, support[:, ::-1])):
+            raise ValueError("kernel support must be mirror-symmetric in each axis")
         x2 = _box_axis(M).astype(np.float64) ** 2
         v1, v2 = float(box.sum(axis=1) @ x2), float(box.sum(axis=0) @ x2)
         if abs(v1 - v2) > 1e-9 * max(v1, 1.0):

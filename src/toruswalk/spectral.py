@@ -1,22 +1,32 @@
 """Fourier-side engine for walks on the torus.
 
 The continuous-time walk jumps at rate one with kernel q, so its
-transition law diagonalizes over the torus characters.  With
-phi(theta) = sum_x q(x) cos(theta . x) (real by mirror symmetry),
-everything downstream is a weighted inverse transform over the
-frequency grid theta_y = 2*pi*y/L:
+transition law diagonalizes over the torus characters.  Every kernel
+is symmetric under each axis reflection (see JumpKernel), so
+phi(theta) = sum_x q(x) cos(theta_1 x_1) cos(theta_2 x_2), and
+everything downstream is a weighted cosine transform over the
+frequency grid theta_y = 2*pi*y/L, with c(y, x) = cos(theta_y1 x_1) cos(theta_y2 x_2):
 
-* occupation probabilities:  P_0(X_t = x) = L^-2 sum_y exp(-t(1-phi)) e^{i theta_y . x}
-* resolvent ("green"):       G(x, lam)    = L^-2 sum_y e^{i theta_y . x} / (lam + 1 - phi)
+* occupation probabilities:  P_0(X_t = x) = L^-2 sum_y exp(-t(1-phi)) c(y, x)
+* resolvent ("green"):       G(x, lam)    = L^-2 sum_y c(y, x) / (lam + 1 - phi)
 * hitting transform:         F(x, lam)    = G(x, lam) / G(0, lam)
 
-phi is even, so a grid stores it only on the rfft2 half-plane
-(L x (L/2 + 1) frequencies, indexed by coordinate mod L): built by one
-rfft2 of the wrapped kernel mass, inverted by one irfft2 per
-transform.  Fields over the torus (heat, green, hitting transform)
-come back from that irfft2 as they are: its output order is the
-mod-L layout of `torus`, with the origin at index 0.  A direct
-summation path exists for cross-checking the FFT path at small sizes.
+phi and each of these fields are even in each coordinate, so each is
+stored on the closed quadrant 0..L/2 per axis: an (L/2 + 1)^2 array
+indexed by coordinate, whose entry (a, b) stands for the m(a) m(b)
+torus points (+-a, +-b), with m = 1 at 0 and L/2 and m = 2 elsewhere.
+On that quadrant each transform is one type-I discrete cosine
+transform (scipy.fft.dctn, type=1): the grid is the DCT-I of the
+kernel mass wrapped onto the quadrant, and each field is the DCT-I of
+its frequency weights divided by L^2.  Sums over the torus weight the
+quadrant by m(a) m(b) (torus_sum).  The `values`/`raw`/`probs`
+properties unfold a field to the full torus in the mod-L layout of
+`torus` (origin at index 0), for callers at small L.  A direct
+summation path exists for cross-checking the fast path at small sizes.
+
+One grid (uniform M=8) plus three resolvent inverses, in a fresh
+process: one inverse takes 0.16 s at L=4096 with a 130 MB peak RSS,
+and 0.7 s at L=8192 with a 320 MB peak (BENCH_spectral_large.json).
 
 Kernels whose range equals the torus side are wrapped with colliding
 pre-images summed, which is exact at torus frequencies; ranges
@@ -38,7 +48,6 @@ from .kernels import JumpKernel
 from .torus import TWO_PI, TorusSpec, frequencies, wrap
 
 IMAG_TOL = 1e-12
-SYMMETRY_TOL = 1e-12
 HEAT_NEGATIVE_TOL = 1e-12
 HEAT_SUM_TOL = 1e-9
 N_ANGLES = 64
@@ -88,64 +97,89 @@ def char_fn(kernel: JumpKernel, theta: np.ndarray, checked: bool = False) -> np.
     return result
 
 
-@dataclass(frozen=True)
-class SpectralGrid:
-    """phi evaluated on the rfft2 half-plane of one torus's frequencies.
-
-    half[k1, k2] = phi(2*pi*(k1, k2)/L) for k1 in 0..L-1 and k2 in
-    0..L/2, indexed by coordinate mod L (numpy's FFT order).  phi is
-    even, so the other half of the frequency grid mirrors this one.
-    The origin frequency is pinned to exactly 1.
-    """
-
-    spec: TorusSpec
-    kernel_label: str
-    half: np.ndarray
-
-    def __post_init__(self) -> None:
-        L = self.spec.L
-        h = self.half
-        if h.shape != (L, L // 2 + 1):
-            raise ValueError("half-plane grid must have shape (L, L/2 + 1)")
-        if h[0, 0] != 1.0:
-            raise ValueError("origin frequency must carry phi = 1 exactly")
-        if _max_abs(h) > 1.0 + 1e-12:
-            raise ValueError("characteristic values must lie in [-1, 1]")
-        # Columns k2 = 0 and L/2 are their own mirror image; every other
-        # entry stands for itself and its mirror, so symmetry there is
-        # structural.  y -> -y fixes row 0 and reverses rows 1..L-1.
-        edges = h[1:, [0, L // 2]]
-        if _max_abs(edges - edges[::-1]) > SYMMETRY_TOL:
-            raise ValueError("grid must be symmetric under y -> -y")
-
-
 def _max_abs(a: np.ndarray) -> float:
     """max |a|, without an |a| temporary."""
     return max(float(a.max()), -float(a.min()))
 
 
-def _half_plane_thetas(spec: TorusSpec) -> np.ndarray:
-    """Canonical angular frequencies of the half-plane, shape (L, L/2 + 1, 2)."""
+def _check_quadrant(q: np.ndarray, spec: TorusSpec, what: str) -> None:
+    """Refuse an array that is not the (L/2 + 1)^2 quadrant of the torus."""
+    n = spec.L // 2 + 1
+    if q.shape != (n, n):
+        raise ValueError(f"{what} must have the quadrant shape (L/2 + 1, L/2 + 1)")
+
+
+def unfold(q: np.ndarray, spec: TorusSpec) -> np.ndarray:
+    """The full-torus field, shape (L^2,) in the mod-L layout, of a quadrant array.
+
+    Axis index i holds coordinate i or i - L, whose quadrant index is
+    min(i, L - i).
+    """
+    i = np.arange(spec.L)
+    f = np.minimum(i, spec.L - i)
+    return q[np.ix_(f, f)].ravel()
+
+
+def torus_sum(q: np.ndarray) -> float:
+    """Sum over the torus of the even field whose quadrant is q: m @ q @ m,
+    with m the torus points per quadrant index along one axis (1 at 0 and
+    L/2, 2 elsewhere)."""
+    m = np.full(q.shape[0], 2.0)
+    m[[0, -1]] = 1.0
+    return float(m @ q @ m)
+
+
+def _dct1(a: np.ndarray) -> np.ndarray:
+    """Unnormalized DCT-I along both axes, computed in the storage of a."""
+    import scipy.fft  # costs about 0.1 s, so only processes that transform pay it
+
+    return scipy.fft.dctn(a, type=1, overwrite_x=True)
+
+
+def _field(weights: np.ndarray, L: int) -> np.ndarray:
+    """L^-2 sum_y weights(y) c(y, x) on the quadrant, from weights on the quadrant."""
+    out = _dct1(weights)
+    out /= L * L
+    return out
+
+
+@dataclass(frozen=True)
+class SpectralGrid:
+    """phi evaluated on the quadrant of one torus's frequencies.
+
+    quadrant[k1, k2] = phi(2*pi*(k1, k2)/L) for k1, k2 in 0..L/2; phi
+    is even in each coordinate, so this fixes it on every frequency.
+    The origin frequency is pinned to exactly 1.
+    """
+
+    spec: TorusSpec
+    kernel_label: str
+    quadrant: np.ndarray
+
+    def __post_init__(self) -> None:
+        q = self.quadrant
+        _check_quadrant(q, self.spec, "grid")
+        if q[0, 0] != 1.0:
+            raise ValueError("origin frequency must carry phi = 1 exactly")
+        if _max_abs(q) > 1.0 + 1e-12:
+            raise ValueError("characteristic values must lie in [-1, 1]")
+
+
+def _quadrant_mass(kernel: JumpKernel, spec: TorusSpec) -> np.ndarray:
+    """Kernel mass wrapped onto the torus, on the quadrant 0..L/2 per axis."""
     L = spec.L
-    k1 = spec.axis_coords()
-    k2 = np.arange(L // 2 + 1)
-    y = np.stack(np.meshgrid(k1, k2, indexing="ij"), axis=-1)
-    return TWO_PI * y / L
-
-
-def _wrapped_mass(kernel: JumpKernel, spec: TorusSpec) -> np.ndarray:
-    """Kernel mass wrapped onto the torus, indexed by coordinate mod L."""
-    m = np.zeros((spec.L, spec.L))
-    idx = kernel.points % spec.L
-    np.add.at(m, (idx[:, 0], idx[:, 1]), kernel.masses)
-    return m
+    idx = (np.arange(kernel.M + 1) - kernel.M // 2) % L  # torus index of each box coordinate
+    keep = np.flatnonzero(idx <= L // 2)
+    q = np.zeros((L // 2 + 1, L // 2 + 1))
+    np.add.at(q, np.ix_(idx[keep], idx[keep]), kernel.box[np.ix_(keep, keep)])
+    return q
 
 
 def build_grid(kernel: JumpKernel, spec: TorusSpec, method: str = "fft") -> SpectralGrid:
-    """Evaluate phi over the half-plane of torus frequencies.
+    """Evaluate phi over the quadrant of torus frequencies.
 
-    method="fft" transforms the wrapped mass array (exact at torus
-    frequencies for any range <= L); method="direct" sums cosines
+    method="fft" transforms the wrapped mass by one DCT-I (exact at
+    torus frequencies for any range <= L); method="direct" sums cosines
     frequency by frequency and exists to cross-check the fast path.
     """
     if kernel.M > spec.L:
@@ -153,41 +187,41 @@ def build_grid(kernel: JumpKernel, spec: TorusSpec, method: str = "fft") -> Spec
             f"kernel range {kernel.M} exceeds torus side {spec.L}; wrap is ambiguous"
         )
     if method == "fft":
-        # given `out`, rfft2 transforms its second axis in place
-        out = np.empty((spec.L, spec.L // 2 + 1), dtype=np.complex128)
-        transform = np.fft.rfft2(_wrapped_mass(kernel, spec), out=out)
-        if _max_abs(transform.imag) > IMAG_TOL:
-            raise ArithmeticError("characteristic grid acquired an imaginary part")
-        half = transform.real.copy()
+        quadrant = _dct1(_quadrant_mass(kernel, spec))
     elif method == "direct":
         if spec.L > DIRECT_MAX_SIDE:
             raise ValueError(f"direct summation is for sides <= {DIRECT_MAX_SIDE}")
-        half = char_fn(kernel, _half_plane_thetas(spec), checked=True)
+        k = TWO_PI * np.arange(spec.L // 2 + 1) / spec.L
+        quadrant = char_fn(kernel, np.stack(np.meshgrid(k, k, indexing="ij"), axis=-1), checked=True)
     else:
         raise ValueError(f"unknown method {method!r}")
-    half[0, 0] = 1.0
-    return SpectralGrid(spec=spec, kernel_label=kernel.label, half=half)
+    quadrant[0, 0] = 1.0
+    return SpectralGrid(spec=spec, kernel_label=kernel.label, quadrant=quadrant)
 
 
 @dataclass(frozen=True)
 class HeatGrid:
-    """Occupation probabilities from the origin at one time.
+    """Occupation probabilities from the origin at one time, on the quadrant.
 
-    raw is the unclipped inverse transform (kept for error analysis);
-    probs clips the at-most-1e-12 negative rounding residue to zero.
+    quadrant holds the unclipped inverse transform (kept for error
+    analysis); raw unfolds it to the torus, and probs clips raw's
+    at-most-1e-12 negative rounding residue to zero.
     """
 
     spec: TorusSpec
     t: float
-    raw: np.ndarray
+    quadrant: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.raw.shape != (self.spec.n_points,):
-            raise ValueError("heat values must have length L^2")
-        if float(self.raw.min()) < -HEAT_NEGATIVE_TOL:
+        _check_quadrant(self.quadrant, self.spec, "heat values")
+        if float(self.quadrant.min()) < -HEAT_NEGATIVE_TOL:
             raise ArithmeticError("occupation probability below the rounding floor")
-        if abs(float(self.raw.sum()) - 1.0) > HEAT_SUM_TOL:
+        if abs(torus_sum(self.quadrant) - 1.0) > HEAT_SUM_TOL:
             raise ArithmeticError("occupation probabilities must sum to one")
+
+    @property
+    def raw(self) -> np.ndarray:
+        return unfold(self.quadrant, self.spec)
 
     @property
     def probs(self) -> np.ndarray:
@@ -195,83 +229,83 @@ class HeatGrid:
 
 
 def _heat_weights(grid: SpectralGrid, t: float) -> np.ndarray:
-    """exp(-t(1 - phi)) on the half-plane."""
+    """exp(-t(1 - phi)) on the quadrant."""
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    w = 1.0 - grid.half
+    w = 1.0 - grid.quadrant
     w *= -t
     return np.exp(w, out=w)
 
 
 def heat(grid: SpectralGrid, t: float) -> HeatGrid:
     """Distribution of the walk at time t, started at the origin."""
-    L = grid.spec.L
-    raw = np.fft.irfft2(_heat_weights(grid, t), s=(L, L)).ravel()
-    return HeatGrid(spec=grid.spec, t=t, raw=raw)
+    return HeatGrid(spec=grid.spec, t=t, quadrant=_field(_heat_weights(grid, t), grid.spec.L))
 
 
 @dataclass(frozen=True)
 class GreenField:
-    """Resolvent values G(x, lam) over the torus for one lam > 0."""
+    """Resolvent values G(x, lam) for one lam > 0, on the quadrant.
+
+    values unfolds them to the torus.
+    """
 
     spec: TorusSpec
     lam: float
-    values: np.ndarray
+    quadrant: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.values.shape != (self.spec.n_points,):
-            raise ValueError("resolvent values must have length L^2")
-        if float(self.values.min()) <= 0.0:
+        q = self.quadrant
+        _check_quadrant(q, self.spec, "resolvent values")
+        if float(q.min()) <= 0.0:
             raise ArithmeticError("resolvent must be strictly positive")
-        if float(self.values.max()) > self.values[0] * (1.0 + 1e-12):
+        if float(q.max()) > q[0, 0] * (1.0 + 1e-12):
             raise ArithmeticError("resolvent must peak at the origin")
-        # x -> -x fixes axis index 0 and reverses indices 1..L-1 (index
-        # L/2, coordinate L/2, is its own negative).
-        sq = self.values.reshape(self.spec.L, self.spec.L)
-        inner, row, col = sq[1:, 1:], sq[0, 1:], sq[1:, 0]
-        asym = max(
-            _max_abs(inner - inner[::-1, ::-1]),
-            _max_abs(row - row[::-1]),
-            _max_abs(col - col[::-1]),
-        )
-        if asym > 1e-10 * float(self.values[0]):
-            raise ArithmeticError("resolvent must be symmetric under x -> -x")
+
+    @property
+    def values(self) -> np.ndarray:
+        return unfold(self.quadrant, self.spec)
 
 
 def green(grid: SpectralGrid, lam: float) -> GreenField:
     """Resolvent G(x, lam) = integral exp(-lam s) P_x(X_s = 0) ds, all x."""
     if lam <= 0:
         raise ValueError(f"resolvent parameter must be positive, got {lam}")
-    w = 1.0 - grid.half
+    w = 1.0 - grid.quadrant
     w += lam
     np.reciprocal(w, out=w)
-    L = grid.spec.L
-    return GreenField(spec=grid.spec, lam=lam, values=np.fft.irfft2(w, s=(L, L)).ravel())
+    return GreenField(spec=grid.spec, lam=lam, quadrant=_field(w, grid.spec.L))
 
 
 @dataclass(frozen=True)
 class LaplaceField:
-    """Hitting transform F(x, lam) = E_x exp(-lam H), H the origin hit time."""
+    """Hitting transform F(x, lam) = E_x exp(-lam H), H the origin hit time.
+
+    Stored on the quadrant; values unfolds it to the torus.
+    """
 
     spec: TorusSpec
     lam: float
-    values: np.ndarray
+    quadrant: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.values.shape != (self.spec.n_points,):
-            raise ValueError("transform values must have length L^2")
-        if self.values[0] != 1.0:
+        q = self.quadrant
+        _check_quadrant(q, self.spec, "transform values")
+        if q[0, 0] != 1.0:
             raise ValueError("hitting transform must equal 1 at the origin")
-        if float(self.values.min()) <= 0.0 or float(self.values.max()) > 1.0:
+        if float(q.min()) <= 0.0 or float(q.max()) > 1.0:
             raise ArithmeticError("hitting transform must lie in (0, 1]")
+
+    @property
+    def values(self) -> np.ndarray:
+        return unfold(self.quadrant, self.spec)
 
 
 def laplace_hit(grid: SpectralGrid, lam: float) -> LaplaceField:
     """F(x, lam) = G(x, lam) / G(0, lam); equals 1 exactly at the origin."""
-    g = green(grid, lam)
-    values = g.values / g.values[0]
-    values[0] = 1.0
-    return LaplaceField(spec=grid.spec, lam=lam, values=values)
+    q = green(grid, lam).quadrant  # the resolvent is not kept: divide in its storage
+    q /= q[0, 0]
+    q[0, 0] = 1.0
+    return LaplaceField(spec=grid.spec, lam=lam, quadrant=q)
 
 
 def uniformity_gap(grid: SpectralGrid, t: float) -> tuple[float, float]:
@@ -282,14 +316,13 @@ def uniformity_gap(grid: SpectralGrid, t: float) -> tuple[float, float]:
     dominates the gap by the triangle inequality.
     """
     n = grid.spec.n_points
-    L = grid.spec.L
-    # one pass of heat weights feeds both the bound and the inverse;
-    # columns 1..L/2-1 stand for themselves and their mirror images
+    # one pass of heat weights feeds both the bound and the inverse,
+    # which overwrites them
     w = _heat_weights(grid, t)
-    bound = float(w[:, 0].sum() + w[:, L // 2].sum() + 2.0 * w[:, 1 : L // 2].sum() - w[0, 0])
-    raw = HeatGrid(spec=grid.spec, t=t, raw=np.fft.irfft2(w, s=(L, L)).ravel()).raw
-    del w  # gone before the deviation temporary below
-    gap = n * _max_abs(raw - 1.0 / n)
+    bound = torus_sum(w) - float(w[0, 0])
+    dev = HeatGrid(spec=grid.spec, t=t, quadrant=_field(w, grid.spec.L)).quadrant
+    dev -= 1.0 / n
+    gap = n * _max_abs(dev)
     if gap > bound * (1.0 + 1e-9) + 1e-12:
         raise ArithmeticError("uniformity gap exceeded its analytic bound")
     return gap, bound

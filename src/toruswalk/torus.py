@@ -17,15 +17,17 @@ Start windows:
   The homogeneously mixing (meanfield) case starts anywhere on the
   punctured torus: the alpha = 0 annulus with v = L.
 
-An annulus supports vectorized membership and enumeration, and
-region_mask gives its membership over a whole torus.
+An annulus supports vectorized membership, enumeration and a
+closed-form point count (region_size).  region_mask gives its
+membership over a whole torus, and quadrant_mask over the quadrant
+0..L/2 per axis on which `spectral` stores its fields.
 
 Layout: fields over the torus are laid out row-major with linear
 index (x1 mod L) * L + (x2 mod L), the index order of numpy's FFT, so
 the origin sits at index 0 and axis index i holds coordinate i for
 i <= L/2 and i - L above.  index_of, point_of, point_grid,
-frequencies and region_mask speak it, as do the spectral transforms
-and the Monte Carlo site codes.  The frequency at linear index i is
+frequencies and region_mask speak it, as do the unfolded spectral
+fields and the Monte Carlo site codes.  The frequency at linear index i is
 2*pi/L times the point at linear index i.
 """
 
@@ -175,16 +177,26 @@ def contains(region: Annulus, points: np.ndarray) -> np.ndarray:
     return _member(region, p[..., 0], p[..., 1])
 
 
-def _axis_range(region: Annulus) -> tuple[int, int]:
-    """(lo, hi): every point of the region has both coordinates in [lo, hi]."""
-    outer = region.bounds()[1]
-    # integers k with -outer/2 < k <= outer/2
-    return int(math.floor(-outer / 2.0)) + 1, int(math.floor(outer / 2.0))
+def _axis_range(side: float) -> tuple[int, int]:
+    """(lo, hi): the integers k with -side/2 < k <= side/2 are lo..hi."""
+    return int(math.floor(-side / 2.0)) + 1, int(math.floor(side / 2.0))
+
+
+def region_size(region: Annulus) -> int:
+    """Number of integer points of an annulus, in closed form.
+
+    The outer square holds n_outer^2 points (n per axis from
+    _axis_range), and the hole removes the n_inner^2 points of the
+    inner square, or only the origin when there is no hole; an inner
+    square larger than the outer one leaves none.
+    """
+    n_inner, n_outer = (hi - lo + 1 for lo, hi in map(_axis_range, region.bounds()))
+    return max(n_outer * n_outer - max(n_inner * n_inner, 1), 0)
 
 
 def enumerate_region(region: Annulus) -> np.ndarray:
     """All integer points of an annulus, shape (n, 2), row-major sorted order."""
-    lo, hi = _axis_range(region)
+    lo, hi = _axis_range(region.bounds()[1])
     if hi < lo:
         return np.empty((0, 2), dtype=np.int64)
     ax = np.arange(lo, hi + 1, dtype=np.int64)
@@ -193,14 +205,10 @@ def enumerate_region(region: Annulus) -> np.ndarray:
     return pts[contains(region, pts)]
 
 
-def region_mask(region: Annulus, spec: TorusSpec) -> np.ndarray:
-    """Membership of every torus point, shape (L^2,), in the documented layout.
-
-    The True entries are index_of(enumerate_region(region), spec); like
-    index_of, this raises ValueError when a point of the region lies
-    outside the canonical torus range, rather than clipping the annulus.
-    """
-    lo, hi = _axis_range(region)
+def _check_on_torus(region: Annulus, spec: TorusSpec) -> None:
+    """Raise ValueError, as index_of does, when a point of the region
+    lies outside the canonical torus range."""
+    lo, hi = _axis_range(region.bounds()[1])
     half = spec.L // 2
     # An annulus is symmetric under swapping the axes, and a row x1 = c
     # of its bounding square holds a member iff one of (c, lo), (c, 0),
@@ -215,5 +223,32 @@ def region_mask(region: Annulus, spec: TorusSpec) -> np.ndarray:
         or _member(region, probe[:, None], off[None, :]).any()
     ):
         raise ValueError("point outside canonical torus range; wrap() it first")
+
+
+def region_mask(region: Annulus, spec: TorusSpec) -> np.ndarray:
+    """Membership of every torus point, shape (L^2,), in the documented layout.
+
+    The True entries are index_of(enumerate_region(region), spec); like
+    index_of, this raises ValueError when a point of the region lies
+    outside the canonical torus range, rather than clipping the annulus.
+    """
+    _check_on_torus(region, spec)
     ax = spec.axis_coords()
     return _member(region, ax[:, None], ax[None, :]).ravel()
+
+
+def quadrant_mask(region: Annulus, spec: TorusSpec) -> np.ndarray:
+    """Membership on the quadrant 0..L/2 per axis, shape (L/2 + 1, L/2 + 1).
+
+    Entry (a, b) is True when any of its torus images (+-a, +-b) lies
+    in the region, so a field even in each coordinate takes the same
+    values on the True entries as on region_mask's.  Refuses a region
+    off the torus as region_mask does.
+    """
+    _check_on_torus(region, spec)
+    pos = np.arange(spec.L // 2 + 1, dtype=np.int64)
+    mask = np.zeros((pos.size, pos.size), dtype=bool)
+    for x1 in (pos, wrap(-pos, spec.L)):
+        for x2 in (pos, wrap(-pos, spec.L)):
+            mask |= _member(region, x1[:, None], x2[None, :])
+    return mask

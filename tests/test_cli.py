@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import toruswalk
@@ -98,6 +99,32 @@ def test_finite_mode_laplace_rows(tmp_path):
     ap = 0.5
     expected_target = (1 - ap) + ap / (1 + 1.0 / (math.pi * sigma2))
     assert float(lines[1].split(",")[4]) == pytest.approx(expected_target, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+@pytest.mark.parametrize("v", [2, 4, 8])
+def test_laplace_regions_and_sup_gap_match_the_full_torus(tmp_path, alpha, v):
+    # the quadrant sup and closed-form count agree with the full-torus
+    # mask, also where the window v = (log L)^v_exponent is an integer
+    # and the squares have integer half-sides
+    L, M, lam = 128, 4, 1.0
+    v_exponent = math.log(v) / math.log(math.log(L))
+    cfg = {
+        "command": "laplace",
+        "torus": {"L": [L]},
+        "kernel": {"family": "uniform", "M": M},
+        "scale": {"lams": [lam], "mode": "finite", "rho": 0.0, "alpha": alpha, "v_exponent": v_exponent},
+    }
+    code, out = _run(tmp_path, cfg, "laplace")
+    assert code == 0
+    region = toruswalk.Annulus(alpha, math.log(L) ** v_exponent, L)
+    mask = toruswalk.region_mask(region, toruswalk.TorusSpec(L))
+    meta = json.loads((out / "laplace.meta.json").read_text())
+    assert meta["resolved"]["regions"] == {str(L): int(mask.sum())}
+    grid = toruswalk.build_grid(toruswalk.uniform_kernel(M), toruswalk.TorusSpec(L))
+    F = toruswalk.laplace_hit(grid, lam / (L**2 * toruswalk.t_scale(L, M))).values
+    _, _, _, gap, target = (out / "laplace.csv").read_text().splitlines()[1].split(",")
+    assert float(gap) == float(np.max(np.abs(F[mask] - float(target))))
 
 
 def test_uniformity_time_zero_gap(tmp_path):

@@ -273,6 +273,10 @@ def _broken_boxes():
     # a mass at x with none at -x, small enough for the MASS_TOL checks
     one_sided = nn.copy()
     one_sided[0, 0] = 1e-14
+    # mass on one diagonal: q(x) = q(-x) and equal variances, but
+    # neither axis reflection leaves it unchanged
+    diagonal = np.zeros((3, 3))
+    diagonal[[0, 2], [0, 2]] = 0.5
     # each box breaks one invariant and keeps the others
     return {
         "asymmetric": (asymmetric, r"q\(x\) = q\(-x\)"),
@@ -282,6 +286,7 @@ def _broken_boxes():
         "variances": (axis, "variances"),
         "odd M": (odd, "even"),
         "one-sided": (one_sided, "mirror-symmetric"),
+        "diagonal": (diagonal, "axis by axis"),
     }
 
 

@@ -20,7 +20,7 @@ from toruswalk.spectral import (
     orthogonality_gap,
     uniformity_gap,
 )
-from toruswalk.torus import TorusSpec, index_of
+from toruswalk.torus import TorusSpec, frequencies, index_of
 
 ORIGIN8 = int(index_of(np.zeros(2, dtype=np.int64), TorusSpec(8)))
 
@@ -70,13 +70,13 @@ def test_grid_fft_matches_direct():
     ):
         fast = build_grid(kernel, spec, method="fft")
         slow = build_grid(kernel, spec, method="direct")
-        assert np.max(np.abs(fast.half - slow.half)) < 1e-12
+        assert np.max(np.abs(fast.quadrant - slow.quadrant)) < 1e-12
 
 
 def test_grid_origin_pinned_and_bounded():
     grid = build_grid(uniform_kernel(4), TorusSpec(16))
-    assert grid.half[0, 0] == 1.0
-    assert np.max(np.abs(grid.half)) <= 1.0 + 1e-12
+    assert grid.quadrant[0, 0] == 1.0
+    assert np.max(np.abs(grid.quadrant)) <= 1.0 + 1e-12
 
 
 def test_grid_rejects_oversized_kernel():
@@ -90,31 +90,29 @@ def test_grid_range_equal_side_is_wrapped_exactly():
     k = uniform_kernel(8)
     fast = build_grid(k, spec, method="fft")
     slow = build_grid(k, spec, method="direct")
-    assert np.max(np.abs(fast.half - slow.half)) < 1e-12
+    assert np.max(np.abs(fast.quadrant - slow.quadrant)) < 1e-12
 
 
-def test_grid_rejects_malformed_half_plane():
+def test_grid_rejects_malformed_quadrant():
     grid = build_grid(uniform_kernel(2), TorusSpec(8))
     dataclasses.replace(grid)
-    with pytest.raises(ValueError):
-        dataclasses.replace(grid, half=np.ones((8, 8)))
-    for column in (0, 4):
-        half = grid.half.copy()
-        half[1, column] += 1e-6  # frequency (1, k2) no longer matches (-1, k2)
+    for shape in ((8, 5), (5, 4), (8, 8)):
         with pytest.raises(ValueError):
-            dataclasses.replace(grid, half=half)
+            dataclasses.replace(grid, quadrant=np.ones(shape))
 
 
-def test_green_rejects_asymmetric_field():
-    g = green(build_grid(uniform_kernel(2), TorusSpec(8)), 0.5)
-    dataclasses.replace(g)
-    # an interior point, points on the row and the column of coordinate
-    # L/2, and points on the row and the column of coordinate 0
-    for point in ([1, 2], [4, 1], [1, 4], [0, 2], [2, 0]):
-        values = g.values.copy()
-        values[int(index_of(np.array(point), TorusSpec(8)))] *= 1.0 + 1e-6
-        with pytest.raises(ArithmeticError):
-            dataclasses.replace(g, values=values)
+def test_unfolded_fields_are_axis_symmetric():
+    # a field stored on the quadrant unfolds to one that x -> -x and
+    # each axis flip leave exactly unchanged
+    for L, kernel in ((8, uniform_kernel(2)), (16, mixture_kernel(0.5, 4, uniform_kernel(2)))):
+        spec = TorusSpec(L)
+        grid = build_grid(kernel, spec)
+        neg = (-np.arange(L)) % L  # axis index of -x for the coordinate at each index
+        for field in (green(grid, 0.5).values, laplace_hit(grid, 0.5).values, heat(grid, 1.5).raw):
+            sq = field.reshape(L, L)
+            assert np.array_equal(sq, sq[neg][:, neg])
+            assert np.array_equal(sq, sq[neg, :])
+            assert np.array_equal(sq, sq[:, neg])
 
 
 def test_heat_point_mass_at_time_zero():
@@ -227,6 +225,16 @@ def test_uniformity_gap_at_zero_and_decay():
         assert g <= b * (1 + 1e-9) + 1e-12
     assert gaps[0][0] > gaps[1][0] > gaps[2][0]
     assert gaps[2][0] < 1e-6
+
+
+def test_uniformity_bound_sums_every_nonzero_frequency():
+    spec = TorusSpec(16)
+    kernel = mixture_kernel(0.7, 4, uniform_kernel(2))
+    grid = build_grid(kernel, spec)
+    ys, thetas = frequencies(spec)
+    phi = char_fn(kernel, thetas)[(ys != 0).any(axis=1)]
+    for t in (0.5, 3.0, 20.0):
+        assert uniformity_gap(grid, t)[1] == pytest.approx(np.exp(-t * (1.0 - phi)).sum(), rel=1e-12)
 
 
 def test_orthogonality_gap_is_numerically_zero():

@@ -18,7 +18,9 @@ from toruswalk.torus import (
     index_of,
     point_grid,
     point_of,
+    quadrant_mask,
     region_mask,
+    region_size,
     wrap,
 )
 
@@ -204,3 +206,28 @@ def test_region_mask_matches_enumerated_indices(L):
         assert mask.shape == (spec.n_points,) and mask.dtype == bool
         assert np.array_equal(np.flatnonzero(mask), expected), region
     assert 0 < refused < len(regions)
+
+
+@pytest.mark.parametrize("L", [2, 8, 64, 256])
+def test_region_size_and_quadrant_mask_match_region_mask(L):
+    # region_size counts each torus point once, and quadrant_mask marks
+    # a quadrant point when any of its images (+-a, +-b) is a member.
+    # A square of integer half-side (L = 256, alpha = 1, v = 4) is not
+    # symmetric under reflection, so quadrant_mask is not the fold of
+    # one membership pattern and its m(a) m(b)-weighted count overcounts.
+    spec = TorusSpec(L)
+    i = np.arange(L)
+    fold = np.minimum(i, L - i)
+    for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
+        for v in (0.5, 1.0, 2.0, 2.5, 4.0, 8.0, 40.0):
+            region = Annulus(alpha, v, L)
+            try:
+                mask = region_mask(region, spec)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    quadrant_mask(region, spec)
+                continue
+            assert region_size(region) == mask.sum(), region
+            expected = np.zeros((L // 2 + 1, L // 2 + 1), dtype=bool)
+            np.logical_or.at(expected, np.ix_(fold, fold), mask.reshape(L, L))
+            assert np.array_equal(quadrant_mask(region, spec), expected), region

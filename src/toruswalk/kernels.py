@@ -136,9 +136,11 @@ class JumpKernel:
         if abs(float(box.sum()) - 1.0) > MASS_TOL:
             raise ValueError("masses must sum to one")
         if max(np.max(np.abs(box - box[::-1, :])), np.max(np.abs(box - box[:, ::-1]))) > MASS_TOL:
-            raise ValueError("kernel must satisfy q(x) = q(-x) axis by axis: q(x1, x2) = q(-x1, x2) = q(x1, -x2)")
+            raise ValueError(
+                "kernel must satisfy q(x) = q(-x) axis by axis: q(x1, x2) = q(-x1, x2) = q(x1, -x2)"
+            )
         support = box > 0.0
-        if not (np.array_equal(support, support[::-1, :]) and np.array_equal(support, support[:, ::-1])):
+        if not (np.array_equal(support, support[::-1]) and np.array_equal(support, support[:, ::-1])):
             raise ValueError("kernel support must be mirror-symmetric in each axis")
         x2 = _box_axis(M).astype(np.float64) ** 2
         v1, v2 = float(box.sum(axis=1) @ x2), float(box.sum(axis=0) @ x2)

@@ -25,8 +25,9 @@ properties unfold a field to the full torus in the mod-L layout of
 summation path exists for cross-checking the fast path at small sizes.
 
 One grid (uniform M=8) plus three resolvent inverses, in a fresh
-process: one inverse takes 0.16 s at L=4096 with a 130 MB peak RSS,
-and 0.7 s at L=8192 with a 320 MB peak (BENCH_spectral_large.json).
+process on a 2-core x86_64 machine: one inverse takes about 0.09 s at
+L=4096 with a 128 MB peak RSS, and 0.47 s at L=8192 with a 320 MB
+peak (tools/bench_spectral.py; medians in BENCH_spectral_large.json).
 
 Kernels whose range equals the torus side are wrapped with colliding
 pre-images summed, which is exact at torus frequencies; ranges

@@ -27,8 +27,8 @@ index (x1 mod L) * L + (x2 mod L), the index order of numpy's FFT, so
 the origin sits at index 0 and axis index i holds coordinate i for
 i <= L/2 and i - L above.  index_of, point_of, point_grid,
 frequencies and region_mask speak it, as do the unfolded spectral
-fields and the Monte Carlo site codes.  The frequency at linear index i is
-2*pi/L times the point at linear index i.
+fields and the Monte Carlo site codes.  The frequency at linear index
+i is 2*pi/L times the point at linear index i.
 """
 
 from __future__ import annotations
@@ -247,8 +247,9 @@ def quadrant_mask(region: Annulus, spec: TorusSpec) -> np.ndarray:
     """
     _check_on_torus(region, spec)
     pos = np.arange(spec.L // 2 + 1, dtype=np.int64)
+    images = (pos, wrap(-pos, spec.L))
     mask = np.zeros((pos.size, pos.size), dtype=bool)
-    for x1 in (pos, wrap(-pos, spec.L)):
-        for x2 in (pos, wrap(-pos, spec.L)):
+    for x1 in images:
+        for x2 in images:
             mask |= _member(region, x1[:, None], x2[None, :])
     return mask

@@ -25,16 +25,29 @@ Sampling is by inverse CDF: a jump is support point
 searchsorted(cdf, u, "right") for a uniform u.  sample_jumps finds that
 index with a guide table (Chen & Asau 1974, AIIE Trans. 6) instead of a
 binary search: B buckets, B a power of two, with start[b] = #{cdf <=
-b/B} <= the index sought for every u in bucket b = floor(u*B), then a
-few vectorized passes step each draw past the CDF values still <= u.
-The index, and so every drawn jump, is exactly the binary search's.
+b/B} <= the index sought for every u in bucket b = floor(u*B), from
+which the lookup steps each draw past the CDF values still <= u.  The
+index, and so every drawn jump, is exactly the binary search's.
+
+The lookup is C, in _skeleton.c next to this module, together with the
+lockstep rounds of mc's first-passage skeleton.  The first sampling call
+compiles it with the C compiler `cc` into the package's __pycache__,
+under a name fixed by the source's sha256, and loads it through ctypes;
+later processes load the cached library.  Without a compiler (or a
+writable __pycache__) sampling raises RuntimeError.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import os
+import subprocess
+import tempfile
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -46,7 +59,8 @@ DENSITY_GRID = 33
 DENSITY_RANDOM_PROBES = 1000
 GAUSS_ORDERS = (48, 96)  # Gauss-Legendre nodes per axis, coarse and fine
 PROFILE_RTOL = 1e-12
-GUIDE_PASSES = 4  # guide-table correction passes before a binary search takes the rest
+SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_skeleton.c")
+COMPILER = "cc"
 
 
 def check_range(M: int) -> None:
@@ -167,16 +181,29 @@ class JumpKernel:
         return int(self.points.shape[0])
 
     @cached_property
-    def _guide(self) -> tuple[np.ndarray, np.ndarray]:
+    def _guide(self) -> _Guide:
         """Guide table for sample_jumps, built on first use.
 
         start[b] = #{cdf <= b/B} for B buckets, B the least power of two
         >= n_support (so u*B and b/B are exact), and the CDF closed by
-        +inf, which stops every correction pass at index n_support.
+        +inf, which stops every lookup at index n_support.
         """
         B = 1 << max(self.n_support - 1, 1).bit_length()
-        start = np.searchsorted(self._cdf, np.arange(B) / B, side="right")
-        return start, np.append(self._cdf, np.inf)
+        start = np.searchsorted(self._cdf, np.arange(B) / B, side="right").astype(np.int64)
+        cdf = np.append(self._cdf, np.inf)
+        return _Guide(start, cdf, (cdf.ctypes.data, start.ctypes.data, B, self.n_support))
+
+
+class _Guide(NamedTuple):
+    """A kernel's guide table, with the lookup's arguments to _skeleton.c.
+
+    args is (cdf, start, B, n_support), the arrays as addresses; holding
+    the tuple keeps them alive, also when two threads build the table.
+    """
+
+    start: np.ndarray
+    cdf: np.ndarray
+    args: tuple[int, int, int, int]
 
 
 def _box_axis(M: int) -> np.ndarray:
@@ -248,24 +275,80 @@ def meanfield_kernel(L: int) -> JumpKernel:
     return JumpKernel(box, sigma2_limit=None, label=f"meanfield(L={L})")
 
 
-def _jump_index(kernel: JumpKernel, u: np.ndarray) -> np.ndarray:
-    """searchsorted(kernel._cdf, u, side="right"), capped at n_support - 1.
+# ctypes argtypes and restype of each function of _skeleton.c.  Arrays
+# pass as bare pointers (ndpointer's checks cost more than a small
+# lookup), so each caller hands over C-contiguous arrays of the declared
+# dtype: float64 for uniforms and the CDF, int64 for the rest.
+_PTR, _INT = ctypes.c_void_p, ctypes.c_int64
+_REF = ctypes.POINTER(ctypes.c_int64)
+_SIGNATURES = {
+    "jump_index": ([_PTR, _INT, _PTR, _PTR, _INT, _INT, _PTR], None),
+    "skeleton_rounds": (
+        [_PTR, _INT, _REF, _PTR, _PTR, _INT, _INT, _PTR, _INT, _PTR, _PTR, _INT, _PTR, _REF, _INT],
+        _INT,
+    ),
+}
+_loaded: list[ctypes.CDLL] = []  # the library, once loaded
+_load_lock = threading.Lock()  # --workers runs chunks on threads
 
-    Starts from the guide table's bucket and steps forward while the
-    CDF is still <= u; after GUIDE_PASSES passes the few draws left
-    (those in a bucket holding many CDF steps) take the binary search.
+
+def _build(directory: str) -> str:
+    """Path of the compiled SOURCE in directory, compiling it if absent.
+
+    The file is named by the source's sha256, and written under a
+    temporary name first, then renamed, so a concurrent process never
+    loads a partial library.  Raises RuntimeError naming the compiler
+    and the source when the compiler is missing or fails, or the
+    directory is not writable.
     """
-    start, cdf = kernel._guide
-    idx = start.take((u * start.size).astype(np.intp))
-    need = np.flatnonzero(cdf.take(idx) <= u)
-    for _ in range(GUIDE_PASSES):
-        if not need.size:
-            break
-        idx[need] += 1
-        need = need[cdf.take(idx[need]) <= u[need]]
-    if need.size:
-        idx[need] = np.searchsorted(cdf, u[need], side="right")
-    return np.minimum(idx, kernel.n_support - 1, out=idx)
+    with open(SOURCE, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    target = os.path.join(directory, f"_skeleton-{digest[:16]}.so")
+    if os.path.exists(target):
+        return target
+    tmp = None
+    try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=directory)
+        os.close(fd)
+        subprocess.run(
+            [COMPILER, "-O2", "-shared", "-fPIC", "-o", tmp, SOURCE],
+            check=True, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        )
+        os.replace(tmp, target)
+    except (OSError, subprocess.CalledProcessError) as exc:
+        detail = getattr(exc, "stdout", None) or exc
+        raise RuntimeError(
+            f"sampling needs {SOURCE} compiled by the C compiler {COMPILER!r} "
+            f"into {directory}: {detail}"
+        ) from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
+            os.remove(tmp)
+    return target
+
+
+def _library() -> ctypes.CDLL:
+    """The compiled _skeleton.c, built into __pycache__ and loaded on first use."""
+    if not _loaded:
+        with _load_lock:
+            if not _loaded:
+                lib = ctypes.CDLL(_build(os.path.join(os.path.dirname(SOURCE), "__pycache__")))
+                for name, (argtypes, restype) in _SIGNATURES.items():
+                    fn = getattr(lib, name)
+                    fn.argtypes, fn.restype = argtypes, restype
+                _loaded.append(lib)
+    return _loaded[0]
+
+
+def _jump_index(kernel: JumpKernel, u: np.ndarray) -> np.ndarray:
+    """searchsorted(kernel._cdf, u, side="right"), capped at n_support - 1,
+    by the guide-table lookup of _skeleton.c."""
+    guide = kernel._guide
+    u = np.ascontiguousarray(u, dtype=np.float64)
+    out = np.empty(u.shape, dtype=np.int64)
+    _library().jump_index(u.ctypes.data, u.size, *guide.args, out.ctypes.data)
+    return out
 
 
 def sample_jumps(kernel: JumpKernel, rng: np.random.Generator, size: int) -> np.ndarray:

@@ -43,10 +43,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .kernels import JumpKernel, check_range
-from .spectral import char_fn
+from .spectral import char_fn  # noqa: F401  (wrapped by perfbench/tracer.py)
+from .spectral import char_fn_grid
 from .torus import TWO_PI, TorusSpec
 
 RING_LOG2_LIMIT = TWO_PI * math.log(2.0)
@@ -151,7 +151,10 @@ def quadrature_midpoint_2d(
 ) -> tuple[float, int, list[tuple[int, float]]]:
     """Integrate func over the square [-h, h]^2 by refined midpoint sums.
 
-    The per-axis resolution doubles from quad.base until two successive
+    func receives the midpoints of a level as the axes of a sparse
+    meshgrid (indexing "ij"), shapes (n, 1) and (1, n), and returns the
+    n x n integrand values, by broadcasting or as a tensor grid.  The
+    per-axis resolution doubles from quad.base until two successive
     estimates agree within quad.tol.  When one more doubling would pass
     quad.max_axis, QuadratureError is raised carrying the last two
     estimates.
@@ -167,7 +170,7 @@ def quadrature_midpoint_2d(
     while True:
         h = 2.0 * half_width / n
         mids = -half_width + h * (np.arange(n) + 0.5)
-        x1, x2 = np.meshgrid(mids, mids, indexing="ij")
+        x1, x2 = np.meshgrid(mids, mids, indexing="ij", sparse=True)
         val = float(np.sum(func(x1, x2))) * h * h
         history.append((n, val))
         if abs(val - prev) < quad.tol:
@@ -202,7 +205,8 @@ def beta0(c: float, q0: JumpKernel, quad: QuadratureSpec = QuadratureSpec()) -> 
         raise ValueError(f"mixture weight must lie in (0, 1], got {c}")
 
     def integrand(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
-        q_hat = char_fn(q0, np.stack([t1, t2], axis=-1))
+        # t1, t2 are the grid's axes, (n, 1) and (1, n)
+        q_hat = char_fn_grid(q0, t1, t2)
         return 1.0 / (1.0 - (1.0 - c) * q_hat)
 
     value, _, history = quadrature_midpoint_2d(integrand, math.pi, quad)
@@ -235,6 +239,8 @@ def death_process_dist(n: int, t: float) -> np.ndarray:
     Q = np.zeros((n, n))
     Q[k - 1, k - 1] = -rates
     Q[k - 1, k - 2] = rates
+    import scipy.linalg  # imported here so that importing the CLI loads no scipy
+
     return scipy.linalg.expm(t * Q)[n - 1]
 
 

@@ -6,11 +6,13 @@ independent of the skeleton.  Hitting times are therefore sampled
 exactly in distribution as H = Gamma(N, 1) where N is the skeleton
 step count at the first visit to the origin; this is about twice as
 fast as simulating clocks step by step and keeps N available for
-Wald-identity checks (E[H] = E[N]).  The skeleton draws its jumps in
-blocks of up to SKELETON_BLOCK uniforms and afterwards rewinds the
-generator to just past the uniforms its rounds consumed, so the draws
-it uses and every draw after it are those of one sample_jumps call per
-round.
+Wald-identity checks (E[H] = E[N]).  The skeleton draws uniforms in
+blocks of up to SKELETON_BLOCK, runs its lockstep rounds over them in
+C (skeleton_rounds of _skeleton.c, loaded by kernels._library), and
+afterwards rewinds the generator to just past the uniforms its rounds
+consumed, so the draws it uses and every draw after it are those of one
+sample_jumps call per round.  ctypes releases the interpreter lock for
+the C call, so worker threads run skeleton chunks in parallel.
 
 Coalescing systems use a single global exponential clock with rate
 equal to the live lineage count, a uniform pick of the mover, and a
@@ -33,19 +35,20 @@ so results are byte-identical for any worker count.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import JumpKernel, sample_jump, sample_jumps
+from .kernels import JumpKernel, _library, sample_jump, sample_jumps
 from .limits import RegimeParams, beta, death_process_dist, t_scale
 from .torus import TorusSpec, wrap
 
 DEFAULT_STEP_CAP = 10**10
 DEFAULT_CHUNK = 4096
-SKELETON_BLOCK = 2**16  # uniforms per sample_jumps call of the first-passage skeleton
+SKELETON_BLOCK = 2**16  # uniforms per draw of the first-passage skeleton
 # The difference of two rate-1 walkers jumps at rate 2, so a pair merges
 # at half the difference walk's hitting time of the origin.
 PAIR_CLOCK = 2.0
@@ -144,12 +147,14 @@ def _skeleton_first_passage(
     and reported as -1 (the caller owns the tail-probability argument);
     otherwise exceeding step_cap raises StepCapExceeded.
 
-    Jumps come from sample_jumps in blocks of up to SKELETON_BLOCK
-    (or k, if larger), and each round takes the next k of them, k the
-    walkers still active: the draws of one sample_jumps(k) call per
-    round, in the same order.  On return or raise, the generator is
-    rewound to just past the uniforms consumed, so what it draws next
-    is unchanged.
+    The rounds run in C (skeleton_rounds of _skeleton.c) over uniforms
+    drawn with rng.random in blocks of up to SKELETON_BLOCK (or k, if
+    larger), unused ones carried to the next block.  Each round takes
+    the next k of them, k the walkers still active, and maps them to
+    jumps by sample_jumps' inverse CDF: the draws of one sample_jumps(k)
+    call per round, in the same order.  On return or raise, the
+    generator is rewound to just past the uniforms consumed, so what it
+    draws next is unchanged.
     The rewind needs a PCG64-family bit generator (one advance() step
     per 64-bit draw); any other raises TypeError.
     """
@@ -157,40 +162,37 @@ def _skeleton_first_passage(
     if not isinstance(bitgen, (np.random.PCG64, np.random.PCG64DXSM)):
         raise TypeError(f"the skeleton rewinds with PCG64.advance, got {type(bitgen).__name__}")
     L = spec.L
-    # sites in [0, L) plus one jump of at most M/2 per coordinate
-    dtype = np.int32 if L + kernel.M < 2**31 else np.int64
-    pos = np.mod(np.asarray(starts, dtype=np.int64), L).T.astype(dtype)  # (2, walkers)
-    if not np.all(pos[0] | pos[1]):
+    pos = np.mod(np.asarray(starts, dtype=np.int64).reshape(-1, 2), L)  # (walkers, 2)
+    if not np.all(pos[:, 0] | pos[:, 1]):
         raise ValueError("walkers must start away from the origin")
-    n = np.full(pos.shape[1], -1, dtype=np.int64)
-    idx = np.arange(pos.shape[1])
-    jumps = np.empty((2, 0), dtype=dtype)  # drawn jumps; jumps[:, used:] not yet taken
-    used = consumed = rounds = 0
+    n = np.full(pos.shape[0], -1, dtype=np.int64)
+    idx = np.arange(pos.shape[0], dtype=np.int64)
+    jump = np.mod(kernel.points, L, dtype=np.int64)  # one subtraction wraps a site plus a jump
+    guide = kernel._guide
+    limit = step_cap if max_rounds is None else min(step_cap, max_rounds)
+    skeleton_rounds = _library().skeleton_rounds
+    u = np.empty(0)  # drawn uniforms; u[used:] not yet taken
+    used, rounds = ctypes.c_int64(0), ctypes.c_int64(0)
+    active, consumed = pos.shape[0], 0
     saved = bitgen.state
     try:
-        while idx.size:
-            rounds += 1
-            if max_rounds is not None and rounds > max_rounds:
+        while active:
+            before = used.value
+            active = skeleton_rounds(
+                u.ctypes.data, u.size, used, *guide.args, jump.ctypes.data, L,
+                pos.ctypes.data, idx.ctypes.data, active, n.ctypes.data, rounds, limit,
+            )
+            consumed += used.value - before
+            if not active:
                 break
-            if rounds > step_cap:
-                raise StepCapExceeded(step_cap, int(idx.size))
-            k = idx.size
-            if used + k > jumps.shape[1]:
-                # blocks grow with the draws so far: a short run draws little
-                fresh = sample_jumps(kernel, rng, max(k, min(SKELETON_BLOCK, 2 * consumed))).T
-                jumps = np.concatenate([jumps[:, used:], fresh], axis=1, dtype=dtype)
-                used = 0
-            pos += jumps[:, used : used + k]
-            used += k
-            consumed += k
-            np.mod(pos, L, out=pos)
-            off = pos[0] | pos[1]  # zero exactly at the origin
-            if np.count_nonzero(off) < k:
-                hit = off == 0
-                n[idx[hit]] = rounds
-                keep = ~hit
-                idx = idx[keep]
-                pos = pos[:, keep]
+            if rounds.value == limit:
+                if limit == max_rounds:
+                    break  # censored: the cutoff comes before the cap
+                raise StepCapExceeded(step_cap, active)
+            # blocks grow with the draws so far: a short run draws little
+            fresh = rng.random(max(active, min(SKELETON_BLOCK, 2 * consumed)))
+            u = np.concatenate([u[used.value :], fresh])
+            used.value = 0
     finally:
         _rewind(bitgen, saved, consumed)
     return n

@@ -5,6 +5,8 @@ memory, so occupation probabilities, resolvent values, and hitting-time
 transforms can be computed by dense linear algebra with no Fourier
 shortcuts.  These are the independent references the spectral engine is
 tested against; they must stay free of any code shared with it.
+scipy.linalg is imported inside the functions that solve, so importing
+the package (and the CLI) loads no scipy.
 
 The walk holds for an exponential time of mean one and then jumps by a
 kernel draw, wrapped onto the torus.  Generator Q = P - I where P is
@@ -16,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .kernels import JumpKernel
 from .torus import TorusSpec, index_of, point_of, wrap
@@ -70,6 +71,8 @@ def dense_heat(chain: DenseChain, t: float) -> np.ndarray:
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
     origin = int(index_of(np.zeros(2, dtype=np.int64), chain.spec))
+    import scipy.linalg
+
     probs = scipy.linalg.expm(t * chain.generator)[origin]
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-9:
@@ -89,6 +92,8 @@ def dense_green(chain: DenseChain, lam: float) -> np.ndarray:
     A = lam * np.eye(n) - chain.generator
     b = np.zeros(n)
     b[origin] = 1.0
+    import scipy.linalg
+
     g = scipy.linalg.solve(A, b)
     residual = float(np.max(np.abs(A @ g - b)))
     if residual > RESIDUAL_TOL:
@@ -110,6 +115,8 @@ def dense_laplace_hit(chain: DenseChain, lam: float) -> np.ndarray:
     others = np.array([i for i in range(n) if i != origin])
     A = (1.0 + lam) * np.eye(n - 1) - chain.P[np.ix_(others, others)]
     b = chain.P[others, origin].copy()
+    import scipy.linalg
+
     f_others = scipy.linalg.solve(A, b)
     residual = float(np.max(np.abs(A @ f_others - b)))
     if residual > RESIDUAL_TOL:

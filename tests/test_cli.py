@@ -593,3 +593,14 @@ def test_public_names_resolve():
     namespace: dict = {}
     exec("from toruswalk import *", namespace)
     assert set(toruswalk.__all__) <= set(namespace)
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy (about a quarter second to import) loads only in the
+    # functions that transform or solve, not with the CLI
+    src = os.path.dirname(os.path.dirname(toruswalk.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, toruswalk.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

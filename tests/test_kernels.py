@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toruswalk import kernels
 from toruswalk.config import KernelPlan
 from toruswalk.kernels import (
     JumpKernel,
@@ -322,6 +325,41 @@ def test_sample_jumps_matches_binary_search(name):
     u = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0), [0.0, np.nextafter(1.0, 0.0)]])
     u = u[u < 1.0]
     assert np.array_equal(_jump_index(k, u), _binary_search(k, u))
+
+
+def test_missing_compiler_raises_naming_it_and_the_source(monkeypatch, tmp_path):
+    # the build refuses loudly; nothing is left in the target directory
+    monkeypatch.setattr(kernels, "COMPILER", "no-such-cc-for-toruswalk")
+    with pytest.raises(RuntimeError, match="no-such-cc-for-toruswalk") as info:
+        kernels._build(str(tmp_path))
+    assert kernels.SOURCE in str(info.value)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_concurrent_first_use_loads_once_and_samples_exactly(monkeypatch):
+    # worker threads meet an unloaded library and a kernel without its
+    # guide table; each must load one library and draw the serial jumps
+    def fresh():
+        return mixture_kernel(0.003, 64, uniform_kernel(2))
+
+    expected = sample_jumps(fresh(), np.random.default_rng(9), 4096)
+    monkeypatch.setattr(kernels, "_loaded", [])
+    k = fresh()
+
+    def draw():
+        return kernels._library(), sample_jumps(k, np.random.default_rng(9), 4096)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(draw) for _ in range(16)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(kernels._loaded) == 1
+    assert all(lib is kernels._loaded[0] for lib, _ in results)
+    assert all(np.array_equal(jumps, expected) for _, jumps in results)
 
 
 def test_sample_jump_is_one_draw_of_sample_jumps():

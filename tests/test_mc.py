@@ -536,6 +536,28 @@ def test_skeleton_matches_per_round_loop(monkeypatch, block, step_cap, max_round
         assert np.ndim(got[0]) == 0 and got[0] > 0  # the raise carried an unresolved count
 
 
+@pytest.mark.parametrize("block", [7, 1000, mc.SKELETON_BLOCK])
+@pytest.mark.parametrize(
+    "step_cap, max_rounds",
+    [(10**10, None), (10**10, 150), (150, None)],
+    ids=["resolved", "censored", "step-cap"],
+)
+@pytest.mark.parametrize("kernel, L", [(meanfield_kernel(16), 16), (uniform_kernel(8), 64)], ids=["meanfield16", "uniform8-L64"])
+def test_skeleton_matches_per_round_loop_on_wide_jumps(monkeypatch, kernel, L, block, step_cap, max_rounds):
+    # meanfield(16) jumps reach +-L/2, the largest jump the one-step wrap
+    # sees; uniform M=8 at L=64 runs the benchmark's kernel and side
+    monkeypatch.setattr(mc, "SKELETON_BLOCK", block)
+    starts = mc._random_starts(TorusSpec(L), 500, np.random.default_rng(4))
+    got = _skeleton_runs(kernel, L, starts, step_cap, max_rounds, _buffered_skeleton)
+    ref = _skeleton_runs(kernel, L, starts, step_cap, max_rounds, _per_round_skeleton)
+    assert np.array_equal(got[0], ref[0])
+    assert got[1:] == ref[1:]
+    if max_rounds is not None:
+        assert np.count_nonzero(got[0] == -1) > 0
+    if step_cap == 150:
+        assert np.ndim(got[0]) == 0 and got[0] > 0
+
+
 def test_skeleton_single_walker_matches_per_round_loop():
     # one walker: runs of 1 to ~800 steps, through the first, smallest blocks
     k = uniform_kernel(2)

@@ -8,11 +8,18 @@ import math
 import numpy as np
 import pytest
 
-from toruswalk.kernels import meanfield_kernel, mixture_kernel, uniform_kernel
+from toruswalk.kernels import (
+    KernelDensity,
+    density_kernel,
+    meanfield_kernel,
+    mixture_kernel,
+    uniform_kernel,
+)
 from toruswalk.oracle import dense_chain, dense_green, dense_heat, dense_laplace_hit
 from toruswalk.spectral import (
     build_grid,
     char_fn,
+    char_fn_grid,
     condition_report,
     green,
     heat,
@@ -59,6 +66,28 @@ def test_char_fn_matches_full_cosine_rows_bit_for_bit(checked):
     pts = k.points.astype(np.float64)
     ref = np.concatenate([np.cos(th[i : i + chunk] @ pts.T) @ k.masses for i in range(0, th.shape[0], chunk)])
     assert np.array_equal(char_fn(k, th, checked=checked), ref)
+
+
+@pytest.mark.parametrize("family", ["uniform", "density", "mixture", "meanfield"])
+def test_char_fn_grid_matches_char_fn(family):
+    quartic = KernelDensity(lambda a, b: 1.0 + (a * a + b * b) ** 2, label="quartic")
+    k = {
+        "uniform": uniform_kernel(8),
+        "density": density_kernel(8, quartic),
+        "mixture": mixture_kernel(0.3, 16, uniform_kernel(2)),
+        "meanfield": meanfield_kernel(16),
+    }[family]
+    rng = np.random.default_rng(6)
+    u = np.concatenate([rng.uniform(-math.pi, math.pi, 40), [0.0, math.pi, 1e-4]])
+    v = np.concatenate([rng.uniform(-math.pi, math.pi, 30), [0.0, -math.pi]])
+    grid = char_fn_grid(k, u, v)
+    t1, t2 = np.meshgrid(u, v, indexing="ij")
+    dense = char_fn(k, np.stack([t1, t2], axis=-1))
+    assert grid.shape == (u.size, v.size)
+    # char_fn rounds phases theta . x of size up to pi M, so its own error
+    # grows with M (1.8e-15 against a long-double sum for meanfield(16),
+    # where the grid's is 2.4e-16): 1e-15 up to M = 8, linear beyond
+    assert np.max(np.abs(grid - dense)) <= 1e-15 * max(1.0, k.M / 8)
 
 
 def test_grid_fft_matches_direct():

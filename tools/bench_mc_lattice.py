@@ -14,7 +14,9 @@ BLAS pinned to one thread, and each measures:
 * sample_jumps_ns_per_draw: `sample_jumps(uniform M=8, 4096)`, best of
   200 calls after a warm-up call;
 * char_fn_ns_per_term: `char_fn(uniform M=128, 4096 probes)`, best of 3
-  calls, over probes x support.
+  calls, over probes x support;
+* beta0_s: `beta0` on the mc-lattice config (q0 uniform M=4, c = 0.01
+  and 0.003, tol 1e-10), both values, best of 3 passes.
 
 With --tier1, each repeat also times the tree's Tier-1 suite
 (`python -m pytest -q` from the tree's root).  The output is one JSON
@@ -40,6 +42,7 @@ UNITS = {
     "skeleton_ns_per_step": "ns/step",
     "sample_jumps_ns_per_draw": "ns/draw",
     "char_fn_ns_per_term": "ns/term",
+    "beta0_s": "s",
     "tier1_s": "s",
 }
 
@@ -49,6 +52,7 @@ def measure_layers(seed: int) -> dict:
     import numpy as np
 
     from toruswalk.kernels import sample_jumps, uniform_kernel
+    from toruswalk.limits import QuadratureSpec, beta0
     from toruswalk.mc import SeedSpec, simulate_hits
     from toruswalk.spectral import char_fn
     from toruswalk.torus import TorusSpec
@@ -73,11 +77,19 @@ def measure_layers(seed: int) -> dict:
         t0 = time.perf_counter()
         char_fn(k128, probes)
         char_s.append(time.perf_counter() - t0)
+    q0, quad = uniform_kernel(4), QuadratureSpec(tol=1e-10)
+    beta0_s = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        for c in (0.01, 0.003):
+            beta0(c, q0, quad)
+        beta0_s.append(time.perf_counter() - t0)
     return {
         "simulate_hits_s": hits_s,
         "skeleton_ns_per_step": hits_s / int(batch.n_jumps.sum()) * 1e9,
         "sample_jumps_ns_per_draw": min(draw_s) / 4096 * 1e9,
         "char_fn_ns_per_term": min(char_s) / (4096 * k128.n_support) * 1e9,
+        "beta0_s": min(beta0_s),
     }
 
 

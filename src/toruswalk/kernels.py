@@ -278,13 +278,15 @@ def meanfield_kernel(L: int) -> JumpKernel:
 # ctypes argtypes and restype of each function of _skeleton.c.  Arrays
 # pass as bare pointers (ndpointer's checks cost more than a small
 # lookup), so each caller hands over C-contiguous arrays of the declared
-# dtype: float64 for uniforms and the CDF, int64 for the rest.
+# dtype: float64 for jump_index's uniforms and the CDF, int64 for the
+# rest.  skeleton_rounds' first two pointers are a bit generator's
+# next_double function and its state.
 _PTR, _INT = ctypes.c_void_p, ctypes.c_int64
 _REF = ctypes.POINTER(ctypes.c_int64)
 _SIGNATURES = {
     "jump_index": ([_PTR, _INT, _PTR, _PTR, _INT, _INT, _PTR], None),
     "skeleton_rounds": (
-        [_PTR, _INT, _REF, _PTR, _PTR, _INT, _INT, _PTR, _INT, _PTR, _PTR, _INT, _PTR, _REF, _INT],
+        [_PTR, _PTR, _INT, _PTR, _PTR, _INT, _INT, _PTR, _INT, _PTR, _PTR, _INT, _PTR, _REF, _INT],
         _INT,
     ),
 }

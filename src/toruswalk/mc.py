@@ -6,13 +6,12 @@ independent of the skeleton.  Hitting times are therefore sampled
 exactly in distribution as H = Gamma(N, 1) where N is the skeleton
 step count at the first visit to the origin; this is about twice as
 fast as simulating clocks step by step and keeps N available for
-Wald-identity checks (E[H] = E[N]).  The skeleton draws uniforms in
-blocks of up to SKELETON_BLOCK, runs its lockstep rounds over them in
-C (skeleton_rounds of _skeleton.c, loaded by kernels._library), and
-afterwards rewinds the generator to just past the uniforms its rounds
-consumed, so the draws it uses and every draw after it are those of one
-sample_jumps call per round.  ctypes releases the interpreter lock for
-the C call, so worker threads run skeleton chunks in parallel.
+Wald-identity checks (E[H] = E[N]).  The skeleton runs its lockstep
+rounds in C (skeleton_rounds of _skeleton.c, loaded by kernels._library),
+which draws each uniform straight from the generator's bit generator, so
+its draws, and every draw after it, are those of one sample_jumps call
+per round.  ctypes releases the interpreter lock for the C call, so
+worker threads run skeleton chunks in parallel.
 
 Coalescing systems use a single global exponential clock with rate
 equal to the live lineage count, a uniform pick of the mover, and a
@@ -48,7 +47,7 @@ from .torus import TorusSpec, wrap
 
 DEFAULT_STEP_CAP = 10**10
 DEFAULT_CHUNK = 4096
-SKELETON_BLOCK = 2**16  # uniforms per draw of the first-passage skeleton
+SKELETON_BLOCK = 2**16  # draws per C call of the first-passage skeleton
 # The difference of two rate-1 walkers jumps at rate 2, so a pair merges
 # at half the difference walk's hitting time of the origin.
 PAIR_CLOCK = 2.0
@@ -99,13 +98,6 @@ class SeedSpec:
 
 
 @dataclass(frozen=True)
-class HitSample:
-    start: tuple[int, int]
-    n_jumps: int
-    hit_time: float
-
-
-@dataclass(frozen=True)
 class HitBatch:
     """Vectorized hit samples; starts[i] produced (n_jumps[i], hit_times[i])."""
 
@@ -116,19 +108,6 @@ class HitBatch:
     @property
     def replicates(self) -> int:
         return int(self.n_jumps.size)
-
-
-def _rewind(bitgen: np.random.BitGenerator, saved: dict, draws: int) -> None:
-    """Set bitgen to the state `saved` advanced by `draws` 64-bit draws.
-
-    advance() clears the buffered half of a 32-bit draw, so the saved
-    pair (has_uint32, uinteger) is put back: no 64-bit draw touches it.
-    """
-    bitgen.state = saved
-    bitgen.advance(draws)
-    state = bitgen.state
-    state["has_uint32"], state["uinteger"] = saved["has_uint32"], saved["uinteger"]
-    bitgen.state = state
 
 
 def _skeleton_first_passage(
@@ -147,20 +126,15 @@ def _skeleton_first_passage(
     and reported as -1 (the caller owns the tail-probability argument);
     otherwise exceeding step_cap raises StepCapExceeded.
 
-    The rounds run in C (skeleton_rounds of _skeleton.c) over uniforms
-    drawn with rng.random in blocks of up to SKELETON_BLOCK (or k, if
-    larger), unused ones carried to the next block.  Each round takes
-    the next k of them, k the walkers still active, and maps them to
-    jumps by sample_jumps' inverse CDF: the draws of one sample_jumps(k)
-    call per round, in the same order.  On return or raise, the
-    generator is rewound to just past the uniforms consumed, so what it
-    draws next is unchanged.
-    The rewind needs a PCG64-family bit generator (one advance() step
-    per 64-bit draw); any other raises TypeError.
+    The rounds run in C (skeleton_rounds of _skeleton.c).  Each round
+    draws k uniforms with the bit generator's next_double, k the walkers
+    still active, and maps them to jumps by sample_jumps' inverse CDF:
+    the draws of one sample_jumps(k) call per round, in the same order,
+    for any bit generator.  Each C call returns after about
+    SKELETON_BLOCK draws, so signals are handled between calls.  The C
+    calls bypass the Generator, so they hold the bit generator's lock.
     """
     bitgen = rng.bit_generator
-    if not isinstance(bitgen, (np.random.PCG64, np.random.PCG64DXSM)):
-        raise TypeError(f"the skeleton rewinds with PCG64.advance, got {type(bitgen).__name__}")
     L = spec.L
     pos = np.mod(np.asarray(starts, dtype=np.int64).reshape(-1, 2), L)  # (walkers, 2)
     if not np.all(pos[:, 0] | pos[:, 1]):
@@ -171,30 +145,19 @@ def _skeleton_first_passage(
     guide = kernel._guide
     limit = step_cap if max_rounds is None else min(step_cap, max_rounds)
     skeleton_rounds = _library().skeleton_rounds
-    u = np.empty(0)  # drawn uniforms; u[used:] not yet taken
-    used, rounds = ctypes.c_int64(0), ctypes.c_int64(0)
-    active, consumed = pos.shape[0], 0
-    saved = bitgen.state
-    try:
-        while active:
-            before = used.value
+    draw = bitgen.ctypes
+    rounds = ctypes.c_int64(0)
+    active = pos.shape[0]
+    while active:
+        with bitgen.lock:
             active = skeleton_rounds(
-                u.ctypes.data, u.size, used, *guide.args, jump.ctypes.data, L,
+                draw.next_double, draw.state, SKELETON_BLOCK, *guide.args, jump.ctypes.data, L,
                 pos.ctypes.data, idx.ctypes.data, active, n.ctypes.data, rounds, limit,
             )
-            consumed += used.value - before
-            if not active:
-                break
-            if rounds.value == limit:
-                if limit == max_rounds:
-                    break  # censored: the cutoff comes before the cap
-                raise StepCapExceeded(step_cap, active)
-            # blocks grow with the draws so far: a short run draws little
-            fresh = rng.random(max(active, min(SKELETON_BLOCK, 2 * consumed)))
-            u = np.concatenate([u[used.value :], fresh])
-            used.value = 0
-    finally:
-        _rewind(bitgen, saved, consumed)
+        if active and rounds.value == limit:
+            if limit == max_rounds:
+                break  # censored: the cutoff comes before the cap
+            raise StepCapExceeded(step_cap, active)
     return n
 
 
@@ -208,20 +171,6 @@ def _random_starts(spec: TorusSpec, count: int, rng: np.random.Generator) -> np.
         pts[bad] = rng.integers(lo, hi + 1, size=(int(bad.sum()), 2), dtype=np.int64)
         bad = (pts[:, 0] == 0) & (pts[:, 1] == 0)
     return pts
-
-
-def simulate_hit(
-    kernel: JumpKernel,
-    spec: TorusSpec,
-    x: np.ndarray,
-    stream: np.random.Generator,
-    step_cap: int = DEFAULT_STEP_CAP,
-) -> HitSample:
-    """One hitting-time sample from start x (x != 0)."""
-    start = wrap(np.asarray(x, dtype=np.int64).reshape(2), spec.L)
-    n = _skeleton_first_passage(kernel, spec, start[None, :], stream, step_cap)
-    h = float(stream.gamma(float(n[0])))
-    return HitSample(start=(int(start[0]), int(start[1])), n_jumps=int(n[0]), hit_time=h)
 
 
 def _run_chunked(total, chunk_size, workers, seeds, task_fn):

@@ -332,9 +332,12 @@ def uniformity_gap(grid: SpectralGrid, t: float) -> tuple[float, float]:
     """
     n = grid.spec.n_points
     # one pass of heat weights feeds both the bound and the inverse,
-    # which overwrites them
+    # which overwrites them; the bound sums w with its zero frequency
+    # left out, not subtracted, which would cancel digits against 1
     w = _heat_weights(grid, t)
-    bound = torus_sum(w) - float(w[0, 0])
+    w[0, 0] = 0.0
+    bound = torus_sum(w)
+    w[0, 0] = 1.0  # exp(-t(1 - phi(0))), phi(0) = 1 exactly
     dev = HeatGrid(spec=grid.spec, t=t, quadrant=_field(w, grid.spec.L)).quadrant
     dev -= 1.0 / n
     gap = n * _max_abs(dev)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -19,7 +21,6 @@ from toruswalk.mc import (
     lineage_count_at,
     lineage_count_law,
     simulate_coalescent,
-    simulate_hit,
     simulate_hits,
 )
 from toruswalk.oracle import dense_chain, dense_laplace_hit
@@ -66,16 +67,14 @@ def test_simulate_hits_worker_count_never_changes_results():
 def test_simulate_hit_basics():
     k = uniform_kernel(2)
     spec = TorusSpec(8)
-    sample = simulate_hit(k, spec, np.array([11, -9]), SeedSpec(5).stream(0))
-    assert sample.start == (3, -1)  # wrapped
-    assert sample.n_jumps >= 1
-    assert sample.hit_time > 0.0
-    with pytest.raises(ValueError):
-        simulate_hit(k, spec, np.array([0, 0]), SeedSpec(5).stream(0))
-    with pytest.raises(ValueError):
-        simulate_hit(k, spec, np.array([8, 8]), SeedSpec(5).stream(0))  # wraps to 0
+    batch = simulate_hits(k, spec, 1, SeedSpec(5), start=np.array([11, -9]))
+    assert batch.starts.tolist() == [[3, -1]]  # wrapped
+    assert batch.n_jumps[0] >= 1
+    assert batch.hit_times[0] > 0.0
     with pytest.raises(ValueError, match="away from the origin"):
-        simulate_hits(k, spec, 4, SeedSpec(5), start=np.array([8, 8]))
+        simulate_hits(k, spec, 1, SeedSpec(5), start=np.array([0, 0]))
+    with pytest.raises(ValueError, match="away from the origin"):
+        simulate_hits(k, spec, 4, SeedSpec(5), start=np.array([8, 8]))  # wraps to 0
 
 
 def test_step_cap_aborts_with_context():
@@ -494,17 +493,19 @@ def _per_round_skeleton(kernel, L, starts, rng, step_cap, max_rounds=None):
     return n
 
 
-def _buffered_skeleton(kernel, L, starts, rng, step_cap, max_rounds):
+def _compiled_skeleton(kernel, L, starts, rng, step_cap, max_rounds):
     return _skeleton_first_passage(kernel, TorusSpec(L), starts, rng, step_cap, max_rounds)
 
 
-def _skeleton_runs(kernel, L, starts, step_cap, max_rounds, runner, seed=13):
+def _skeleton_runs(kernel, L, starts, step_cap, max_rounds, runner, seed=13, bit_generator=np.random.PCG64):
     """(n or the unresolved count, next float64, next float32) from one stream.
 
-    A float32 draw first leaves half a 64-bit draw buffered in the bit
-    generator, which the next float32 draw after the skeleton uses.
+    The stream is SeedSpec(seed).stream(0)'s seed sequence on
+    bit_generator.  A float32 draw first leaves half a 64-bit draw
+    buffered in the bit generator, which the next float32 draw after the
+    skeleton uses.
     """
-    rng = SeedSpec(seed).stream(0)
+    rng = np.random.Generator(bit_generator(np.random.SeedSequence(seed, spawn_key=(0,))))
     rng.random(dtype=np.float32)
     try:
         out = runner(kernel, L, starts, rng, step_cap, max_rounds)
@@ -520,13 +521,13 @@ def _skeleton_runs(kernel, L, starts, step_cap, max_rounds, runner, seed=13):
     ids=["resolved", "censored", "step-cap"],
 )
 def test_skeleton_matches_per_round_loop(monkeypatch, block, step_cap, max_rounds):
-    # block caps below, near and above the walker count; runs of ~1e5
-    # draws cross many block boundaries
+    # per-call draw budgets below, near and above the walker count; runs
+    # of ~1e5 draws resume across many C calls
     monkeypatch.setattr(mc, "SKELETON_BLOCK", block)
     k = uniform_kernel(2)
     L = 16
     starts = mc._random_starts(TorusSpec(L), 500, np.random.default_rng(4))
-    got = _skeleton_runs(k, L, starts, step_cap, max_rounds, _buffered_skeleton)
+    got = _skeleton_runs(k, L, starts, step_cap, max_rounds, _compiled_skeleton)
     ref = _skeleton_runs(k, L, starts, step_cap, max_rounds, _per_round_skeleton)
     assert np.array_equal(got[0], ref[0])
     assert got[1:] == ref[1:]
@@ -548,7 +549,7 @@ def test_skeleton_matches_per_round_loop_on_wide_jumps(monkeypatch, kernel, L, b
     # sees; uniform M=8 at L=64 runs the benchmark's kernel and side
     monkeypatch.setattr(mc, "SKELETON_BLOCK", block)
     starts = mc._random_starts(TorusSpec(L), 500, np.random.default_rng(4))
-    got = _skeleton_runs(kernel, L, starts, step_cap, max_rounds, _buffered_skeleton)
+    got = _skeleton_runs(kernel, L, starts, step_cap, max_rounds, _compiled_skeleton)
     ref = _skeleton_runs(kernel, L, starts, step_cap, max_rounds, _per_round_skeleton)
     assert np.array_equal(got[0], ref[0])
     assert got[1:] == ref[1:]
@@ -559,11 +560,11 @@ def test_skeleton_matches_per_round_loop_on_wide_jumps(monkeypatch, kernel, L, b
 
 
 def test_skeleton_single_walker_matches_per_round_loop():
-    # one walker: runs of 1 to ~800 steps, through the first, smallest blocks
+    # one walker: runs of 1 to ~800 steps
     k = uniform_kernel(2)
     for seed in range(20):
         args = (k, 16, np.array([[1, seed % 3]]), 10**10, None)
-        got = _skeleton_runs(*args, _buffered_skeleton, seed=seed)
+        got = _skeleton_runs(*args, _compiled_skeleton, seed=seed)
         ref = _skeleton_runs(*args, _per_round_skeleton, seed=seed)
         assert np.array_equal(got[0], ref[0]) and got[1:] == ref[1:]
 
@@ -572,15 +573,41 @@ def test_skeleton_keeps_sides_beyond_int32():
     # a walker at x1 = 2^31 - 1 steps past the int32 range: kept in int64
     k = uniform_kernel(2)
     args = (k, 2**31, np.array([[-1, 0], [0, 1]]), 10**10, 40)
-    got = _skeleton_runs(*args, _buffered_skeleton)
+    got = _skeleton_runs(*args, _compiled_skeleton)
     ref = _skeleton_runs(*args, _per_round_skeleton)
     assert np.array_equal(got[0], ref[0]) and got[1:] == ref[1:]
 
 
-def test_skeleton_refuses_generators_it_cannot_rewind():
-    # Philox has advance(), but its step is not one 64-bit draw
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64, np.random.PCG64DXSM])
+def test_skeleton_matches_per_round_loop_on_any_bit_generator(bit_generator):
     k = uniform_kernel(2)
-    starts = np.array([[1, 0]])
-    for bit_generator in (np.random.MT19937(1), np.random.Philox(1)):
-        with pytest.raises(TypeError, match="PCG64"):
-            _skeleton_first_passage(k, TorusSpec(8), starts, np.random.Generator(bit_generator), 10**6)
+    starts = mc._random_starts(TorusSpec(16), 200, np.random.default_rng(4))
+    args = (k, 16, starts, 10**10, None)
+    got = _skeleton_runs(*args, _compiled_skeleton, bit_generator=bit_generator)
+    ref = _skeleton_runs(*args, _per_round_skeleton, bit_generator=bit_generator)
+    assert np.array_equal(got[0], ref[0]) and got[1:] == ref[1:]
+
+
+class _Alarm(Exception):
+    pass
+
+
+def test_skeleton_lets_signals_through():
+    # 4096 walkers of uniform M=8 on L=1024 take minutes to resolve; a
+    # handler that raises 0.2 s in must stop the run between C calls
+    def ring(signum, frame):
+        raise _Alarm
+
+    k = uniform_kernel(8)
+    starts = mc._random_starts(TorusSpec(1024), 4096, np.random.default_rng(4))
+    previous = signal.signal(signal.SIGALRM, ring)
+    began = time.perf_counter()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.2)
+        with pytest.raises(_Alarm):
+            _skeleton_first_passage(k, TorusSpec(1024), starts, SeedSpec(1).stream(0), 10**10)
+        elapsed = time.perf_counter() - began
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert elapsed < 2.0

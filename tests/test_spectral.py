@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -264,6 +265,23 @@ def test_uniformity_bound_sums_every_nonzero_frequency():
     phi = char_fn(kernel, thetas)[(ys != 0).any(axis=1)]
     for t in (0.5, 3.0, 20.0):
         assert uniformity_gap(grid, t)[1] == pytest.approx(np.exp(-t * (1.0 - phi)).sum(), rel=1e-12)
+
+
+def test_uniformity_bound_matches_a_high_precision_sum():
+    # at t = 50 the bound is 6.7e-10, so subtracting the zero frequency's
+    # exp(0) = 1 from the full sum would keep only about seven digits
+    spec = TorusSpec(16)
+    k = density_kernel(8, KernelDensity(lambda a, b: 1.0 + a * a * b * b, label="quartic"))
+    t = 50.0
+    ys, _ = frequencies(spec)
+    with mpmath.workdps(40):
+        step = 2 * mpmath.pi / spec.L
+        masses = [mpmath.mpf(float(q)) for q in k.masses]
+        ref = mpmath.mpf(0)
+        for y1, y2 in ys[(ys != 0).any(axis=1)].tolist():
+            phi = mpmath.fsum(q * mpmath.cos(step * (y1 * x1 + y2 * x2)) for q, (x1, x2) in zip(masses, k.points.tolist()))
+            ref += mpmath.exp(-t * (1 - phi))
+    assert uniformity_gap(build_grid(k, spec), t)[1] == pytest.approx(float(ref), rel=1e-12, abs=0.0)
 
 
 def test_orthogonality_gap_is_numerically_zero():

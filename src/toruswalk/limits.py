@@ -46,7 +46,7 @@ import numpy as np
 
 from .kernels import JumpKernel, check_range
 from .spectral import char_fn  # noqa: F401  (wrapped by perfbench/tracer.py)
-from .spectral import char_fn_grid
+from .spectral import TILE_ENTRIES, char_fn_grid
 from .torus import TWO_PI, TorusSpec
 
 RING_LOG2_LIMIT = TWO_PI * math.log(2.0)
@@ -206,8 +206,11 @@ def beta0(c: float, q0: JumpKernel, quad: QuadratureSpec = QuadratureSpec()) -> 
 
     def integrand(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
         # t1, t2 are the grid's axes, (n, 1) and (1, n)
-        q_hat = char_fn_grid(q0, t1, t2)
-        return 1.0 / (1.0 - (1.0 - c) * q_hat)
+        # 1 / (1 - (1 - c) q_hat), in the storage of q_hat
+        w = char_fn_grid(q0, t1, t2)
+        w *= -(1.0 - c)
+        w += 1.0
+        return np.reciprocal(w, out=w)
 
     value, _, history = quadrature_midpoint_2d(integrand, math.pi, quad)
     lead = 12.0 / (c * math.pi)
@@ -338,18 +341,28 @@ def _quadrant_sum(n: int, inner: float, outer: float, end: int, thetas: np.ndarr
     side; its sine terms do not cancel, so it is summed at theta = 0.
     """
     a = np.arange(n + 1, dtype=np.float64)
+    a2 = a * a
     m = np.full(n + 1, 2.0)
     m[0], m[n] = 1.0, end
     th = np.asarray(thetas, dtype=np.float64).reshape(-1, 2)
     cos_rows = m[:, None] * np.cos(np.outer(a, th[:, 0]))
     cos_cols = m[:, None] * np.cos(np.outer(a, th[:, 1]))
     total = np.zeros(th.shape[0])
-    chunk = 256
-    for lo in range(0, n + 1, chunk):
-        r2 = a[lo : lo + chunk, None] ** 2 + a[None, :] ** 2
-        inside = (r2 > inner * inner) & (r2 <= outer * outer)
-        w = np.where(inside, 1.0 / np.maximum(r2, 1.0), 0.0)  # r2 = 0 is never inside
-        total += np.einsum("ik,ik->k", w @ cos_cols, cos_rows[lo : lo + chunk])
+    # strips of rows with at most TILE_ENTRIES weights, formed in place
+    strip = max(1, TILE_ENTRIES // (n + 1))
+    w = np.empty((strip, n + 1))
+    inside = np.empty(w.shape, dtype=bool)
+    below = np.empty(w.shape, dtype=bool)
+    for lo in range(0, n + 1, strip):
+        k = min(strip, n + 1 - lo)
+        r2, ins = w[:k], inside[:k]  # r2 becomes the weights in place
+        np.add(a2[lo : lo + k, None], a2, out=r2)
+        np.greater(r2, inner * inner, out=ins)
+        np.logical_and(ins, np.less_equal(r2, outer * outer, out=below[:k]), out=ins)
+        np.maximum(r2, 1.0, out=r2)  # r2 = 0 is never inside
+        np.reciprocal(r2, out=r2)
+        r2 *= ins
+        total += np.einsum("ik,ik->k", r2 @ cos_cols, cos_rows[lo : lo + k])
     return total
 
 

@@ -284,6 +284,20 @@ def test_conditions_ladder_improves(tmp_path):
     assert devs[0] > devs[1] > devs[2]
 
 
+@pytest.mark.parametrize("key, value", [("n_radii", 0), ("n_angles", -3)])
+def test_conditions_refuses_fewer_than_one_probe_per_axis(tmp_path, capsys, key, value):
+    cfg = {
+        "command": "conditions",
+        "kernel": {"family": "uniform"},
+        "M_values": [8],
+        "params": {key: value},
+    }
+    code, out = _run(tmp_path, cfg, "conditions")
+    assert code == 2
+    assert f"{key} must be at least 1" in capsys.readouterr().err
+    assert not (out / "conditions.csv").exists()
+
+
 def test_audit_table_shape(tmp_path):
     code, out = _run(tmp_path, AUDIT_CFG, "audit")
     assert code == 0

@@ -24,10 +24,12 @@ from toruswalk.limits import (
     death_process_dist,
     exponential_sum_audit,
     lemma21_audit,
+    _quadrant_sum,
     t_scale,
     target_laplace,
     target_mean,
 )
+from toruswalk.spectral import TILE_ENTRIES
 
 
 def test_t_scale_frozen_value():
@@ -119,6 +121,18 @@ def test_beta0_strict_cap_raises():
     with pytest.raises(QuadratureError) as exc:
         beta0(0.01, uniform_kernel(2), QuadratureSpec(base=2, max_axis=4, tol=1e-12))
     assert np.isfinite(exc.value.last)
+
+
+def test_beta0_level_holds_one_grid(traced_peak):
+    n = 1024
+
+    def one_level():
+        with pytest.raises(QuadratureError):  # one level, then the cap
+            beta0(0.003, uniform_kernel(4), QuadratureSpec(base=n, max_axis=n))
+
+    # the integrand is formed in the storage of the n x n characteristic
+    # grid: 8.5 MB
+    assert traced_peak(one_level) <= 1.25 * 8 * n * n
 
 
 def test_beta0_rejects_bad_weight():
@@ -337,3 +351,22 @@ def test_lemma21_audit_validation():
         lemma21_audit(4, 4, np.array([[1.0, 0.0]]))
     with pytest.raises(ValueError):
         lemma21_audit(4, 8, np.array([[1.0, 0.0]]))
+
+
+def test_quadrant_sum_strips_match_one_dense_sum():
+    # n = 300 runs in two strips; the dense sum forms every weight at once
+    n, inner, outer = 300, 40.0, 290.5
+    thetas = np.array([[0.0, 0.0], [0.7, -1.9], [3.0, 0.2]])
+    y = np.arange(-n, n + 1, dtype=np.float64)
+    r2 = y[:, None] ** 2 + y[None, :] ** 2
+    w = np.where((r2 > inner**2) & (r2 <= outer**2), 1.0 / np.maximum(r2, 1.0), 0.0)
+    dense = [float(np.cos(th[0] * y) @ w @ np.cos(th[1] * y)) for th in thetas]
+    assert TILE_ENTRIES // (n + 1) < n + 1
+    np.testing.assert_allclose(_quadrant_sum(n, inner, outer, 2, thetas), dense, rtol=1e-12)
+
+
+def test_quadrant_sum_working_set_is_one_strip(traced_peak):
+    peak = traced_peak(lambda: _quadrant_sum(4096, 2048.0, 4096.0, 2, np.zeros((1, 2))))
+    # one strip of TILE_ENTRIES weights, its two masks and the O(n) axes:
+    # 0.85 MB
+    assert peak <= 2 * 8 * TILE_ENTRIES

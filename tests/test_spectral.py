@@ -18,6 +18,7 @@ from toruswalk.kernels import (
 )
 from toruswalk.oracle import dense_chain, dense_green, dense_heat, dense_laplace_hit
 from toruswalk.spectral import (
+    _tile_rows,
     build_grid,
     char_fn,
     char_fn_grid,
@@ -59,14 +60,52 @@ def test_char_fn_shapes_and_checked():
 def test_char_fn_matches_full_cosine_rows_bit_for_bit(checked):
     # char_fn reuses the cosines of the first half of the support for the
     # mirrored second half; the values must be those of the full rows,
-    # chunk by chunk, across a chunk boundary
+    # tile by tile in tiles of T probes with the last one zero-padded,
+    # across tile boundaries
     k = mixture_kernel(0.3, 64, uniform_kernel(2))
-    chunk = 2**22 // k.n_support
+    T = _tile_rows(k.n_support)
     rng = np.random.default_rng(2)
-    th = np.concatenate([rng.uniform(-math.pi, math.pi, (chunk + 50, 2)), rng.uniform(-1e-3, 1e-3, (50, 2))])
+    th = np.concatenate([rng.uniform(-math.pi, math.pi, (3 * T + 5, 2)), rng.uniform(-1e-3, 1e-3, (50, 2))])
+    padded = np.zeros((-(-th.shape[0] // T) * T, 2))
+    padded[: th.shape[0]] = th
     pts = k.points.astype(np.float64)
-    ref = np.concatenate([np.cos(th[i : i + chunk] @ pts.T) @ k.masses for i in range(0, th.shape[0], chunk)])
-    assert np.array_equal(char_fn(k, th, checked=checked), ref)
+    ref = np.concatenate([np.cos(padded[i : i + T] @ pts.T) @ k.masses for i in range(0, padded.shape[0], T)])
+    assert np.array_equal(char_fn(k, th, checked=checked), ref[: th.shape[0]])
+
+
+@pytest.mark.parametrize(
+    "family, checked", [("uniform", False), ("mixture", False), ("mixture", True)]
+)
+def test_char_fn_value_does_not_depend_on_batching(family, checked):
+    # every tile has the same BLAS call shapes, so a probe's value is the
+    # same alone, in any slice, and at any position of a call
+    k = {"uniform": uniform_kernel(128), "mixture": mixture_kernel(0.3, 64, uniform_kernel(2))}[family]
+    rng = np.random.default_rng(9)
+    th = np.concatenate([rng.uniform(-math.pi, math.pi, (4000, 2)), rng.uniform(-1e-3, 1e-3, (96, 2))])
+    full = char_fn(k, th, checked=checked)
+    for part in (slice(5, 77), slice(3, 4096), slice(4093, 4096)):
+        assert np.array_equal(char_fn(k, th[part], checked=checked), full[part])
+    for i in (0, 7, 8, 2049, 4095):
+        assert char_fn(k, th[i], checked=checked) == full[i]
+
+
+@pytest.mark.parametrize("shape", [(4,), (3, 3), (0,), (5, 1)])
+def test_char_fn_refuses_a_last_axis_other_than_two(shape):
+    with pytest.raises(ValueError, match="last axis of length 2"):
+        char_fn(uniform_kernel(2), np.zeros(shape))
+    assert char_fn(uniform_kernel(2), np.zeros((0, 2))).shape == (0,)
+
+
+def test_char_fn_working_set_is_one_tile(traced_peak):
+    k = uniform_kernel(128)
+    rng = np.random.default_rng(0)
+    probes = rng.uniform(-math.pi, math.pi, (16384, 2))
+    tile_bytes = 8 * _tile_rows(k.n_support) * k.n_support  # cosine rows, 1.06 MB
+    peak = traced_peak(lambda: char_fn(k, probes[:4096]))
+    # the cosine rows, half as many phases and the float support: 1.9 MB
+    assert peak <= 2.5 * tile_bytes
+    # four times the probes add only their 8-byte results
+    assert traced_peak(lambda: char_fn(k, probes)) - peak <= 8 * (16384 - 4096) + 4096
 
 
 @pytest.mark.parametrize("family", ["uniform", "density", "mixture", "meanfield"])
@@ -323,3 +362,6 @@ def test_condition_report_rejects_bad_probe_params():
         condition_report(k, delta=-1.0, delta_prime=1.0, a=1.0)
     with pytest.raises(ValueError):
         condition_report([uniform_kernel(2)], delta=3.0, delta_prime=1.0, a=1.0)
+    for key in ("n_angles", "n_radii"):
+        with pytest.raises(ValueError, match=key):
+            condition_report(k, delta=0.5, delta_prime=1.0, a=1.0, **{key: 0})

@@ -16,7 +16,11 @@ BLAS pinned to one thread, and each measures:
 * char_fn_ns_per_term: `char_fn(uniform M=128, 4096 probes)`, best of 3
   calls, over probes x support;
 * beta0_s: `beta0` on the mc-lattice config (q0 uniform M=4, c = 0.01
-  and 0.003, tol 1e-10), both values, best of 3 passes.
+  and 0.003, tol 1e-10), both values, best of 3 passes;
+* char_fn_peak_mb, audit_peak_mb, beta0_peak_mb: the tracemalloc peak,
+  in MB, of one more `char_fn(uniform M=128, 4096 probes)` call, of
+  `lemma21_audit` on the mc-lattice config (K=4096, J=16, 4 thetas),
+  and of the beta0 pair, each traced alone after the timed calls.
 
 With --tier1, each repeat also times the tree's Tier-1 suite
 (`python -m pytest -q` from the tree's root).  The output is one JSON
@@ -35,6 +39,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 
 PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 UNITS = {
@@ -43,8 +48,21 @@ UNITS = {
     "sample_jumps_ns_per_draw": "ns/draw",
     "char_fn_ns_per_term": "ns/term",
     "beta0_s": "s",
+    "char_fn_peak_mb": "MB",
+    "audit_peak_mb": "MB",
+    "beta0_peak_mb": "MB",
     "tier1_s": "s",
 }
+
+
+def traced_peak_mb(fn) -> float:
+    """The tracemalloc peak of one call of fn, in MB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def measure_layers(seed: int) -> dict:
@@ -52,7 +70,7 @@ def measure_layers(seed: int) -> dict:
     import numpy as np
 
     from toruswalk.kernels import sample_jumps, uniform_kernel
-    from toruswalk.limits import QuadratureSpec, beta0
+    from toruswalk.limits import QuadratureSpec, beta0, lemma21_audit
     from toruswalk.mc import SeedSpec, simulate_hits
     from toruswalk.spectral import char_fn
     from toruswalk.torus import TorusSpec
@@ -84,12 +102,16 @@ def measure_layers(seed: int) -> dict:
         for c in (0.01, 0.003):
             beta0(c, q0, quad)
         beta0_s.append(time.perf_counter() - t0)
+    thetas = np.array([[0.1, 0.0], [0.5, 0.5], [1.0, -2.0], [3.0, 3.0]])
     return {
         "simulate_hits_s": hits_s,
         "skeleton_ns_per_step": hits_s / int(batch.n_jumps.sum()) * 1e9,
         "sample_jumps_ns_per_draw": min(draw_s) / 4096 * 1e9,
         "char_fn_ns_per_term": min(char_s) / (4096 * k128.n_support) * 1e9,
         "beta0_s": min(beta0_s),
+        "char_fn_peak_mb": traced_peak_mb(lambda: char_fn(k128, probes)),
+        "audit_peak_mb": traced_peak_mb(lambda: lemma21_audit(4096, 16, thetas)),
+        "beta0_peak_mb": traced_peak_mb(lambda: [beta0(c, q0, quad) for c in (0.01, 0.003)]),
     }
 
 

@@ -4,30 +4,38 @@ The continuous-time walk jumps at rate one with kernel q, so its
 transition law diagonalizes over the torus characters.  Every kernel
 is symmetric under each axis reflection (see JumpKernel), so
 phi(theta) = sum_x q(x) cos(theta_1 x_1) cos(theta_2 x_2), and
-everything downstream is a weighted cosine transform over the
-frequency grid theta_y = 2*pi*y/L, with c(y, x) = cos(theta_y1 x_1) cos(theta_y2 x_2):
+everything downstream is a weighted cosine transform of psi = 1 - phi
+over the frequency grid theta_y = 2*pi*y/L, with c(y, x) =
+cos(theta_y1 x_1) cos(theta_y2 x_2):
 
-* occupation probabilities:  P_0(X_t = x) = L^-2 sum_y exp(-t(1-phi)) c(y, x)
-* resolvent ("green"):       G(x, lam)    = L^-2 sum_y c(y, x) / (lam + 1 - phi)
+* occupation probabilities:  P_0(X_t = x) = L^-2 sum_y exp(-t psi) c(y, x)
+* resolvent ("green"):       G(x, lam)    = L^-2 sum_y c(y, x) / (lam + psi)
 * hitting transform:         F(x, lam)    = G(x, lam) / G(0, lam)
 
-phi and each of these fields are even in each coordinate, so each is
+psi and each of these fields are even in each coordinate, so each is
 stored on the closed quadrant 0..L/2 per axis: an (L/2 + 1)^2 array
 indexed by coordinate, whose entry (a, b) stands for the m(a) m(b)
 torus points (+-a, +-b), with m = 1 at 0 and L/2 and m = 2 elsewhere.
-On that quadrant each transform is one type-I discrete cosine
-transform (scipy.fft.dctn, type=1): the grid is the DCT-I of the
-kernel mass wrapped onto the quadrant, and each field is the DCT-I of
-its frequency weights divided by L^2.  Sums over the torus weight the
-quadrant by m(a) m(b) (torus_sum).  The `values`/`raw`/`probs`
-properties unfold a field to the full torus in the mod-L layout of
-`torus` (origin at index 0), for callers at small L.  A direct
-summation path exists for cross-checking the fast path at small sizes.
+The grid stores psi itself, not phi, so no weight is formed from
+1 - phi: build_grid takes psi from a product form that does not cancel
+near theta = 0 (a kernel of extent e = M/2 + 1 per axis costs
+O(L^2 e)), or, when e exceeds L/10 as for meanfield, as 1 minus one
+type-I discrete cosine transform (DCT-I) of the kernel mass wrapped
+onto the quadrant.  Each field is the DCT-I of its frequency
+weights divided by L^2, along axis 0 and then axis 1 as in
+scipy.fft.dctn.  Heat weights exp(-t psi) that underflow to exact
+zeros fill whole columns, and the first pass skips those.  Sums over
+the torus weight the quadrant by m(a) m(b) (torus_sum).  The
+`values`/`raw`/`probs` properties unfold a field to the full torus in
+the mod-L layout of `torus` (origin at index 0), for callers at small
+L.
 
-One grid (uniform M=8) plus three resolvent inverses, in a fresh
-process on a 2-core x86_64 machine: one inverse takes about 0.09 s at
-L=4096 with a 128 MB peak RSS, and 0.47 s at L=8192 with a 320 MB
-peak (tools/bench_spectral.py; medians in BENCH_spectral_large.json).
+One grid (uniform M=8), three resolvent inverses and three heat
+inverses at the `uniformity` times, in a fresh single-threaded process
+on a 2-core x86_64 machine: the grid takes 0.020 s at L=4096 and 0.10 s
+at L=8192, a resolvent inverse 0.11 s and 0.61 s, and a heat inverse
+0.074 s and 0.34 s, with peaks of 123 MB and 315 MB RSS
+(tools/bench_spectral.py; medians in BENCH_spectral_large.json).
 
 Kernels whose range equals the torus side are wrapped with colliding
 pre-images summed, which is exact at torus frequencies; ranges
@@ -56,12 +64,13 @@ import numpy as np
 from .kernels import JumpKernel, _box_axis
 from .torus import TWO_PI, TorusSpec, frequencies, wrap
 
-IMAG_TOL = 1e-12
 HEAT_NEGATIVE_TOL = 1e-12
 HEAT_SUM_TOL = 1e-9
 N_ANGLES = 64
 N_RADII = 64
-DIRECT_MAX_SIDE = 256
+# exp(-x) is exactly 0.0 in float64 for every x above this (the least
+# subnormal is exp(-744.4), and exp(-745.2) already rounds to 0)
+EXP_UNDERFLOW = 746.0
 # working-set budget, in float64 entries, of the tiled lattice loops:
 # char_fn's probe tiles and limits._quadrant_sum's strips
 TILE_ENTRIES = 2**16
@@ -73,7 +82,7 @@ def _tile_rows(n_columns: int) -> int:
     return max(8, TILE_ENTRIES // n_columns // 8 * 8)
 
 
-def char_fn(kernel: JumpKernel, theta: np.ndarray, checked: bool = False) -> np.ndarray:
+def char_fn(kernel: JumpKernel, theta: np.ndarray) -> np.ndarray:
     """Characteristic function sum_x q(x) cos(theta . x).
 
     The probes run in tiles of T rows: T is a multiple of 8, at least
@@ -82,18 +91,14 @@ def char_fn(kernel: JumpKernel, theta: np.ndarray, checked: bool = False) -> np.
     goes through the same BLAS call shapes and its value does not
     depend on how many probes the call holds or where it sits among
     them.  Besides theta and the result, a call holds one tile of
-    cosines, half a tile of phases (a whole one when checked) and the
-    support as floats: 1.9 MB for uniform M=128, whatever the number
-    of probes.
+    cosines, half a tile of phases and the support as floats: 1.9 MB
+    for uniform M=128, whatever the number of probes.
 
     Parameters
     ----------
     kernel : JumpKernel
     theta : array_like, shape (..., 2)
         Angular arguments; any real values are legal.
-    checked : bool
-        Also form the odd part sum_x q(x) sin(theta . x) and require
-        it to vanish to 1e-12 (it does for any valid kernel).
 
     Returns
     -------
@@ -105,15 +110,14 @@ def char_fn(kernel: JumpKernel, theta: np.ndarray, checked: bool = False) -> np.
     out_shape = th.shape[:-1]
     flat = th.reshape(-1, 2)
     n = kernel.n_support
-    pts = kernel.points.astype(np.float64)
     # points[::-1] == -points and cos is even: the second half of each
     # row of cosines is the first half reversed
     half = n // 2
-    cols = pts if checked else pts[:half]
+    cols = kernel.points[:half].astype(np.float64)
     T = _tile_rows(n)
     n_tiles = -(-flat.shape[0] // T)
     tile = np.zeros((T, 2))
-    phases = np.empty((T, cols.shape[0]))
+    phases = np.empty((T, half))
     row = np.empty((T, n))
     vals = np.empty(n_tiles * T)
     for i in range(n_tiles):
@@ -121,15 +125,10 @@ def char_fn(kernel: JumpKernel, theta: np.ndarray, checked: bool = False) -> np.
         tile[: block.shape[0]] = block
         tile[block.shape[0] :] = 0.0
         np.matmul(tile, cols.T, out=phases)
-        out = vals[i * T : (i + 1) * T]
-        if checked:
-            np.matmul(np.sin(phases, out=row), kernel.masses, out=out)
-            if _max_abs(out) > IMAG_TOL:
-                raise ArithmeticError("odd part of the characteristic sum did not vanish")
-        cos = np.cos(phases[:, :half], out=phases[:, :half])
+        cos = np.cos(phases, out=phases)
         row[:, :half] = cos
         row[:, half:] = cos[:, ::-1]
-        np.matmul(row, kernel.masses, out=out)
+        np.matmul(row, kernel.masses, out=vals[i * T : (i + 1) * T])
     result = vals[: flat.shape[0]].reshape(out_shape)
     if np.asarray(theta).ndim == 1:
         return result[()] if result.shape == () else result[0]
@@ -182,27 +181,41 @@ def torus_sum(q: np.ndarray) -> float:
     return float(m @ q @ m)
 
 
-def _dct1(a: np.ndarray) -> np.ndarray:
-    """Unnormalized DCT-I along both axes, computed in the storage of a."""
+def _dct1(a: np.ndarray, live: int) -> np.ndarray:
+    """Unnormalized DCT-I along both axes of a, whose columns from `live` on hold zeros.
+
+    The transform runs along axis 0 first and then along axis 1, the
+    order of scipy.fft.dctn, so the zero columns stay zero through the
+    first pass and only the live ones need it.  The result equals
+    dctn(a, type=1) bit for bit; with every column live it is that call,
+    computed in the storage of a.
+    """
     import scipy.fft  # costs about 0.1 s, so only processes that transform pay it
 
+    if live < a.shape[1]:
+        head = a[:, :live]
+        out = scipy.fft.dct(head, type=1, axis=0, overwrite_x=True)
+        if not np.may_share_memory(out, a):  # scipy wrote a new array, not into head
+            head[...] = out
+        return scipy.fft.dct(a, type=1, axis=1, overwrite_x=True)
     return scipy.fft.dctn(a, type=1, overwrite_x=True)
 
 
-def _field(weights: np.ndarray, L: int) -> np.ndarray:
-    """L^-2 sum_y weights(y) c(y, x) on the quadrant, from weights on the quadrant."""
-    out = _dct1(weights)
+def _field(weights: np.ndarray, L: int, live: int) -> np.ndarray:
+    """L^-2 sum_y weights(y) c(y, x) on the quadrant, from weights on the
+    quadrant whose columns from `live` on hold zeros."""
+    out = _dct1(weights, live)
     out /= L * L
     return out
 
 
 @dataclass(frozen=True)
 class SpectralGrid:
-    """phi evaluated on the quadrant of one torus's frequencies.
+    """psi = 1 - phi evaluated on the quadrant of one torus's frequencies.
 
-    quadrant[k1, k2] = phi(2*pi*(k1, k2)/L) for k1, k2 in 0..L/2; phi
+    quadrant[k1, k2] = psi(2*pi*(k1, k2)/L) for k1, k2 in 0..L/2; psi
     is even in each coordinate, so this fixes it on every frequency.
-    The origin frequency is pinned to exactly 1.
+    psi(0) = 0 exactly, and psi lies in [0, 2] up to rounding.
     """
 
     spec: TorusSpec
@@ -212,44 +225,81 @@ class SpectralGrid:
     def __post_init__(self) -> None:
         q = self.quadrant
         _check_quadrant(q, self.spec, "grid")
-        if q[0, 0] != 1.0:
-            raise ValueError("origin frequency must carry phi = 1 exactly")
-        if _max_abs(q) > 1.0 + 1e-12:
-            raise ValueError("characteristic values must lie in [-1, 1]")
+        if q[0, 0] != 0.0:
+            raise ValueError("origin frequency must carry psi = 0 exactly")
+        if float(q.min()) < -1e-12 or float(q.max()) > 2.0 + 1e-12:
+            raise ValueError("psi = 1 - phi must lie in [0, 2]")
 
 
 def _quadrant_mass(kernel: JumpKernel, spec: TorusSpec) -> np.ndarray:
-    """Kernel mass wrapped onto the torus, on the quadrant 0..L/2 per axis."""
+    """Kernel mass wrapped onto the torus, on the points 0..M/2 per axis of the quadrant."""
     L = spec.L
     idx = (np.arange(kernel.M + 1) - kernel.M // 2) % L  # torus index of each box coordinate
     keep = np.flatnonzero(idx <= L // 2)
-    q = np.zeros((L // 2 + 1, L // 2 + 1))
+    q = np.zeros((kernel.M // 2 + 1, kernel.M // 2 + 1))
     np.add.at(q, np.ix_(idx[keep], idx[keep]), kernel.box[np.ix_(keep, keep)])
     return q
 
 
-def build_grid(kernel: JumpKernel, spec: TorusSpec, method: str = "fft") -> SpectralGrid:
-    """Evaluate phi over the quadrant of torus frequencies.
+def _psi_product(kernel: JumpKernel, spec: TorusSpec) -> np.ndarray:
+    """psi on the quadrant from the product form, with no cancellation near 0.
 
-    method="fft" transforms the wrapped mass by one DCT-I (exact at
-    torus frequencies for any range <= L); method="direct" sums cosines
-    frequency by frequency and exists to cross-check the fast path.
+    With Q the mass of the images (+-a, +-b) of each quadrant point, r
+    its row sums, s(k, a) = 2 sin^2(theta_k a / 2) and c(k, a) =
+    cos(theta_k a), the identity 1 - cos A cos B = 2 sin^2(A/2) +
+    cos A 2 sin^2(B/2) gives psi = s r + c Q s^T: one product of an
+    (L/2 + 1) x e by an e x (L/2 + 1) matrix, e = M/2 + 1 the mass's
+    extent per axis.
+    """
+    L, n = spec.L, spec.L // 2 + 1
+    Q = _quadrant_mass(kernel, spec)
+    e = Q.shape[0]
+    m = np.full(e, 2.0)  # torus points per quadrant index
+    m[0] = 1.0
+    if e == n:
+        m[-1] = 1.0  # the coordinate L/2 is its own mirror image
+    Q *= np.outer(m, m)
+    # theta_k a / 2 = pi (k a) / L, reduced exactly in integers to
+    # pi j / L with j in 0..L/2, which leaves s and c unchanged
+    ka = np.outer(np.arange(n), np.arange(e)) % L
+    half = np.minimum(ka, L - ka) * (math.pi / L)
+    s = np.sin(half)
+    s *= s
+    s *= 2.0
+    psi = (np.cos(2.0 * half) @ Q) @ s.T
+    psi += (s @ Q.sum(axis=1))[:, None]
+    return psi
+
+
+def _psi_dct(kernel: JumpKernel, spec: TorusSpec) -> np.ndarray:
+    """psi on the quadrant as 1 minus the DCT-I of the wrapped mass, with psi(0) pinned to 0."""
+    n = spec.L // 2 + 1
+    q = _quadrant_mass(kernel, spec)
+    e = q.shape[0]
+    a = np.zeros((n, n))
+    a[:e, :e] = q
+    psi = np.subtract(1.0, _dct1(a, e), out=a)
+    psi[0, 0] = 0.0
+    return psi
+
+
+def build_grid(kernel: JumpKernel, spec: TorusSpec) -> SpectralGrid:
+    """Evaluate psi = 1 - phi over the quadrant of torus frequencies.
+
+    The route is chosen by the mass's extent e = M/2 + 1 per axis
+    against the side L.  When 10 e <= L, the product form (_psi_product,
+    O(L^2 e)) is exact at every frequency, to within rounding of psi
+    itself.  Wider kernels, up to M = L (meanfield), take 1 minus one
+    DCT-I of the wrapped mass (_psi_dct, O(L^2 log L)); there psi is
+    not small off the origin.  The two costs meet near e = L/10
+    (single-threaded, L = 512 to 4096).
     """
     if kernel.M > spec.L:
         raise ValueError(
             f"kernel range {kernel.M} exceeds torus side {spec.L}; wrap is ambiguous"
         )
-    if method == "fft":
-        quadrant = _dct1(_quadrant_mass(kernel, spec))
-    elif method == "direct":
-        if spec.L > DIRECT_MAX_SIDE:
-            raise ValueError(f"direct summation is for sides <= {DIRECT_MAX_SIDE}")
-        k = TWO_PI * np.arange(spec.L // 2 + 1) / spec.L
-        quadrant = char_fn(kernel, np.stack(np.meshgrid(k, k, indexing="ij"), axis=-1), checked=True)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    quadrant[0, 0] = 1.0
-    return SpectralGrid(spec=spec, kernel_label=kernel.label, quadrant=quadrant)
+    route = _psi_product if 10 * (kernel.M // 2 + 1) <= spec.L else _psi_dct
+    return SpectralGrid(spec=spec, kernel_label=kernel.label, quadrant=route(kernel, spec))
 
 
 @dataclass(frozen=True)
@@ -281,18 +331,30 @@ class HeatGrid:
         return np.maximum(self.raw, 0.0)
 
 
-def _heat_weights(grid: SpectralGrid, t: float) -> np.ndarray:
-    """exp(-t(1 - phi)) on the quadrant."""
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    w = 1.0 - grid.quadrant
-    w *= -t
-    return np.exp(w, out=w)
+def _heat_weights(grid: SpectralGrid, t: float) -> tuple[np.ndarray, int]:
+    """exp(-t psi) on the quadrant, and the number of its leading columns
+    that can be nonzero.
+
+    A column whose least t psi exceeds EXP_UNDERFLOW holds only exact
+    zeros, since exp is monotone and exp(-EXP_UNDERFLOW) is 0.0; the
+    live columns run up to the last column that does not, and exp is
+    taken on them alone.
+    """
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"time must be finite and nonnegative, got {t}")
+    psi = grid.quadrant
+    live = int(np.flatnonzero(psi.min(axis=0) * t <= EXP_UNDERFLOW)[-1]) + 1
+    w = np.empty_like(psi)
+    w[:, live:] = 0.0
+    head = np.multiply(psi[:, :live], -t, out=w[:, :live])
+    np.exp(head, out=head)
+    return w, live
 
 
 def heat(grid: SpectralGrid, t: float) -> HeatGrid:
     """Distribution of the walk at time t, started at the origin."""
-    return HeatGrid(spec=grid.spec, t=t, quadrant=_field(_heat_weights(grid, t), grid.spec.L))
+    w, live = _heat_weights(grid, t)
+    return HeatGrid(spec=grid.spec, t=t, quadrant=_field(w, grid.spec.L, live))
 
 
 @dataclass(frozen=True)
@@ -320,13 +382,13 @@ class GreenField:
 
 
 def green(grid: SpectralGrid, lam: float) -> GreenField:
-    """Resolvent G(x, lam) = integral exp(-lam s) P_x(X_s = 0) ds, all x."""
+    """Resolvent G(x, lam) = integral exp(-lam s) P_x(X_s = 0) ds, all x,
+    transformed from the weights 1 / (lam + psi)."""
     if lam <= 0:
         raise ValueError(f"resolvent parameter must be positive, got {lam}")
-    w = 1.0 - grid.quadrant
-    w += lam
+    w = grid.quadrant + lam
     np.reciprocal(w, out=w)
-    return GreenField(spec=grid.spec, lam=lam, quadrant=_field(w, grid.spec.L))
+    return GreenField(spec=grid.spec, lam=lam, quadrant=_field(w, grid.spec.L, w.shape[1]))
 
 
 @dataclass(frozen=True)
@@ -365,18 +427,18 @@ def uniformity_gap(grid: SpectralGrid, t: float) -> tuple[float, float]:
     """Worst-case deviation from the flat law at time t, and its bound.
 
     Returns (gap, bound) with gap = sup_x L^2 |P_0(X_t = x) - L^-2| and
-    bound = sum over nonzero frequencies of exp(-t(1-phi)), which
+    bound = sum over nonzero frequencies of exp(-t psi), which
     dominates the gap by the triangle inequality.
     """
     n = grid.spec.n_points
     # one pass of heat weights feeds both the bound and the inverse,
     # which overwrites them; the bound sums w with its zero frequency
     # left out, not subtracted, which would cancel digits against 1
-    w = _heat_weights(grid, t)
+    w, live = _heat_weights(grid, t)
     w[0, 0] = 0.0
     bound = torus_sum(w)
-    w[0, 0] = 1.0  # exp(-t(1 - phi(0))), phi(0) = 1 exactly
-    dev = HeatGrid(spec=grid.spec, t=t, quadrant=_field(w, grid.spec.L)).quadrant
+    w[0, 0] = 1.0  # exp(-t psi(0)), psi(0) = 0 exactly
+    dev = HeatGrid(spec=grid.spec, t=t, quadrant=_field(w, grid.spec.L, live)).quadrant
     dev -= 1.0 / n
     gap = n * _max_abs(dev)
     if gap > bound * (1.0 + 1e-9) + 1e-12:

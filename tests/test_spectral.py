@@ -8,6 +8,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.fft
 
 from toruswalk.kernels import (
     KernelDensity,
@@ -18,6 +19,12 @@ from toruswalk.kernels import (
 )
 from toruswalk.oracle import dense_chain, dense_green, dense_heat, dense_laplace_hit
 from toruswalk.spectral import (
+    EXP_UNDERFLOW,
+    SpectralGrid,
+    _dct1,
+    _heat_weights,
+    _psi_dct,
+    _psi_product,
     _tile_rows,
     build_grid,
     char_fn,
@@ -32,6 +39,7 @@ from toruswalk.spectral import (
 from toruswalk.torus import TorusSpec, frequencies, index_of
 
 ORIGIN8 = int(index_of(np.zeros(2, dtype=np.int64), TorusSpec(8)))
+QUARTIC = KernelDensity(lambda a, b: 1.0 + (a * a + b * b) ** 2, label="quartic")
 
 
 def test_char_fn_uniform_m2_closed_form():
@@ -46,18 +54,17 @@ def test_char_fn_uniform_m2_closed_form():
     assert char_fn(k, theta) == pytest.approx(expected, rel=1e-12)
 
 
-def test_char_fn_shapes_and_checked():
+def test_char_fn_shapes():
     k = uniform_kernel(4)
     thetas = np.array([[0.1, 0.2], [1.0, -1.0], [0.0, 0.0]])
-    vals = char_fn(k, thetas, checked=True)
+    vals = char_fn(k, thetas)
     assert vals.shape == (3,)
     assert np.isscalar(char_fn(k, np.array([0.3, 0.4]))) or np.ndim(
         char_fn(k, np.array([0.3, 0.4]))
     ) == 0
 
 
-@pytest.mark.parametrize("checked", [False, True])
-def test_char_fn_matches_full_cosine_rows_bit_for_bit(checked):
+def test_char_fn_matches_full_cosine_rows_bit_for_bit():
     # char_fn reuses the cosines of the first half of the support for the
     # mirrored second half; the values must be those of the full rows,
     # tile by tile in tiles of T probes with the last one zero-padded,
@@ -70,23 +77,21 @@ def test_char_fn_matches_full_cosine_rows_bit_for_bit(checked):
     padded[: th.shape[0]] = th
     pts = k.points.astype(np.float64)
     ref = np.concatenate([np.cos(padded[i : i + T] @ pts.T) @ k.masses for i in range(0, padded.shape[0], T)])
-    assert np.array_equal(char_fn(k, th, checked=checked), ref[: th.shape[0]])
+    assert np.array_equal(char_fn(k, th), ref[: th.shape[0]])
 
 
-@pytest.mark.parametrize(
-    "family, checked", [("uniform", False), ("mixture", False), ("mixture", True)]
-)
-def test_char_fn_value_does_not_depend_on_batching(family, checked):
+@pytest.mark.parametrize("family", ["uniform", "mixture"])
+def test_char_fn_value_does_not_depend_on_batching(family):
     # every tile has the same BLAS call shapes, so a probe's value is the
     # same alone, in any slice, and at any position of a call
     k = {"uniform": uniform_kernel(128), "mixture": mixture_kernel(0.3, 64, uniform_kernel(2))}[family]
     rng = np.random.default_rng(9)
     th = np.concatenate([rng.uniform(-math.pi, math.pi, (4000, 2)), rng.uniform(-1e-3, 1e-3, (96, 2))])
-    full = char_fn(k, th, checked=checked)
+    full = char_fn(k, th)
     for part in (slice(5, 77), slice(3, 4096), slice(4093, 4096)):
-        assert np.array_equal(char_fn(k, th[part], checked=checked), full[part])
+        assert np.array_equal(char_fn(k, th[part]), full[part])
     for i in (0, 7, 8, 2049, 4095):
-        assert char_fn(k, th[i], checked=checked) == full[i]
+        assert char_fn(k, th[i]) == full[i]
 
 
 @pytest.mark.parametrize("shape", [(4,), (3, 3), (0,), (5, 1)])
@@ -110,10 +115,9 @@ def test_char_fn_working_set_is_one_tile(traced_peak):
 
 @pytest.mark.parametrize("family", ["uniform", "density", "mixture", "meanfield"])
 def test_char_fn_grid_matches_char_fn(family):
-    quartic = KernelDensity(lambda a, b: 1.0 + (a * a + b * b) ** 2, label="quartic")
     k = {
         "uniform": uniform_kernel(8),
-        "density": density_kernel(8, quartic),
+        "density": density_kernel(8, QUARTIC),
         "mixture": mixture_kernel(0.3, 16, uniform_kernel(2)),
         "meanfield": meanfield_kernel(16),
     }[family]
@@ -130,22 +134,52 @@ def test_char_fn_grid_matches_char_fn(family):
     assert np.max(np.abs(grid - dense)) <= 1e-15 * max(1.0, k.M / 8)
 
 
+def _grid_routes(kernel, spec):
+    """psi on the quadrant by the product route, the DCT-I route and 1 - char_fn."""
+    k = 2 * math.pi * np.arange(spec.L // 2 + 1) / spec.L
+    direct = 1.0 - char_fn(kernel, np.stack(np.meshgrid(k, k, indexing="ij"), axis=-1))
+    return _psi_product(kernel, spec), _psi_dct(kernel, spec), direct
+
+
 def test_grid_fft_matches_direct():
-    spec = TorusSpec(8)
-    for kernel in (
-        uniform_kernel(2),
-        mixture_kernel(0.5, 4, uniform_kernel(2)),
-        meanfield_kernel(8),
-    ):
-        fast = build_grid(kernel, spec, method="fft")
-        slow = build_grid(kernel, spec, method="direct")
-        assert np.max(np.abs(fast.quadrant - slow.quadrant)) < 1e-12
+    # both routes of build_grid against direct cosine sums, at sides where
+    # build_grid itself takes the DCT-I route
+    for L in (8, 16):
+        spec = TorusSpec(L)
+        for kernel in (
+            uniform_kernel(2),
+            mixture_kernel(0.5, 4, uniform_kernel(2)),
+            density_kernel(8, QUARTIC),
+            meanfield_kernel(L),
+        ):
+            product, dct, direct = _grid_routes(kernel, spec)
+            assert product[0, 0] == dct[0, 0] == 0.0
+            assert np.max(np.abs(product - direct)) < 1e-12
+            assert np.max(np.abs(dct - direct)) < 1e-12
 
 
 def test_grid_origin_pinned_and_bounded():
-    grid = build_grid(uniform_kernel(4), TorusSpec(16))
-    assert grid.quadrant[0, 0] == 1.0
-    assert np.max(np.abs(grid.quadrant)) <= 1.0 + 1e-12
+    # L = 16 takes the DCT-I route and L = 64 the product route
+    for L in (16, 64):
+        grid = build_grid(uniform_kernel(4), TorusSpec(L))
+        assert grid.quadrant[0, 0] == 0.0
+        assert grid.quadrant.min() >= -1e-12 and grid.quadrant.max() <= 2.0 + 1e-12
+
+
+def test_grid_psi_is_exact_at_the_lowest_frequencies():
+    # psi = 2 sum_x q(x) sin^2(theta . x / 2) at 40 digits; 1 - phi from
+    # the DCT-I is 3.1e-11 off at frequency (1, 0) at this size
+    L = 4096
+    k = uniform_kernel(8)
+    psi = build_grid(k, TorusSpec(L)).quadrant
+    with mpmath.workdps(40):
+        masses = [mpmath.mpf(float(q)) for q in k.masses]
+        for k1, k2 in ((1, 0), (0, 1), (1, 1), (2, 0), (2, 1), (3, 3)):
+            step1, step2 = mpmath.pi * k1 / L, mpmath.pi * k2 / L
+            ref = 2 * mpmath.fsum(
+                q * mpmath.sin(step1 * x1 + step2 * x2) ** 2 for q, (x1, x2) in zip(masses, k.points.tolist())
+            )
+            assert abs(psi[k1, k2] - ref) <= 1e-15 * ref
 
 
 def test_grid_rejects_oversized_kernel():
@@ -154,12 +188,11 @@ def test_grid_rejects_oversized_kernel():
 
 
 def test_grid_range_equal_side_is_wrapped_exactly():
-    # M = L: colliding pre-images summed; cross-check against direct sums
-    spec = TorusSpec(8)
-    k = uniform_kernel(8)
-    fast = build_grid(k, spec, method="fft")
-    slow = build_grid(k, spec, method="direct")
-    assert np.max(np.abs(fast.quadrant - slow.quadrant)) < 1e-12
+    # M = L: colliding pre-images summed; both routes against direct sums
+    for L in (8, 16):
+        product, dct, direct = _grid_routes(uniform_kernel(L), TorusSpec(L))
+        assert np.max(np.abs(product - direct)) < 1e-12
+        assert np.max(np.abs(dct - direct)) < 1e-12
 
 
 def test_grid_rejects_malformed_quadrant():
@@ -204,6 +237,32 @@ def test_heat_rejects_negative_time():
     grid = build_grid(uniform_kernel(2), TorusSpec(8))
     with pytest.raises(ValueError):
         heat(grid, -0.1)
+
+
+def test_band_limited_heat_transform_is_dctn_bit_for_bit():
+    assert np.exp(-EXP_UNDERFLOW) == 0.0
+    grid = build_grid(uniform_kernel(8), TorusSpec(512))
+    widths = []
+    for t in (0.0, 1000.0, 2000.0, 20000.0):
+        w, live = _heat_weights(grid, t)
+        full = np.exp(grid.quadrant * -t)
+        assert np.array_equal(w, full)
+        assert np.array_equal(_dct1(w, live), scipy.fft.dctn(full, type=1))
+        widths.append(live)
+    # every column at t = 0; then widths that are not multiples of 8
+    assert widths == [257, 45, 29, 9]
+
+
+def test_heat_matches_dense_exponential_on_both_routes():
+    spec = TorusSpec(16)
+    k = uniform_kernel(2)
+    chain = dense_chain(k, spec)
+    for psi in (_psi_product(k, spec), _psi_dct(k, spec)):
+        grid = SpectralGrid(spec=spec, kernel_label=k.label, quadrant=psi)
+        for t in (0.3, 6.0, 1000.0, 2000.0):
+            assert np.max(np.abs(heat(grid, t).raw - dense_heat(chain, t))) < 1e-10
+        # the two largest times transform 4 and 3 of the 9 columns
+        assert [_heat_weights(grid, t)[1] for t in (1000.0, 2000.0)] == [4, 3]
 
 
 def test_heat_probs_sum_to_one():

@@ -8,13 +8,15 @@ side L, one fresh interpreter per tree, in alternating tree order, with
 PYTHONPATH=TREE/src and BLAS pinned to one thread.  Each interpreter
 imports scipy.fft first (so no timing below pays a lazy import), builds
 one grid (uniform M=8) on the torus of side L, runs three resolvent
-inverses on it, and measures:
+inverses and then three heat inverses on it, and measures:
 
 * build_grid_s: the `build_grid` call;
 * inverse_s: the median of the three `green` calls (lam = 0.5, 1, 2
   over L^2), validation included;
 * validate_s: the median of three `dataclasses.replace` calls on the
   returned field, which rerun its validation alone;
+* heat_inverse_s: the median of the three `heat` calls at the times of
+  the `uniformity` table, k L^2 / M^2 for k = 0.01, 0.1 and 1;
 * peak_rss_mb: the interpreter's peak resident set, import included.
 
 Metric names carry the side, as `inverse_s_L4096`.  The output is one
@@ -38,8 +40,10 @@ import time
 
 from bench_mc_lattice import PINNED, revision, summary
 
-UNITS = {"build_grid_s": "s", "inverse_s": "s", "validate_s": "s", "peak_rss_mb": "MB"}
+UNITS = {"build_grid_s": "s", "inverse_s": "s", "validate_s": "s", "heat_inverse_s": "s", "peak_rss_mb": "MB"}
 LAMS = (0.5, 1.0, 2.0)
+HEAT_KS = (0.01, 0.1, 1.0)
+M = 8
 
 
 def measure_layers(L: int) -> dict:
@@ -49,10 +53,10 @@ def measure_layers(L: int) -> dict:
     import scipy.fft  # noqa: F401  (imported up front, so no timing pays it)
 
     from toruswalk.kernels import uniform_kernel
-    from toruswalk.spectral import build_grid, green
+    from toruswalk.spectral import build_grid, green, heat
     from toruswalk.torus import TorusSpec
 
-    kernel, spec = uniform_kernel(8), TorusSpec(L)
+    kernel, spec = uniform_kernel(M), TorusSpec(L)
     t0 = time.perf_counter()
     grid = build_grid(kernel, spec)
     build_s = time.perf_counter() - t0
@@ -65,10 +69,17 @@ def measure_layers(L: int) -> dict:
         dataclasses.replace(field)
         validate_s.append(time.perf_counter() - t0)
         del field  # one field at a time, as in the CLI
+    heat_inverse_s = []
+    for k in HEAT_KS:
+        t0 = time.perf_counter()
+        field = heat(grid, k * L**2 / M**2)
+        heat_inverse_s.append(time.perf_counter() - t0)
+        del field
     return {
         "build_grid_s": build_s,
         "inverse_s": statistics.median(inverse_s),
         "validate_s": statistics.median(validate_s),
+        "heat_inverse_s": statistics.median(heat_inverse_s),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
 
@@ -106,8 +117,9 @@ def main() -> None:
     doc = {
         "harness": "tools/bench_spectral.py",
         "repeats": args.repeats,
-        "kernel": "uniform(M=8)",
+        "kernel": f"uniform(M={M})",
         "lams": [f"{lam:g} / L^2" for lam in LAMS],
+        "heat_times": [f"{k:g} L^2 / M^2" for k in HEAT_KS],
         "machine": {
             "cpus": os.cpu_count(),
             "processor": platform.processor() or platform.machine(),

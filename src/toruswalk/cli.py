@@ -70,8 +70,8 @@ from .spectral import (
     N_RADII,
     build_grid,
     condition_report,
+    green_at_origin,
     laplace_hit,
-    torus_sum,
     uniformity_gap,
 )
 from .torus import Annulus, TorusSpec, quadrant_mask, region_size
@@ -276,8 +276,7 @@ def cmd_uniformity(cfg: dict, seed: int | None, workers: int) -> RunReport:
         base_t = max(L**2 / kernel.M**2, math.log(L))
         for k in run.scale.k_values:
             t = k * base_t
-            gap, _bound = uniformity_gap(grid, t)
-            rows.append((L, kernel.M, t, gap))
+            rows.append((L, kernel.M, t, uniformity_gap(grid, t)))
     return RunReport(
         command="uniformity",
         columns=("L", "M", "t", "gap"),
@@ -361,8 +360,9 @@ def cmd_simulate(cfg: dict, seed: int | None, workers: int) -> RunReport:
             if lam == 0.0:
                 exact = 1.0
             else:
-                F = laplace_hit(grid, lam)
-                exact = (torus_sum(F.quadrant) - 1.0) / (spec.n_points - 1)
+                # the mean of F(x, lam) = G(x, lam) / G(0, lam) over the
+                # punctured torus, with sum_x G(x, lam) = 1 / lam
+                exact = (1.0 / (lam * green_at_origin(grid, lam)) - 1.0) / (spec.n_points - 1)
             if se[j] > 0:
                 z = (float(est[j]) - exact) / float(se[j])
             else:

@@ -25,17 +25,20 @@ onto the quadrant.  Each field is the DCT-I of its frequency
 weights divided by L^2, along axis 0 and then axis 1 as in
 scipy.fft.dctn.  Heat weights exp(-t psi) that underflow to exact
 zeros fill whole columns, and the first pass skips those.  Sums over
-the torus weight the quadrant by m(a) m(b) (torus_sum).  The
+the torus weight the quadrant by m(a) m(b) (torus_sum); the uniformity
+gap and G(0, lam) are such sums of weights, with no transform.  The
 `values`/`raw`/`probs` properties unfold a field to the full torus in
 the mod-L layout of `torus` (origin at index 0), for callers at small
 L.
 
-One grid (uniform M=8), three resolvent inverses and three heat
-inverses at the `uniformity` times, in a fresh single-threaded process
-on a 2-core x86_64 machine: the grid takes 0.020 s at L=4096 and 0.10 s
-at L=8192, a resolvent inverse 0.11 s and 0.61 s, and a heat inverse
-0.074 s and 0.34 s, with peaks of 123 MB and 315 MB RSS
-(tools/bench_spectral.py; medians in BENCH_spectral_large.json).
+One grid (uniform M=8) with three resolvent inverses, three heat
+inverses and three uniformity gaps at the `uniformity` times, in a
+fresh single-threaded process on a 2-core x86_64 machine, at L=4096
+and 8192: the grid takes 0.030 s and 0.12 s, a resolvent inverse 0.15 s
+and 0.74 s, a heat inverse 0.091 s and 0.39 s, and a gap 0.0069 s and
+0.023 s, with peaks of 123 MB and 315 MB RSS; meanfield(4096)'s
+1 - DCT-I grid takes 0.34 s (tools/bench_spectral.py; medians in
+BENCH_spectral_large.json).
 
 Kernels whose range equals the torus side are wrapped with colliding
 pre-images summed, which is exact at torus frequencies; ranges
@@ -149,11 +152,6 @@ def char_fn_grid(kernel: JumpKernel, u: np.ndarray, v: np.ndarray) -> np.ndarray
     return np.cos(np.outer(u, x)) @ kernel.box @ np.cos(np.outer(x, v))
 
 
-def _max_abs(a: np.ndarray) -> float:
-    """max |a|, without an |a| temporary."""
-    return max(float(a.max()), -float(a.min()))
-
-
 def _check_quadrant(q: np.ndarray, spec: TorusSpec, what: str) -> None:
     """Refuse an array that is not the (L/2 + 1)^2 quadrant of the torus."""
     n = spec.L // 2 + 1
@@ -175,10 +173,11 @@ def unfold(q: np.ndarray, spec: TorusSpec) -> np.ndarray:
 def torus_sum(q: np.ndarray) -> float:
     """Sum over the torus of the even field whose quadrant is q: m @ q @ m,
     with m the torus points per quadrant index along one axis (1 at 0 and
-    L/2, 2 elsewhere)."""
+    L/2, 2 elsewhere).  q may hold only the leading columns of the
+    quadrant, for a field that is zero on the rest."""
     m = np.full(q.shape[0], 2.0)
     m[[0, -1]] = 1.0
-    return float(m @ q @ m)
+    return float(m @ q @ m[: q.shape[1]])
 
 
 def _dct1(a: np.ndarray, live: int) -> np.ndarray:
@@ -331,19 +330,23 @@ class HeatGrid:
         return np.maximum(self.raw, 0.0)
 
 
-def _heat_weights(grid: SpectralGrid, t: float) -> tuple[np.ndarray, int]:
-    """exp(-t psi) on the quadrant, and the number of its leading columns
-    that can be nonzero.
+def _live_columns(psi: np.ndarray, t: float) -> int:
+    """The number of leading quadrant columns where exp(-t psi) can be nonzero.
 
     A column whose least t psi exceeds EXP_UNDERFLOW holds only exact
     zeros, since exp is monotone and exp(-EXP_UNDERFLOW) is 0.0; the
-    live columns run up to the last column that does not, and exp is
-    taken on them alone.
+    live columns run up to the last column that does not.
     """
     if not 0.0 <= t < math.inf:
         raise ValueError(f"time must be finite and nonnegative, got {t}")
+    return int(np.flatnonzero(psi.min(axis=0) * t <= EXP_UNDERFLOW)[-1]) + 1
+
+
+def _heat_weights(grid: SpectralGrid, t: float) -> tuple[np.ndarray, int]:
+    """exp(-t psi) on the quadrant, and the number of its live columns
+    (_live_columns), the only ones exp is taken on."""
     psi = grid.quadrant
-    live = int(np.flatnonzero(psi.min(axis=0) * t <= EXP_UNDERFLOW)[-1]) + 1
+    live = _live_columns(psi, t)
     w = np.empty_like(psi)
     w[:, live:] = 0.0
     head = np.multiply(psi[:, :live], -t, out=w[:, :live])
@@ -381,13 +384,19 @@ class GreenField:
         return unfold(self.quadrant, self.spec)
 
 
-def green(grid: SpectralGrid, lam: float) -> GreenField:
-    """Resolvent G(x, lam) = integral exp(-lam s) P_x(X_s = 0) ds, all x,
-    transformed from the weights 1 / (lam + psi)."""
+def _resolvent_weights(grid: SpectralGrid, lam: float) -> np.ndarray:
+    """1 / (lam + psi) on the quadrant."""
     if lam <= 0:
         raise ValueError(f"resolvent parameter must be positive, got {lam}")
     w = grid.quadrant + lam
     np.reciprocal(w, out=w)
+    return w
+
+
+def green(grid: SpectralGrid, lam: float) -> GreenField:
+    """Resolvent G(x, lam) = integral exp(-lam s) P_x(X_s = 0) ds, all x,
+    transformed from the weights 1 / (lam + psi)."""
+    w = _resolvent_weights(grid, lam)
     return GreenField(spec=grid.spec, lam=lam, quadrant=_field(w, grid.spec.L, w.shape[1]))
 
 
@@ -423,27 +432,28 @@ def laplace_hit(grid: SpectralGrid, lam: float) -> LaplaceField:
     return LaplaceField(spec=grid.spec, lam=lam, quadrant=q)
 
 
-def uniformity_gap(grid: SpectralGrid, t: float) -> tuple[float, float]:
-    """Worst-case deviation from the flat law at time t, and its bound.
+def green_at_origin(grid: SpectralGrid, lam: float) -> float:
+    """G(0, lam) = L^-2 sum_y 1 / (lam + psi_y), summed on the quadrant
+    with no transform."""
+    return torus_sum(_resolvent_weights(grid, lam)) / grid.spec.n_points
 
-    Returns (gap, bound) with gap = sup_x L^2 |P_0(X_t = x) - L^-2| and
-    bound = sum over nonzero frequencies of exp(-t psi), which
-    dominates the gap by the triangle inequality.
+
+def uniformity_gap(grid: SpectralGrid, t: float) -> float:
+    """Worst-case deviation from the flat law at time t,
+    sup_x L^2 |P_0(X_t = x) - L^-2|, with no transform.
+
+    L^2 P_0(X_t = x) - 1 = sum_{y != 0} exp(-t psi_y) c(y, x), with
+    nonnegative weights and |c(y, x)| <= 1 = c(y, 0), so the sup is
+    attained at the origin: the sum of exp(-t psi) over the nonzero
+    frequencies, taken on the live columns (_live_columns).  The zero
+    frequency is left out, not subtracted, which would cancel the
+    digits of a small gap against exp(0) = 1.
     """
-    n = grid.spec.n_points
-    # one pass of heat weights feeds both the bound and the inverse,
-    # which overwrites them; the bound sums w with its zero frequency
-    # left out, not subtracted, which would cancel digits against 1
-    w, live = _heat_weights(grid, t)
+    psi = grid.quadrant
+    w = psi[:, : _live_columns(psi, t)] * -t
+    np.exp(w, out=w)
     w[0, 0] = 0.0
-    bound = torus_sum(w)
-    w[0, 0] = 1.0  # exp(-t psi(0)), psi(0) = 0 exactly
-    dev = HeatGrid(spec=grid.spec, t=t, quadrant=_field(w, grid.spec.L, live)).quadrant
-    dev -= 1.0 / n
-    gap = n * _max_abs(dev)
-    if gap > bound * (1.0 + 1e-9) + 1e-12:
-        raise ArithmeticError("uniformity gap exceeded its analytic bound")
-    return gap, bound
+    return torus_sum(w)
 
 
 def orthogonality_gap(spec: TorusSpec, points: np.ndarray) -> np.ndarray:

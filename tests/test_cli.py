@@ -21,6 +21,12 @@ def _write_cfg(path, cfg) -> str:
     return str(path)
 
 
+def _src_env() -> dict:
+    """The environment for a child interpreter that imports this toruswalk."""
+    src = os.path.dirname(os.path.dirname(toruswalk.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _run(tmp_path, cfg, command, extra=None, out="out"):
     cfg_path = _write_cfg(tmp_path / f"{command}.json", cfg)
     args = [command, "--config", cfg_path, "--out", str(tmp_path / out)]
@@ -191,6 +197,47 @@ def test_simulate_lam_zero_row_is_exact(tmp_path):
     assert row0[1] == "0" and row0[2] == "1" and row0[3] == "0" and row0[5] == "0"
     row1 = lines[2].split(",")
     assert abs(float(row1[5])) < 5.0  # z-score against the exact average
+
+
+@pytest.mark.parametrize(
+    "block, kernel",
+    [
+        ({"family": "uniform", "M": 2}, toruswalk.uniform_kernel(2)),
+        (
+            {"family": "mixture", "c": 0.5, "M": 4, "q0": {"family": "uniform", "M": 2}},
+            toruswalk.mixture_kernel(0.5, 4, toruswalk.uniform_kernel(2)),
+        ),
+    ],
+    ids=["uniform", "mixture"],
+)
+def test_simulate_exact_column_matches_the_dense_oracle(tmp_path, block, kernel):
+    # the exact column is the mean of F(x, lam) over the punctured torus
+    L, lams = 16, [0.01, 0.3, 2.0]
+    cfg = {**SIMULATE_CFG, "torus": {"L": [L]}, "kernel": block, "scale": {"lams": lams}}
+    code, out = _run(tmp_path, cfg, "simulate")
+    assert code == 0
+    rows = [line.split(",") for line in (out / "simulate.csv").read_text().splitlines()[1:]]
+    spec = toruswalk.TorusSpec(L)
+    chain = toruswalk.dense_chain(kernel, spec)
+    for lam, row in zip(lams, rows, strict=True):
+        F = toruswalk.dense_laplace_hit(chain, lam)
+        assert float(row[4]) == pytest.approx((F.sum() - 1.0) / (spec.n_points - 1), rel=1e-12)
+
+
+def test_simulate_on_a_product_route_grid_loads_no_scipy_fft(tmp_path):
+    # L = 32 >= 10 (M/2 + 1) for M = 2: the grid is the product form, and
+    # the exact column sums on it with no transform
+    cfg = {**SIMULATE_CFG, "torus": {"L": [32]}, "mc": {"replicates": 8, "seed": 3}}
+    cfg_path = _write_cfg(tmp_path / "simulate.json", cfg)
+    code = (
+        "import sys\n"
+        "from toruswalk.cli import main\n"
+        f"assert main(['simulate', '--config', {cfg_path!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+        "print('scipy.fft' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "False"
 
 
 def test_seed_flag_overrides_config_seed(tmp_path):
@@ -420,8 +467,6 @@ def test_module_entry_point_runs(tmp_path):
     cfg_path = _write_cfg(tmp_path / "aud.json", AUDIT_CFG)
     # the child finds the package where this process found it, also when
     # pytest's own `pythonpath` setting put it on the path
-    src = os.path.dirname(os.path.dirname(toruswalk.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [
             sys.executable,
@@ -435,7 +480,7 @@ def test_module_entry_point_runs(tmp_path):
         ],
         capture_output=True,
         text=True,
-        env=env,
+        env=_src_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert "wrote" in proc.stdout
@@ -612,9 +657,7 @@ def test_public_names_resolve():
 def test_cli_import_loads_no_scipy():
     # scipy (about a quarter second to import) loads only in the
     # functions that transform or solve, not with the CLI
-    src = os.path.dirname(os.path.dirname(toruswalk.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, toruswalk.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_src_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

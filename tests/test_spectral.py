@@ -23,6 +23,7 @@ from toruswalk.spectral import (
     SpectralGrid,
     _dct1,
     _heat_weights,
+    _live_columns,
     _psi_dct,
     _psi_product,
     _tile_rows,
@@ -345,14 +346,54 @@ def test_meanfield_laplace_closed_form():
 def test_uniformity_gap_at_zero_and_decay():
     spec = TorusSpec(16)
     grid = build_grid(uniform_kernel(4), spec)
-    gap0, bound0 = uniformity_gap(grid, 0.0)
-    assert gap0 == pytest.approx(spec.n_points - 1, rel=1e-9)
-    assert bound0 == pytest.approx(spec.n_points - 1, rel=1e-12)
+    assert uniformity_gap(grid, 0.0) == pytest.approx(spec.n_points - 1, rel=1e-12)
     gaps = [uniformity_gap(grid, t) for t in (2.0, 8.0, 160.0)]
-    for (g, b) in gaps:
-        assert g <= b * (1 + 1e-9) + 1e-12
-    assert gaps[0][0] > gaps[1][0] > gaps[2][0]
-    assert gaps[2][0] < 1e-6
+    assert gaps[0] > gaps[1] > gaps[2]
+    assert gaps[2] < 1e-6
+
+
+def test_uniformity_gap_matches_the_dense_oracle():
+    # the sup over x of the dense law's deviation is attained at the
+    # origin and equals the frequency-side sum.  expm's rows carry
+    # absolute errors up to about 3e-14 per probability here (meanfield
+    # at t = 20), hence the floor n * 1e-13; at t = 2000 both sides lie
+    # below it, and the sum runs on 2 or 1 of the 9 columns
+    spec = TorusSpec(16)
+    n = spec.n_points
+    for kernel in (
+        uniform_kernel(4),
+        mixture_kernel(0.5, 4, uniform_kernel(2)),
+        density_kernel(8, QUARTIC),
+        meanfield_kernel(16),
+    ):
+        grid = build_grid(kernel, spec)
+        chain = dense_chain(kernel, spec)
+        for t in (0.0, 0.5, 20.0, 2000.0):
+            ref = n * float(np.max(np.abs(dense_heat(chain, t) - 1.0 / n)))
+            assert uniformity_gap(grid, t) == pytest.approx(ref, rel=1e-10, abs=n * 1e-13)
+        assert _live_columns(grid.quadrant, 2000.0) < 9
+
+
+def test_uniformity_gap_is_the_sup_of_the_heat_deviation():
+    # at L = 256 against the inverse transform; at t = 2560 the sum runs
+    # on 7 (uniform) and 18 (mixture) of the 129 columns
+    spec = TorusSpec(256)
+    n = spec.n_points
+    for kernel in (uniform_kernel(16), mixture_kernel(0.5, 8, uniform_kernel(2))):
+        grid = build_grid(kernel, spec)
+        for t in (0.0, 2.56, 256.0, 2560.0):
+            dev = heat(grid, t).quadrant - 1.0 / n
+            ref = n * max(float(dev.max()), -float(dev.min()))
+            assert uniformity_gap(grid, t) == pytest.approx(ref, rel=1e-12, abs=1e-12)
+        assert _live_columns(grid.quadrant, 2560.0) < 129
+
+
+def test_uniformity_gap_working_set_is_below_a_quarter_quadrant(traced_peak):
+    # the sum holds exp(-t psi) on the live columns only (61 of 1025
+    # here) and runs no transform
+    L, M = 2048, 8
+    grid = build_grid(uniform_kernel(M), TorusSpec(L))
+    assert traced_peak(lambda: uniformity_gap(grid, 0.1 * L**2 / M**2)) < grid.quadrant.nbytes / 4
 
 
 def test_uniformity_bound_sums_every_nonzero_frequency():
@@ -362,11 +403,11 @@ def test_uniformity_bound_sums_every_nonzero_frequency():
     ys, thetas = frequencies(spec)
     phi = char_fn(kernel, thetas)[(ys != 0).any(axis=1)]
     for t in (0.5, 3.0, 20.0):
-        assert uniformity_gap(grid, t)[1] == pytest.approx(np.exp(-t * (1.0 - phi)).sum(), rel=1e-12)
+        assert uniformity_gap(grid, t) == pytest.approx(np.exp(-t * (1.0 - phi)).sum(), rel=1e-12)
 
 
 def test_uniformity_bound_matches_a_high_precision_sum():
-    # at t = 50 the bound is 6.7e-10, so subtracting the zero frequency's
+    # at t = 50 the gap is 6.7e-10, so subtracting the zero frequency's
     # exp(0) = 1 from the full sum would keep only about seven digits
     spec = TorusSpec(16)
     k = density_kernel(8, KernelDensity(lambda a, b: 1.0 + a * a * b * b, label="quartic"))
@@ -379,7 +420,7 @@ def test_uniformity_bound_matches_a_high_precision_sum():
         for y1, y2 in ys[(ys != 0).any(axis=1)].tolist():
             phi = mpmath.fsum(q * mpmath.cos(step * (y1 * x1 + y2 * x2)) for q, (x1, x2) in zip(masses, k.points.tolist()))
             ref += mpmath.exp(-t * (1 - phi))
-    assert uniformity_gap(build_grid(k, spec), t)[1] == pytest.approx(float(ref), rel=1e-12, abs=0.0)
+    assert uniformity_gap(build_grid(k, spec), t) == pytest.approx(float(ref), rel=1e-12, abs=0.0)
 
 
 def test_orthogonality_gap_is_numerically_zero():

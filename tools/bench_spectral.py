@@ -8,16 +8,23 @@ side L, one fresh interpreter per tree, in alternating tree order, with
 PYTHONPATH=TREE/src and BLAS pinned to one thread.  Each interpreter
 imports scipy.fft first (so no timing below pays a lazy import), builds
 one grid (uniform M=8) on the torus of side L, runs three resolvent
-inverses and then three heat inverses on it, and measures:
+inverses, three heat inverses and three uniformity gaps on it, and
+measures:
 
-* build_grid_s: the `build_grid` call;
+* build_grid_s: the `build_grid` call (the product route);
 * inverse_s: the median of the three `green` calls (lam = 0.5, 1, 2
   over L^2), validation included;
 * validate_s: the median of three `dataclasses.replace` calls on the
   returned field, which rerun its validation alone;
 * heat_inverse_s: the median of the three `heat` calls at the times of
   the `uniformity` table, k L^2 / M^2 for k = 0.01, 0.1 and 1;
-* peak_rss_mb: the interpreter's peak resident set, import included.
+* uniformity_gap_s: the median of the three `uniformity_gap` calls at
+  the same times;
+* peak_rss_mb: the interpreter's peak resident set, import included;
+* build_grid_dct_s: for L <= DCT_MAX_SIDE only, the `build_grid` call
+  for meanfield(L), which takes the 1 - DCT-I route.  The meanfield
+  kernel holds all L^2 torus points as its support (about 1 GB at
+  L=4096, 4 GB at 8192), so it is built after peak_rss_mb is read.
 
 Metric names carry the side, as `inverse_s_L4096`.  The output is one
 JSON document: per tree and metric, the median, the quartiles and every
@@ -40,10 +47,19 @@ import time
 
 from bench_mc_lattice import PINNED, revision, summary
 
-UNITS = {"build_grid_s": "s", "inverse_s": "s", "validate_s": "s", "heat_inverse_s": "s", "peak_rss_mb": "MB"}
+UNITS = {
+    "build_grid_s": "s",
+    "inverse_s": "s",
+    "validate_s": "s",
+    "heat_inverse_s": "s",
+    "uniformity_gap_s": "s",
+    "peak_rss_mb": "MB",
+    "build_grid_dct_s": "s",
+}
 LAMS = (0.5, 1.0, 2.0)
 HEAT_KS = (0.01, 0.1, 1.0)
 M = 8
+DCT_MAX_SIDE = 4096
 
 
 def measure_layers(L: int) -> dict:
@@ -52,8 +68,8 @@ def measure_layers(L: int) -> dict:
 
     import scipy.fft  # noqa: F401  (imported up front, so no timing pays it)
 
-    from toruswalk.kernels import uniform_kernel
-    from toruswalk.spectral import build_grid, green, heat
+    from toruswalk.kernels import meanfield_kernel, uniform_kernel
+    from toruswalk.spectral import build_grid, green, heat, uniformity_gap
     from toruswalk.torus import TorusSpec
 
     kernel, spec = uniform_kernel(M), TorusSpec(L)
@@ -75,13 +91,25 @@ def measure_layers(L: int) -> dict:
         field = heat(grid, k * L**2 / M**2)
         heat_inverse_s.append(time.perf_counter() - t0)
         del field
-    return {
+    uniformity_gap_s = []
+    for k in HEAT_KS:
+        t0 = time.perf_counter()
+        uniformity_gap(grid, k * L**2 / M**2)
+        uniformity_gap_s.append(time.perf_counter() - t0)
+    out = {
         "build_grid_s": build_s,
         "inverse_s": statistics.median(inverse_s),
         "validate_s": statistics.median(validate_s),
         "heat_inverse_s": statistics.median(heat_inverse_s),
+        "uniformity_gap_s": statistics.median(uniformity_gap_s),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
+    if L <= DCT_MAX_SIDE:
+        kernel = meanfield_kernel(L)
+        t0 = time.perf_counter()
+        build_grid(kernel, spec)
+        out["build_grid_dct_s"] = time.perf_counter() - t0
+    return out
 
 
 def run_tree(tree: str, L: int) -> dict:
@@ -118,6 +146,7 @@ def main() -> None:
         "harness": "tools/bench_spectral.py",
         "repeats": args.repeats,
         "kernel": f"uniform(M={M})",
+        "dct_kernel": f"meanfield(L), L <= {DCT_MAX_SIDE}",
         "lams": [f"{lam:g} / L^2" for lam in LAMS],
         "heat_times": [f"{k:g} L^2 / M^2" for k in HEAT_KS],
         "machine": {

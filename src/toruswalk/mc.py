@@ -176,6 +176,8 @@ def _random_starts(spec: TorusSpec, count: int, rng: np.random.Generator) -> np.
 def _run_chunked(total, chunk_size, workers, seeds, task_fn):
     """task_fn(task_index, count, rng) over fixed-size chunks, results in
     task order; chunk boundaries never depend on the worker count."""
+    if chunk_size < 1 or workers < 1:
+        raise ValueError(f"chunk size and workers must be positive, got {chunk_size} and {workers}")
     counts = [
         min(chunk_size, total - lo) for lo in range(0, total, chunk_size)
     ]
@@ -211,8 +213,6 @@ def simulate_hits(
     """
     if replicates < 1:
         raise ValueError(f"need at least one replicate, got {replicates}")
-    if chunk_size < 1:
-        raise ValueError(f"chunk size must be positive, got {chunk_size}")
     fixed = None if start is None else wrap(np.asarray(start, dtype=np.int64).reshape(2), spec.L)
 
     def task(_i: int, count: int, rng: np.random.Generator):

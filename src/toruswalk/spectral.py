@@ -34,11 +34,11 @@ L.
 One grid (uniform M=8) with three resolvent inverses, three heat
 inverses and three uniformity gaps at the `uniformity` times, in a
 fresh single-threaded process on a 2-core x86_64 machine, at L=4096
-and 8192: the grid takes 0.030 s and 0.12 s, a resolvent inverse 0.15 s
-and 0.74 s, a heat inverse 0.091 s and 0.39 s, and a gap 0.0069 s and
-0.023 s, with peaks of 123 MB and 315 MB RSS; meanfield(4096)'s
-1 - DCT-I grid takes 0.34 s (tools/bench_spectral.py; medians in
-BENCH_spectral_large.json).
+and 8192: the grid takes 0.024 s and 0.081 s, a resolvent inverse 0.11 s
+and 0.57 s, a heat inverse 0.067 s and 0.29 s, and a gap 0.0048 s and
+0.018 s, with peaks of 123 MB and 315 MB RSS; meanfield(4096)'s
+1 - DCT-I grid takes 0.12 s (tools/bench_layers.py spectral-large;
+medians in BENCH_spectral_large.json).
 
 Kernels whose range equals the torus side are wrapped with colliding
 pre-images summed, which is exact at torus frequencies; ranges
@@ -232,11 +232,10 @@ class SpectralGrid:
 
 def _quadrant_mass(kernel: JumpKernel, spec: TorusSpec) -> np.ndarray:
     """Kernel mass wrapped onto the torus, on the points 0..M/2 per axis of the quadrant."""
-    L = spec.L
-    idx = (np.arange(kernel.M + 1) - kernel.M // 2) % L  # torus index of each box coordinate
-    keep = np.flatnonzero(idx <= L // 2)
-    q = np.zeros((kernel.M // 2 + 1, kernel.M // 2 + 1))
-    np.add.at(q, np.ix_(idx[keep], idx[keep]), kernel.box[np.ix_(keep, keep)])
+    q = kernel.box[kernel.M // 2 :, kernel.M // 2 :].copy()
+    if kernel.M == spec.L:  # the mirror pre-images -L/2 and L/2 are one torus point
+        q[-1] *= 2.0
+        q[:, -1] *= 2.0
     return q
 
 

@@ -644,6 +644,57 @@ def test_benchmark_tracer_hooks_resolve():
     assert {"spectral.build_grid", "spectral.green", "mc.simulate_hits", "spectral.char_fn"} <= names
 
 
+@pytest.mark.parametrize(
+    "suite, committed", [("mc-lattice", "BENCH_mc_lattice.json"), ("spectral-large", "BENCH_spectral_large.json")]
+)
+def test_layer_harness_driver(monkeypatch, suite, committed):
+    """The layer harness, with a fake in place of its child runner: tree
+    order alternates per repeat, a metric without a unit is refused, and
+    the document has the committed BENCH file's schema, names and units."""
+    import importlib.util
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("bench_layers", root / "tools" / "bench_layers.py")
+    harness = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(harness)
+    calls = []
+
+    def fake_child(tree, measure, arg):
+        calls.append((tree, measure, arg))
+        return {key: float(len(calls)) for key in harness.SUITES[suite].units}
+
+    monkeypatch.setattr(harness, "run_child", fake_child)
+    monkeypatch.setattr(harness, "revision", lambda tree: "abc1234")
+    trees = {"parent": "/trees/parent", "change": "/trees/change"}
+    doc = harness.bench(suite, trees, 3)
+
+    per_repeat = 2 * len(harness.SUITES[suite].variants(0))
+    assert len(calls) == 3 * per_repeat
+    for i in range(0, len(calls), 2):
+        (first, *variant), (second, *same) = calls[i : i + 2]
+        assert variant == same
+        even = (i // per_repeat) % 2 == 0
+        assert (first, second) == (("/trees/parent", "/trees/change") if even else ("/trees/change", "/trees/parent"))
+
+    reference = json.loads((root / committed).read_text())
+    assert reference["harness"] == doc["harness"] and (root / doc["harness"]).is_file()
+    assert set(reference) <= set(doc) and set(reference["machine"]) <= set(doc["machine"])
+    for key in set(reference) - {"repeats", "machine", "trees"}:
+        assert doc[key] == reference[key]
+    assert doc["repeats"] == 3 and set(doc["trees"]) == set(trees)
+    for name, tree in doc["trees"].items():
+        assert tree["revision"] == "abc1234"
+        for key, metric in reference["trees"]["change"]["metrics"].items():
+            assert set(tree["metrics"][key]) == {"unit", "median", "q1", "q3", "runs"}
+            assert tree["metrics"][key]["unit"] == metric["unit"]
+            assert len(tree["metrics"][key]["runs"]) == 3
+
+    monkeypatch.setattr(harness, "run_child", lambda tree, measure, arg: {"unitless": 1.0})
+    with pytest.raises(KeyError, match="unitless"):
+        harness.bench(suite, trees, 2)
+
+
 def test_public_names_resolve():
     """Every name in toruswalk.__all__ exists, so a deleted export fails
     here rather than at a user's star import."""

@@ -433,6 +433,21 @@ def test_lockstep_law_worker_count_never_changes_results():
     assert (one.events, one.merges) == (three.events, three.merges)
 
 
+@pytest.mark.parametrize("bad", [{"chunk_size": 0}, {"chunk_size": -5}, {"workers": 0}, {"workers": -5}])
+def test_chunk_size_and_workers_must_be_positive(bad):
+    k, spec = uniform_kernel(2), TorusSpec(8)
+    runs = [lambda: simulate_hits(k, spec, 8, SeedSpec(1), **bad)]
+    for n in (2, 3):
+        starts = _diagonal_starts(n, spec.L)
+        runs.append(lambda starts=starts: lineage_count_law(k, spec, starts, 0.3, 8, SeedSpec(1), **bad))
+    messages = set()
+    for run in runs:
+        with pytest.raises(ValueError, match="must be positive") as err:
+            run()
+        messages.add(str(err.value))
+    assert len(messages) == 1
+
+
 def test_lockstep_step_cap_is_exact():
     # one replicate runs one event per round, so its event count is the
     # smallest cap it passes

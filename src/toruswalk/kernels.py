@@ -2,9 +2,11 @@
 
 A kernel is stored once, as its mass box: the (M+1) x (M+1) array of
 the probabilities of the jumps in the closed box of side M (M a
-positive even integer).  Range, variance, support views and the
-sampling CDF are derived from the box (see JumpKernel).  The families
-build their boxes directly:
+positive even integer).  Range and variance are derived from the box
+when the kernel is built; the support views and the sampling CDF on
+first use by sampling, char_fn and the dense oracle, so the spectral
+path, which reads only the box, never builds them (see JumpKernel).
+The families build their boxes directly:
 
 * uniform(M): equal mass on every nonzero point of the box; the
   normalized variance sigma2_M / M^2 tends to 1/12 as M grows.
@@ -121,10 +123,12 @@ class JumpKernel:
     (uniform: 1/12; density: profile integral ratio; mixture: c/12;
     meanfield: None); label is a family tag for reports.
 
-    Derived from the box: M; sigma2_M, the common per-coordinate
-    variance of one jump, from the box marginals; and the support
-    views points (int64, shape (n, 2)) and masses (float64, shape
-    (n,)), the nonzero entries in row-major order.
+    Stored: box, sigma2_limit, label, and M and sigma2_M (the common
+    per-coordinate variance of one jump, from the box marginals), set
+    by the constructor.  Derived from the box on first use, for
+    sampling, char_fn and the dense oracle: the support views points
+    (int64, shape (n, 2)) and masses (float64, shape (n,)), the nonzero
+    entries in row-major order, and their cumulative sum _cdf.
     """
 
     box: np.ndarray
@@ -132,9 +136,6 @@ class JumpKernel:
     label: str
     M: int = field(init=False)
     sigma2_M: float = field(init=False)
-    points: np.ndarray = field(init=False, repr=False)
-    masses: np.ndarray = field(init=False, repr=False)
-    _cdf: np.ndarray = field(init=False, repr=False)  # cumulative masses, for sampling
 
     def __post_init__(self) -> None:
         box = np.asarray(self.box, dtype=np.float64)
@@ -160,14 +161,9 @@ class JumpKernel:
         v1, v2 = float(box.sum(axis=1) @ x2), float(box.sum(axis=0) @ x2)
         if abs(v1 - v2) > 1e-9 * max(v1, 1.0):
             raise ValueError("coordinate variances must agree")
-        rows, cols = np.nonzero(box)
-        masses = box[rows, cols]
         object.__setattr__(self, "box", box)
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "sigma2_M", v1)
-        object.__setattr__(self, "points", np.stack([rows - half, cols - half], axis=-1))
-        object.__setattr__(self, "masses", masses)
-        object.__setattr__(self, "_cdf", np.cumsum(masses))
 
     def mass_at(self, point: tuple[int, int]) -> float:
         """Probability of a single jump value (0.0 off the box)."""
@@ -175,6 +171,18 @@ class JumpKernel:
         if 0 <= i <= self.M and 0 <= j <= self.M:
             return float(self.box[i, j])
         return 0.0
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        return np.stack(np.nonzero(self.box), axis=-1) - self.M // 2
+
+    @cached_property
+    def masses(self) -> np.ndarray:
+        return self.box[self.box > 0.0]
+
+    @cached_property
+    def _cdf(self) -> np.ndarray:  # cumulative masses, for sampling
+        return np.cumsum(self.masses)
 
     @property
     def n_support(self) -> int:

@@ -133,9 +133,7 @@ def char_fn(kernel: JumpKernel, theta: np.ndarray) -> np.ndarray:
         row[:, half:] = cos[:, ::-1]
         np.matmul(row, kernel.masses, out=vals[i * T : (i + 1) * T])
     result = vals[: flat.shape[0]].reshape(out_shape)
-    if np.asarray(theta).ndim == 1:
-        return result[()] if result.shape == () else result[0]
-    return result
+    return result[0] if np.asarray(theta).ndim == 1 else result
 
 
 def char_fn_grid(kernel: JumpKernel, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -186,18 +184,15 @@ def _dct1(a: np.ndarray, live: int) -> np.ndarray:
     The transform runs along axis 0 first and then along axis 1, the
     order of scipy.fft.dctn, so the zero columns stay zero through the
     first pass and only the live ones need it.  The result equals
-    dctn(a, type=1) bit for bit; with every column live it is that call,
-    computed in the storage of a.
+    dctn(a, type=1) bit for bit.
     """
     import scipy.fft  # costs about 0.1 s, so only processes that transform pay it
 
-    if live < a.shape[1]:
-        head = a[:, :live]
-        out = scipy.fft.dct(head, type=1, axis=0, overwrite_x=True)
-        if not np.may_share_memory(out, a):  # scipy wrote a new array, not into head
-            head[...] = out
-        return scipy.fft.dct(a, type=1, axis=1, overwrite_x=True)
-    return scipy.fft.dctn(a, type=1, overwrite_x=True)
+    head = a[:, :live]
+    out = scipy.fft.dct(head, type=1, axis=0, overwrite_x=True)
+    if not np.may_share_memory(out, a):  # scipy wrote a new array, not into head
+        head[...] = out
+    return scipy.fft.dct(a, type=1, axis=1, overwrite_x=True)
 
 
 def _field(weights: np.ndarray, L: int, live: int) -> np.ndarray:

@@ -207,21 +207,15 @@ def enumerate_region(region: Annulus) -> np.ndarray:
 
 def _check_on_torus(region: Annulus, spec: TorusSpec) -> None:
     """Raise ValueError, as index_of does, when a point of the region
-    lies outside the canonical torus range."""
+    lies outside the canonical torus range.
+
+    The hole is a centered square nested in the outer one, so a nonempty
+    region has a member in every extreme row and column of its outer
+    square; it reaches off the torus exactly when those leave (-L/2, L/2].
+    """
     lo, hi = _axis_range(region.bounds()[1])
     half = spec.L // 2
-    # An annulus is symmetric under swapping the axes, and a row x1 = c
-    # of its bounding square holds a member iff one of (c, lo), (c, 0),
-    # (c, hi) is one (the hole can only empty the middle), with
-    # the extreme rows c = lo, hi the most likely; so these few points
-    # decide whether any member lies off the torus.
-    ends = np.array([lo, hi], dtype=np.int64)
-    off = ends[(ends < 1 - half) | (ends > half)]
-    probe = np.array([lo, 0, hi], dtype=np.int64)
-    if off.size and (
-        _member(region, off[:, None], probe[None, :]).any()
-        or _member(region, probe[:, None], off[None, :]).any()
-    ):
+    if region_size(region) > 0 and (lo < 1 - half or hi > half):
         raise ValueError("point outside canonical torus range; wrap() it first")
 
 

@@ -396,6 +396,13 @@ def test_uniformity_gap_working_set_is_below_a_quarter_quadrant(traced_peak):
     assert traced_peak(lambda: uniformity_gap(grid, 0.1 * L**2 / M**2)) < grid.quadrant.nbytes / 4
 
 
+def test_meanfield_grid_costs_about_its_box(traced_peak):
+    # the kernel stores its mass box alone; the support views and the
+    # sampling CDF, four more boxes' worth, are never built for a grid
+    peak = traced_peak(lambda: build_grid(meanfield_kernel(1024), TorusSpec(1024)))
+    assert peak < 4 * 8 * 1025**2  # four (L + 1)^2 float64 mass boxes
+
+
 def test_uniformity_bound_sums_every_nonzero_frequency():
     spec = TorusSpec(16)
     kernel = mixture_kernel(0.7, 4, uniform_kernel(2))

@@ -188,10 +188,14 @@ def test_index_of_is_vectorized():
         assert np.array_equal(point_of(int(idx[k]), spec), pts[k])
 
 
-@pytest.mark.parametrize("L", [2, 8, 64])
+@pytest.mark.parametrize("L", [2, 6, 8, 64])
 def test_region_mask_matches_enumerated_indices(L):
     spec = TorusSpec(L)
-    regions = [Annulus(a, v, L) for a in (0.0, 0.5, 1.0) for v in (0.5, 1.5, 3.0, 40.0)]
+    regions = [
+        Annulus(a, v, L)
+        for a in (0.0, 0.25, 0.5, 0.75, 1.0)
+        for v in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 8.0, 40.0)
+    ]
     refused = 0
     for region in regions:
         try:

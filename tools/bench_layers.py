@@ -51,8 +51,9 @@ measures:
 * peak_rss_mb: the interpreter's peak resident set, import included;
 * build_grid_dct_s: for L <= DCT_MAX_SIDE only, the `build_grid` call
   for meanfield(L), which takes the 1 - DCT-I route.  The meanfield
-  kernel holds all L^2 torus points as its support (about 1 GB at
-  L=4096, 4 GB at 8192), so it is built after peak_rss_mb is read.
+  kernel's (L+1)^2 mass box and the temporaries of its validation
+  peak at 440 MB RSS with the grid at L=4096, so it is built after
+  peak_rss_mb is read.
 
 Metric names carry the side, as `inverse_s_L4096`.
 """

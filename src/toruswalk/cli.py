@@ -74,7 +74,7 @@ from .spectral import (
     laplace_hit,
     uniformity_gap,
 )
-from .torus import Annulus, TorusSpec, quadrant_mask, region_size
+from .torus import Annulus, TorusSpec, _axis_footprint, region_size
 from .torus import enumerate_region, index_of  # noqa: F401  (wrapped by perfbench/tracer.py)
 
 
@@ -196,15 +196,27 @@ class LaplaceConfig(TorusRun):
     scale: LaplaceScale
 
 
-def _sup_gap(F: np.ndarray, target: float, mask: np.ndarray) -> float:
-    """max |F(x) - target| over the starts x, on the quadrant: F is even
-    in each coordinate, and mask marks the images of the starts.
+def _span(v: np.ndarray) -> slice:
+    """The slice of the True entries of v, which must be one interval."""
+    idx = np.flatnonzero(v)
+    return slice(idx[0], idx[-1] + 1) if idx.size else slice(0, 0)
 
-    Rounding is monotone, so this is max(max F - target, target - min F)
-    bit for bit, and needs no temporary as large as F.
+
+def _sup_gap(F: np.ndarray, target: float, window: tuple[np.ndarray, np.ndarray]) -> float:
+    """max |F(x) - target| over the starts x, on the quadrant: F is even
+    in each coordinate, and window = (outer, ring) is the starts'
+    per-axis footprint (torus._axis_footprint), three intervals.
+
+    quadrant_mask is outer (x) outer and (ring[a] or ring[b]): ring rows
+    by outer columns, and the outer rows off the ring by ring columns.
+    max and min are exact, so reducing the two views equals the masked
+    reduction bit for bit; rounding is monotone, so this is
+    max(max F - target, target - min F), with no temporary as large as F.
     """
-    hi = float(np.max(F, where=mask, initial=-np.inf))
-    lo = float(np.min(F, where=mask, initial=np.inf))
+    outer, ring = window
+    blocks = (F[_span(ring), _span(outer)], F[_span(outer & ~ring), _span(ring)])
+    hi = max(float(np.max(b, initial=-np.inf)) for b in blocks)
+    lo = min(float(np.min(b, initial=np.inf)) for b in blocks)
     return max(hi - target, target - lo, 0.0)
 
 
@@ -225,21 +237,22 @@ def cmd_laplace(cfg: dict, seed: int | None, workers: int) -> RunReport:
             region = Annulus(0.0, float(spec.L), spec.L)  # the punctured torus
         else:
             region = Annulus(alpha, scale.window(spec.L), spec.L)
-        mask = quadrant_mask(region, spec)
-        if not mask.any():
+        window = _axis_footprint(region, spec)
+        size = region_size(region)
+        if size == 0:
             raise ConfigError(f"{region} contains no lattice points; pick a larger L or smaller alpha")
-        regions[str(spec.L)] = region_size(region)
-        sections.append((spec, kernel, params, mask))
+        regions[str(spec.L)] = size
+        sections.append((spec, kernel, params, window))
 
     rows: list[tuple] = []
-    for spec, kernel, params, mask in sections:
+    for spec, kernel, params, window in sections:
         L = spec.L
         grid = build_grid(kernel, spec)
         for lam in scale.lams:
             b = lam / L**2 if meanfield else lam / (L**2 * t_scale(L, kernel.M))
             target = target_laplace(params, lam)
             # no array of this lam outlives the call, so the next transform has the room
-            gap = _sup_gap(laplace_hit(grid, b).quadrant, target, mask)
+            gap = _sup_gap(laplace_hit(grid, b).quadrant, target, window)
             rows.append((L, kernel.M, lam, gap, target))
     return RunReport(
         command="laplace",

@@ -42,9 +42,7 @@ writable __pycache__) sampling raises RuntimeError.
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import os
-import subprocess
 import tempfile
 import threading
 from dataclasses import dataclass, field
@@ -150,7 +148,10 @@ class JumpKernel:
             raise ValueError("masses must be nonnegative")
         if abs(float(box.sum()) - 1.0) > MASS_TOL:
             raise ValueError("masses must sum to one")
-        if max(np.max(np.abs(box - box[::-1, :])), np.max(np.abs(box - box[:, ::-1]))) > MASS_TOL:
+        d = np.subtract(box, box[::-1, :])  # one box-sized temporary for both mirrors
+        worst = float(np.max(np.abs(d, out=d)))
+        np.subtract(box, box[:, ::-1], out=d)
+        if max(worst, float(np.max(np.abs(d, out=d)))) > MASS_TOL:
             raise ValueError(
                 "kernel must satisfy q(x) = q(-x) axis by axis: q(x1, x2) = q(-x1, x2) = q(x1, -x2)"
             )
@@ -311,6 +312,9 @@ def _build(directory: str) -> str:
     and the source when the compiler is missing or fails, or the
     directory is not writable.
     """
+    import hashlib  # with subprocess, about 20 ms that only sampling processes pay
+    import subprocess
+
     with open(SOURCE, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
     target = os.path.join(directory, f"_skeleton-{digest[:16]}.so")

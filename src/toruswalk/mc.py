@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import ctypes
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,6 +182,8 @@ def _run_chunked(total, chunk_size, workers, seeds, task_fn):
     ]
     if workers <= 1:
         return [task_fn(i, c, seeds.stream(i)) for i, c in enumerate(counts)]
+    from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay its import
+
     out = [None] * len(counts)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = {

@@ -23,7 +23,8 @@ O(L^2 e)), or, when e exceeds L/10 as for meanfield, as 1 minus one
 type-I discrete cosine transform (DCT-I) of the kernel mass wrapped
 onto the quadrant.  Each field is the DCT-I of its frequency
 weights divided by L^2, along axis 0 and then axis 1 as in
-scipy.fft.dctn.  Heat weights exp(-t psi) that underflow to exact
+scipy.fft.dctn; the hitting transform skips that division, since
+L^2 cancels in G / G(0).  Heat weights exp(-t psi) that underflow to exact
 zeros fill whole columns, and the first pass skips those.  Sums over
 the torus weight the quadrant by m(a) m(b) (torus_sum); the uniformity
 gap and G(0, lam) are such sums of weights, with no transform.  The
@@ -31,14 +32,17 @@ gap and G(0, lam) are such sums of weights, with no transform.  The
 the mod-L layout of `torus` (origin at index 0), for callers at small
 L.
 
-One grid (uniform M=8) with three resolvent inverses, three heat
-inverses and three uniformity gaps at the `uniformity` times, in a
-fresh single-threaded process on a 2-core x86_64 machine, at L=4096
-and 8192: the grid takes 0.024 s and 0.081 s, a resolvent inverse 0.11 s
-and 0.57 s, a heat inverse 0.067 s and 0.29 s, and a gap 0.0048 s and
-0.018 s, with peaks of 123 MB and 315 MB RSS; meanfield(4096)'s
-1 - DCT-I grid takes 0.12 s (tools/bench_layers.py spectral-large;
-medians in BENCH_spectral_large.json).
+One grid (uniform M=8) with three resolvent inverses, three hitting
+transforms, three heat inverses and three uniformity gaps at the
+`uniformity` times, in a fresh single-threaded process on a 2-core
+x86_64 machine, at L=4096 and 8192: the grid takes 0.026 s and 0.10 s,
+a resolvent inverse 0.13 s and 0.70 s, a hitting transform with the
+`laplace` window's sup 0.13 s and 0.64 s, a heat inverse 0.073 s and
+0.40 s, and a gap 0.0054 s and 0.018 s, with peaks of 124 MB and
+316 MB RSS; meanfield(4096)'s 1 - DCT-I grid takes 0.13 s
+(tools/bench_layers.py spectral-large; medians in
+BENCH_spectral_large.json, where the same code reads up to 10% apart
+between runs).
 
 Kernels whose range equals the torus side are wrapped with colliding
 pre-images summed, which is exact at torus frequencies; ranges
@@ -419,10 +423,22 @@ class LaplaceField:
 
 
 def laplace_hit(grid: SpectralGrid, lam: float) -> LaplaceField:
-    """F(x, lam) = G(x, lam) / G(0, lam); equals 1 exactly at the origin."""
-    q = green(grid, lam).quadrant  # the resolvent is not kept: divide in its storage
-    q /= q[0, 0]
-    q[0, 0] = 1.0
+    """F(x, lam) = G(x, lam) / G(0, lam); equals 1 exactly at the origin.
+
+    One DCT-I of the resolvent weights 1 / (lam + psi), divided in place
+    by its origin value: the L^-2 of G cancels in the ratio and is never
+    applied, so at a power-of-two L, where dividing by L^2 is exact,
+    F is green(grid, lam).quadrant over its origin value bit for bit.
+    No GreenField is built: a positive origin value together with
+    LaplaceField's F in (0, 1] is the resolvent's positive, peaked-at-0
+    check.
+    """
+    w = _resolvent_weights(grid, lam)
+    q = _dct1(w, w.shape[1])
+    g0 = q[0, 0]
+    if not g0 > 0.0:
+        raise ArithmeticError("resolvent must be strictly positive")
+    q /= g0
     return LaplaceField(spec=grid.spec, lam=lam, quadrant=q)
 
 

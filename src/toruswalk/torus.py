@@ -20,7 +20,9 @@ Start windows:
 An annulus supports vectorized membership, enumeration and a
 closed-form point count (region_size).  region_mask gives its
 membership over a whole torus, and quadrant_mask over the quadrant
-0..L/2 per axis on which `spectral` stores its fields.
+0..L/2 per axis on which `spectral` stores its fields; the latter is
+the outer form of two per-axis intervals (_axis_footprint), which the
+CLI reduces over directly.
 
 Layout: fields over the torus are laid out row-major with linear
 index (x1 mod L) * L + (x2 mod L), the index order of numpy's FFT, so
@@ -157,9 +159,13 @@ class Annulus:
         return scale / self.v, scale * self.v
 
 
+def _in_side(x: np.ndarray, r: float) -> np.ndarray:
+    """Membership of the coordinates x in the half-open interval (-r/2, r/2]."""
+    return (x > -r / 2.0) & (x <= r / 2.0)
+
+
 def _in_torus_square(x1: np.ndarray, x2: np.ndarray, r: float) -> np.ndarray:
-    lo, hi = -r / 2.0, r / 2.0
-    return (x1 > lo) & (x1 <= hi) & (x2 > lo) & (x2 <= hi)
+    return _in_side(x1, r) & _in_side(x2, r)
 
 
 def _member(region: Annulus, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
@@ -231,6 +237,27 @@ def region_mask(region: Annulus, spec: TorusSpec) -> np.ndarray:
     return _member(region, ax[:, None], ax[None, :]).ravel()
 
 
+def _axis_footprint(region: Annulus, spec: TorusSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The region's footprint on one axis of the quadrant, 0..L/2: (outer, ring).
+
+    outer[a] is True when some image of a (a or -a, wrapped) lies in
+    the outer square's side interval, ring[a] when some image lies in
+    it and not in the hole's (or is nonzero when there is no hole).
+    Both are intervals: outer is 0..A, and ring is p..A or empty.
+    Refuses a region off the torus as region_mask does.
+    """
+    _check_on_torus(region, spec)
+    inner, outer_side = region.bounds()
+    pos = np.arange(spec.L // 2 + 1, dtype=np.int64)
+    outer = np.zeros(pos.size, dtype=bool)
+    ring = np.zeros(pos.size, dtype=bool)
+    for x in (pos, wrap(-pos, spec.L)):
+        o = _in_side(x, outer_side)
+        outer |= o
+        ring |= o & ~(_in_side(x, inner) if inner > 0.0 else x == 0)
+    return outer, ring
+
+
 def quadrant_mask(region: Annulus, spec: TorusSpec) -> np.ndarray:
     """Membership on the quadrant 0..L/2 per axis, shape (L/2 + 1, L/2 + 1).
 
@@ -238,12 +265,13 @@ def quadrant_mask(region: Annulus, spec: TorusSpec) -> np.ndarray:
     in the region, so a field even in each coordinate takes the same
     values on the True entries as on region_mask's.  Refuses a region
     off the torus as region_mask does.
+
+    It is the outer form of _axis_footprint's (outer, ring):
+    mask = outer (x) outer and (ring[a] or ring[b]).  A point lies in
+    the region when both coordinates lie in the outer side and one of
+    them lies off the hole, so an image of (a, b) lies in it exactly
+    when ring[a] and outer[b], or outer[a] and ring[b], the images
+    being chosen per axis; ring implies outer.
     """
-    _check_on_torus(region, spec)
-    pos = np.arange(spec.L // 2 + 1, dtype=np.int64)
-    images = (pos, wrap(-pos, spec.L))
-    mask = np.zeros((pos.size, pos.size), dtype=bool)
-    for x1 in images:
-        for x2 in images:
-            mask |= _member(region, x1[:, None], x2[None, :])
-    return mask
+    outer, ring = _axis_footprint(region, spec)
+    return np.outer(outer, outer) & (ring[:, None] | ring[None, :])

@@ -10,10 +10,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toruswalk
 from toruswalk import __version__
-from toruswalk.cli import main
+from toruswalk.cli import _sup_gap, main
+from toruswalk.torus import _axis_footprint
 
 
 def _write_cfg(path, cfg) -> str:
@@ -131,6 +134,42 @@ def test_laplace_regions_and_sup_gap_match_the_full_torus(tmp_path, alpha, v):
     F = toruswalk.laplace_hit(grid, lam / (L**2 * toruswalk.t_scale(L, M))).values
     _, _, _, gap, target = (out / "laplace.csv").read_text().splitlines()[1].split(",")
     assert float(gap) == float(np.max(np.abs(F[mask] - float(target))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    L=st.sampled_from([16, 18, 30, 64]),
+    half_M=st.integers(min_value=1, max_value=4),
+    lam_L2=st.floats(min_value=1e-3, max_value=100.0),
+    alpha=st.floats(min_value=0.0, max_value=1.0),
+    v_exp=st.floats(min_value=-0.25, max_value=1.0),
+    target=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_laplace_slices_match_the_masked_sup_and_the_green_ratio(L, half_M, lam_L2, alpha, v_exp, target):
+    # laplace_hit skips the L^-2 that cancels in G / G(0): bit for bit
+    # where dividing by L^2 is exact, within 4 ulp elsewhere; and the
+    # sup over the footprint's two slices is the masked sup bit for bit.
+    # lam runs over the CLI's scale, lam L^2 = O(1): at lam = 2 (L = 30,
+    # M = 2) the far resolvent falls below the transform's rounding, and
+    # laplace_hit refuses it, as green does
+    spec, lam = toruswalk.TorusSpec(L), lam_L2 / L**2
+    grid = toruswalk.build_grid(toruswalk.uniform_kernel(2 * half_M), spec)
+    F = toruswalk.laplace_hit(grid, lam).quadrant
+    G = toruswalk.green(grid, lam).quadrant
+    ratio = G / G[0, 0]
+    if L & (L - 1) == 0:
+        assert np.array_equal(F, ratio)
+    else:
+        assert np.all(np.abs(F - ratio) <= 4 * np.spacing(ratio))
+    region = toruswalk.Annulus(alpha, L**v_exp, L)
+    try:
+        window = _axis_footprint(region, spec)
+    except ValueError:
+        return  # off the torus, as quadrant_mask refuses it
+    mask = toruswalk.quadrant_mask(region, spec)
+    hi = float(np.max(F, where=mask, initial=-np.inf))
+    lo = float(np.min(F, where=mask, initial=np.inf))
+    assert _sup_gap(F, target, window) == max(hi - target, target - lo, 0.0)
 
 
 def test_uniformity_time_zero_gap(tmp_path):
@@ -703,6 +742,21 @@ def test_public_names_resolve():
     namespace: dict = {}
     exec("from toruswalk import *", namespace)
     assert set(toruswalk.__all__) <= set(namespace)
+
+
+def test_cli_import_loads_no_compiler_hash_or_thread_pool_modules():
+    # subprocess and hashlib load when sampling first builds the compiled
+    # skeleton, concurrent.futures when chunks run on threads
+    code = (
+        "import sys, numpy\n"
+        "base = set(sys.modules)\n"
+        "import toruswalk.cli\n"
+        "added = set(sys.modules) - base\n"
+        "print(sorted(m for m in ('subprocess', 'hashlib', 'concurrent.futures') if m in added))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_import_loads_no_scipy():

@@ -162,6 +162,13 @@ def test_meanfield_boundary_splitting():
     _check_kernel_invariants(k)
 
 
+def test_meanfield_box_kernel_peaks_below_two_and_a_half_boxes(traced_peak):
+    # the mirror checks share one difference array, so building the
+    # kernel holds its box, that array and two boolean masks at most
+    box_bytes = 8 * 1025 * 1025
+    assert traced_peak(lambda: meanfield_kernel(1024)) < 2.5 * box_bytes
+
+
 def test_quadrature_converges_on_smooth_integrand():
     # integral of cos(x)cos(y) over [-1,1]^2 = 4 sin(1)^2
     val, n_axis, history = quadrature_midpoint_2d(

@@ -164,6 +164,32 @@ def test_annulus_membership_matches_inequalities(x, y, alpha, v):
     assert bool(contains(region, p)[0]) == expected
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    L=EVEN_SIDES,
+    alpha=st.floats(min_value=0.0, max_value=1.0),
+    v_exp=st.floats(min_value=-0.25, max_value=1.0),
+)
+def test_quadrant_mask_is_the_four_image_construction(L, alpha, v_exp):
+    # quadrant_mask, the outer form of the per-axis footprint, marks
+    # (a, b) exactly when one of its images (+-a, +-b) is a member
+    spec, region = TorusSpec(L), Annulus(alpha, L**v_exp, L)
+    try:
+        mask = quadrant_mask(region, spec)
+    except ValueError:
+        with pytest.raises(ValueError):
+            region_mask(region, spec)
+        return
+    pos = np.arange(L // 2 + 1)
+    images = (pos, wrap(-pos, L))
+    expected = np.zeros((pos.size, pos.size), dtype=bool)
+    for x1 in images:
+        for x2 in images:
+            pts = np.stack(np.broadcast_arrays(x1[:, None], x2[None, :]), axis=-1)
+            expected |= contains(region, pts)
+    assert np.array_equal(mask, expected), region
+
+
 def test_contains_agrees_with_enumerate():
     ax = np.arange(-20, 21, dtype=np.int64)
     g1, g2 = np.meshgrid(ax, ax, indexing="ij")

@@ -23,8 +23,9 @@ Commands and their CSV columns:
   conditions  M, sigma2, p1_max_dev, p2_min, p3_max_abs
   audit       kind, K, J, theta1, theta2, value, reference
 
-Exit codes: 0 success, 2 config error, 3 numeric non-convergence,
-4 step-cap abort.
+Exit codes: 0 success, 2 config error, 3 numeric failure (quadrature
+non-convergence, or an exact value that fails its own checks), 4
+step-cap abort.
 """
 
 from __future__ import annotations
@@ -668,6 +669,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except QuadratureError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
+        return 3
+    except ArithmeticError as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except StepCapExceeded as exc:
         print(f"step-cap abort: {exc}", file=sys.stderr)

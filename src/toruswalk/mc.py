@@ -281,17 +281,6 @@ class CoalescenceTrace:
     survivors: tuple[int, ...]  # labels alive at the horizon
     final_positions: np.ndarray  # (len(survivors), 2), aligned with survivors
 
-    @property
-    def n_lineages(self) -> int:
-        return int(self.starts.shape[0])
-
-
-def lineage_count_at(trace: CoalescenceTrace, t: float) -> int:
-    """Number of distinct lineages at time t (nonincreasing in t)."""
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    return trace.n_lineages - sum(1 for ev in trace.events if ev.time <= t)
-
 
 def simulate_coalescent(
     kernel: JumpKernel,

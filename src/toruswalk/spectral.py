@@ -28,21 +28,19 @@ L^2 cancels in G / G(0).  Heat weights exp(-t psi) that underflow to exact
 zeros fill whole columns, and the first pass skips those.  Sums over
 the torus weight the quadrant by m(a) m(b) (torus_sum); the uniformity
 gap and G(0, lam) are such sums of weights, with no transform.  The
-`values`/`raw`/`probs` properties unfold a field to the full torus in
-the mod-L layout of `torus` (origin at index 0), for callers at small
-L.
+`values` and `raw` properties unfold a field to the full torus in the
+mod-L layout of `torus` (origin at index 0), for the comparisons with
+the dense oracle at small L.
 
-One grid (uniform M=8) with three resolvent inverses, three hitting
-transforms, three heat inverses and three uniformity gaps at the
+One grid (uniform M=8) with the hitting transforms at three lams, each
+with the `laplace` window's sup, and the uniformity gaps at the
 `uniformity` times, in a fresh single-threaded process on a 2-core
-x86_64 machine, at L=4096 and 8192: the grid takes 0.026 s and 0.10 s,
-a resolvent inverse 0.13 s and 0.70 s, a hitting transform with the
-`laplace` window's sup 0.13 s and 0.64 s, a heat inverse 0.073 s and
-0.40 s, and a gap 0.0054 s and 0.018 s, with peaks of 124 MB and
-316 MB RSS; meanfield(4096)'s 1 - DCT-I grid takes 0.13 s
-(tools/bench_layers.py spectral-large; medians in
-BENCH_spectral_large.json, where the same code reads up to 10% apart
-between runs).
+x86_64 machine, at L=4096 and 8192: the grid takes 0.029 s and
+0.088 s, a hitting transform with its sup 0.14 s and 0.69 s, and a gap
+0.0056 s and 0.019 s, with peaks of 123 MB and 315 MB RSS;
+meanfield(4096)'s 1 - DCT-I grid takes 0.13 s (tools/bench_layers.py
+spectral-large; medians in BENCH_spectral_large.json, where the same
+code reads up to 8% apart between runs).
 
 Kernels whose range equals the torus side are wrapped with colliding
 pre-images summed, which is exact at torus frequencies; ranges
@@ -69,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import JumpKernel, _box_axis
-from .torus import TWO_PI, TorusSpec, frequencies, wrap
+from .torus import TWO_PI, TorusSpec
 
 HEAT_NEGATIVE_TOL = 1e-12
 HEAT_SUM_TOL = 1e-9
@@ -303,9 +301,8 @@ def build_grid(kernel: JumpKernel, spec: TorusSpec) -> SpectralGrid:
 class HeatGrid:
     """Occupation probabilities from the origin at one time, on the quadrant.
 
-    quadrant holds the unclipped inverse transform (kept for error
-    analysis); raw unfolds it to the torus, and probs clips raw's
-    at-most-1e-12 negative rounding residue to zero.
+    quadrant holds the unclipped inverse transform, whose negative
+    rounding residue is at most 1e-12; raw unfolds it to the torus.
     """
 
     spec: TorusSpec
@@ -322,10 +319,6 @@ class HeatGrid:
     @property
     def raw(self) -> np.ndarray:
         return unfold(self.quadrant, self.spec)
-
-    @property
-    def probs(self) -> np.ndarray:
-        return np.maximum(self.raw, 0.0)
 
 
 def _live_columns(psi: np.ndarray, t: float) -> int:
@@ -415,7 +408,7 @@ class LaplaceField:
         if q[0, 0] != 1.0:
             raise ValueError("hitting transform must equal 1 at the origin")
         if float(q.min()) <= 0.0 or float(q.max()) > 1.0:
-            raise ArithmeticError("hitting transform must lie in (0, 1]")
+            raise ArithmeticError(f"hitting transform at lam={self.lam!r} must lie in (0, 1]")
 
     @property
     def values(self) -> np.ndarray:
@@ -437,7 +430,7 @@ def laplace_hit(grid: SpectralGrid, lam: float) -> LaplaceField:
     q = _dct1(w, w.shape[1])
     g0 = q[0, 0]
     if not g0 > 0.0:
-        raise ArithmeticError("resolvent must be strictly positive")
+        raise ArithmeticError(f"resolvent at lam={lam!r} must be strictly positive")
     q /= g0
     return LaplaceField(spec=grid.spec, lam=lam, quadrant=q)
 
@@ -464,23 +457,6 @@ def uniformity_gap(grid: SpectralGrid, t: float) -> float:
     np.exp(w, out=w)
     w[0, 0] = 0.0
     return torus_sum(w)
-
-
-def orthogonality_gap(spec: TorusSpec, points: np.ndarray) -> np.ndarray:
-    """|sum over the full frequency grid of e^{i theta_y . x}| per point x.
-
-    Zero in exact arithmetic for canonical x != 0; computed by direct
-    summation (not the separable shortcut) as an honest numeric audit.
-    """
-    pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
-    if np.any((wrap(pts, spec.L) == 0).all(axis=1)):
-        raise ValueError("orthogonality audit needs nonzero points")
-    ys, _ = frequencies(spec)
-    out = np.empty(pts.shape[0])
-    for i, x in enumerate(pts):
-        phases = TWO_PI * (ys @ x) / spec.L
-        out[i] = abs(complex(np.sum(np.cos(phases)), np.sum(np.sin(phases))))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -18,19 +18,18 @@ Start windows:
   punctured torus: the alpha = 0 annulus with v = L.
 
 An annulus supports vectorized membership, enumeration and a
-closed-form point count (region_size).  region_mask gives its
-membership over a whole torus, and quadrant_mask over the quadrant
-0..L/2 per axis on which `spectral` stores its fields; the latter is
-the outer form of two per-axis intervals (_axis_footprint), which the
-CLI reduces over directly.
+closed-form point count (region_size).  quadrant_mask gives its
+membership over the quadrant 0..L/2 per axis on which `spectral`
+stores its fields; it is the outer form of two per-axis intervals
+(_axis_footprint), which the CLI reduces over directly.
 
-Layout: fields over the torus are laid out row-major with linear
-index (x1 mod L) * L + (x2 mod L), the index order of numpy's FFT, so
-the origin sits at index 0 and axis index i holds coordinate i for
-i <= L/2 and i - L above.  index_of, point_of, point_grid,
-frequencies and region_mask speak it, as do the unfolded spectral
-fields and the Monte Carlo site codes.  The frequency at linear index
-i is 2*pi/L times the point at linear index i.
+Layout: the full torus appears only where a site is named by one
+integer, the row-major linear index (x1 mod L) * L + (x2 mod L) of
+index_of and point_of, so the origin sits at index 0 and axis index i
+holds coordinate i for i <= L/2 and i - L above (numpy's FFT order).
+The unfolded spectral fields (.values, .raw), the dense oracle's rows
+and the Monte Carlo site codes speak it; every other field lives on
+the quadrant.
 """
 
 from __future__ import annotations
@@ -58,10 +57,6 @@ class TorusSpec:
     @property
     def n_points(self) -> int:
         return self.L * self.L
-
-    def axis_coords(self) -> np.ndarray:
-        """Coordinate held at each axis index: 0, 1, ..., L/2, -L/2+1, ..., -1."""
-        return wrap(np.arange(self.L), self.L)
 
 
 def wrap(points: np.ndarray, L: int) -> np.ndarray:
@@ -101,27 +96,6 @@ def point_of(indices: np.ndarray, spec: TorusSpec) -> np.ndarray:
     if np.any((idx < 0) | (idx >= spec.n_points)):
         raise ValueError("linear index out of range")
     return wrap(np.stack(np.divmod(idx, spec.L), axis=-1), spec.L)
-
-
-def point_grid(spec: TorusSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate grids X1, X2 of shape (L, L) in the documented layout."""
-    ax = spec.axis_coords()
-    return np.meshgrid(ax, ax, indexing="ij")
-
-
-def frequencies(spec: TorusSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Dual lattice points and angular frequencies of the torus.
-
-    Returns
-    -------
-    points : ndarray of int64, shape (L^2, 2)
-        Canonical torus points y, in linear-index order.
-    thetas : ndarray of float64, shape (L^2, 2)
-        2*pi*y/L for each point; every component lies in (-pi, pi].
-    """
-    x1, x2 = point_grid(spec)
-    pts = np.stack([x1.ravel(), x2.ravel()], axis=-1)
-    return pts, TWO_PI * pts / spec.L
 
 
 # ---------------------------------------------------------------------------
@@ -164,23 +138,15 @@ def _in_side(x: np.ndarray, r: float) -> np.ndarray:
     return (x > -r / 2.0) & (x <= r / 2.0)
 
 
-def _in_torus_square(x1: np.ndarray, x2: np.ndarray, r: float) -> np.ndarray:
-    return _in_side(x1, r) & _in_side(x2, r)
-
-
-def _member(region: Annulus, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """Membership of the points (x1, x2); the coordinate arrays broadcast."""
-    inner, outer = region.bounds()
-    inside = _in_torus_square(x1, x2, outer) & ~((x1 == 0) & (x2 == 0))
-    if inner > 0.0:
-        inside &= ~_in_torus_square(x1, x2, inner)
-    return inside
-
-
 def contains(region: Annulus, points: np.ndarray) -> np.ndarray:
     """Vectorized membership test; points has shape (..., 2)."""
     p = np.asarray(points, dtype=np.int64)
-    return _member(region, p[..., 0], p[..., 1])
+    x1, x2 = p[..., 0], p[..., 1]
+    inner, outer = region.bounds()
+    inside = _in_side(x1, outer) & _in_side(x2, outer) & ~((x1 == 0) & (x2 == 0))
+    if inner > 0.0:
+        inside &= ~(_in_side(x1, inner) & _in_side(x2, inner))
+    return inside
 
 
 def _axis_range(side: float) -> tuple[int, int]:
@@ -211,32 +177,6 @@ def enumerate_region(region: Annulus) -> np.ndarray:
     return pts[contains(region, pts)]
 
 
-def _check_on_torus(region: Annulus, spec: TorusSpec) -> None:
-    """Raise ValueError, as index_of does, when a point of the region
-    lies outside the canonical torus range.
-
-    The hole is a centered square nested in the outer one, so a nonempty
-    region has a member in every extreme row and column of its outer
-    square; it reaches off the torus exactly when those leave (-L/2, L/2].
-    """
-    lo, hi = _axis_range(region.bounds()[1])
-    half = spec.L // 2
-    if region_size(region) > 0 and (lo < 1 - half or hi > half):
-        raise ValueError("point outside canonical torus range; wrap() it first")
-
-
-def region_mask(region: Annulus, spec: TorusSpec) -> np.ndarray:
-    """Membership of every torus point, shape (L^2,), in the documented layout.
-
-    The True entries are index_of(enumerate_region(region), spec); like
-    index_of, this raises ValueError when a point of the region lies
-    outside the canonical torus range, rather than clipping the annulus.
-    """
-    _check_on_torus(region, spec)
-    ax = spec.axis_coords()
-    return _member(region, ax[:, None], ax[None, :]).ravel()
-
-
 def _axis_footprint(region: Annulus, spec: TorusSpec) -> tuple[np.ndarray, np.ndarray]:
     """The region's footprint on one axis of the quadrant, 0..L/2: (outer, ring).
 
@@ -244,11 +184,20 @@ def _axis_footprint(region: Annulus, spec: TorusSpec) -> tuple[np.ndarray, np.nd
     the outer square's side interval, ring[a] when some image lies in
     it and not in the hole's (or is nonzero when there is no hole).
     Both are intervals: outer is 0..A, and ring is p..A or empty.
-    Refuses a region off the torus as region_mask does.
+
+    Like index_of, raises ValueError when a point of the region lies
+    outside the canonical torus range, rather than clipping the annulus.
+    The hole is a centered square nested in the outer one, so a
+    nonempty region has a member in every extreme row and column of its
+    outer square; it reaches off the torus exactly when those leave
+    (-L/2, L/2].
     """
-    _check_on_torus(region, spec)
     inner, outer_side = region.bounds()
-    pos = np.arange(spec.L // 2 + 1, dtype=np.int64)
+    lo, hi = _axis_range(outer_side)
+    half = spec.L // 2
+    if region_size(region) > 0 and (lo < 1 - half or hi > half):
+        raise ValueError("point outside canonical torus range; wrap() it first")
+    pos = np.arange(half + 1, dtype=np.int64)
     outer = np.zeros(pos.size, dtype=bool)
     ring = np.zeros(pos.size, dtype=bool)
     for x in (pos, wrap(-pos, spec.L)):
@@ -263,8 +212,8 @@ def quadrant_mask(region: Annulus, spec: TorusSpec) -> np.ndarray:
 
     Entry (a, b) is True when any of its torus images (+-a, +-b) lies
     in the region, so a field even in each coordinate takes the same
-    values on the True entries as on region_mask's.  Refuses a region
-    off the torus as region_mask does.
+    values on the True entries as on the region's points.  Refuses a
+    region off the torus as _axis_footprint does.
 
     It is the outer form of _axis_footprint's (outer, ring):
     mask = outer (x) outer and (ring[a] or ring[b]).  A point lies in

@@ -127,7 +127,8 @@ def test_laplace_regions_and_sup_gap_match_the_full_torus(tmp_path, alpha, v):
     code, out = _run(tmp_path, cfg, "laplace")
     assert code == 0
     region = toruswalk.Annulus(alpha, math.log(L) ** v_exponent, L)
-    mask = toruswalk.region_mask(region, toruswalk.TorusSpec(L))
+    mask = np.zeros(L * L, dtype=bool)
+    mask[toruswalk.index_of(toruswalk.enumerate_region(region), toruswalk.TorusSpec(L))] = True
     meta = json.loads((out / "laplace.meta.json").read_text())
     assert meta["resolved"]["regions"] == {str(L): int(mask.sum())}
     grid = toruswalk.build_grid(toruswalk.uniform_kernel(M), toruswalk.TorusSpec(L))
@@ -213,6 +214,21 @@ def test_beta0_quadrature_cap_is_exit_3(tmp_path):
     }
     code, _ = _run(tmp_path, cfg, "beta0")
     assert code == 3
+
+
+def test_hitting_transform_below_its_rounding_is_exit_3(tmp_path):
+    # at lam / L^2 = 2000 / 900 the far values of F fall below the DCT's
+    # rounding and fail LaplaceField's (0, 1] check: a numeric failure,
+    # reported in one line, with no table written
+    cfg = {
+        "command": "laplace",
+        "torus": {"L": [30]},
+        "kernel": {"family": "uniform", "M": 2},
+        "scale": {"lams": [2000.0], "mode": "meanfield"},
+    }
+    code, out = _run(tmp_path, cfg, "laplace")
+    assert code == 3
+    assert not (out / "laplace.csv").exists() and not (out / "laplace.meta.json").exists()
 
 
 def test_simulate_deterministic_across_reruns_and_workers(tmp_path):
@@ -681,6 +697,23 @@ def test_benchmark_tracer_hooks_resolve():
     assert tracer.counts["spectral.char_fn.terms"] == 3 * kernel.n_support
     names = {span[0] for span in tracer.spans}
     assert {"spectral.build_grid", "spectral.green", "mc.simulate_hits", "spectral.char_fn"} <= names
+
+
+def test_benchmark_oracle_check_passes():
+    """The benchmark's oracle check reads laplace_hit(...).values and
+    heat(...).raw against the dense rows; a change that breaks either
+    must fail here, not in the benchmark."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    checks_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks_module)
+    checks = checks_module.Checks()
+    checks.oracle(toruswalk, [0.5, 1, 2])
+    assert [name for name, _, _ in checks.results] == ["oracle.laplace_hit", "oracle.heat"]
+    assert checks.failed == [], checks.results
 
 
 @pytest.mark.parametrize(

@@ -18,14 +18,13 @@ from toruswalk.mc import (
     StepCapExceeded,
     _skeleton_first_passage,
     estimate_laplace,
-    lineage_count_at,
     lineage_count_law,
     simulate_coalescent,
     simulate_hits,
 )
 from toruswalk.oracle import dense_chain, dense_laplace_hit
 from toruswalk.spectral import build_grid, heat
-from toruswalk.torus import TorusSpec, index_of, wrap
+from toruswalk.torus import TorusSpec, index_of, point_of, wrap
 
 
 def test_seed_spec_validation_and_subspace():
@@ -191,8 +190,8 @@ def test_coalescent_bookkeeping():
         assert absorbed.isdisjoint(trace.survivors)
         for ev in trace.events:
             assert ev.survivor != ev.absorbed
-        assert lineage_count_at(trace, 0.0) == 4
-        assert lineage_count_at(trace, 30.0) == len(trace.survivors)
+        lineages = [4 - sum(ev.time <= t for ev in trace.events) for t in (0.0, 30.0)]
+        assert lineages == [4, len(trace.survivors)]
         assert trace.final_positions.shape == (len(trace.survivors), 2)
         merged_totals += len(trace.events)
     assert merged_totals > 0  # on a 4x4 torus mergers at t = 30 are routine
@@ -228,10 +227,8 @@ def test_coalescent_marginal_is_a_free_walk():
         counts[int(index_of(wrap(x, spec.L), spec))] += 1
     freqs = counts / reps
     # heat law from the tagged start (1, 0): shift the origin-started law
-    probs_from_origin = heat(build_grid(k, spec), t).probs
-    all_pts = np.stack(
-        np.meshgrid(spec.axis_coords(), spec.axis_coords(), indexing="ij"), axis=-1
-    ).reshape(-1, 2)
+    probs_from_origin = np.maximum(heat(build_grid(k, spec), t).raw, 0.0)
+    all_pts = point_of(np.arange(spec.n_points), spec)
     shifted = np.empty_like(probs_from_origin)
     shifted[index_of(wrap(all_pts + np.array([1, 0]), spec.L), spec)] = probs_from_origin
     se = np.sqrt(shifted * (1 - shifted) / reps)

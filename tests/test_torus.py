@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,14 +10,12 @@ from hypothesis import strategies as st
 from toruswalk.torus import (
     Annulus,
     TorusSpec,
+    _axis_footprint,
     contains,
     enumerate_region,
-    frequencies,
     index_of,
-    point_grid,
     point_of,
     quadrant_mask,
-    region_mask,
     region_size,
     wrap,
 )
@@ -87,27 +83,10 @@ def test_fft_layout_index_contract():
     # index order of numpy's FFT, so the origin sits at index 0
     spec = TorusSpec(8)
     expected = [i if i <= 4 else i - 8 for i in range(8)]
-    assert spec.axis_coords().tolist() == expected
-    x1, x2 = point_grid(spec)
-    assert x1[:, 0].tolist() == expected and x2[0, :].tolist() == expected
+    assert wrap(np.arange(8), 8).tolist() == expected
+    pts = point_of(np.arange(spec.n_points), spec)
+    assert pts[::8, 0].tolist() == expected and pts[:8, 1].tolist() == expected
     assert point_of(0, spec).tolist() == [0, 0]
-
-
-def test_point_grid_matches_point_of():
-    spec = TorusSpec(6)
-    x1, x2 = point_grid(spec)
-    flat = np.stack([x1.ravel(), x2.ravel()], axis=-1)
-    for i in range(spec.n_points):
-        assert np.array_equal(flat[i], point_of(i, spec))
-
-
-def test_frequencies_axis_values():
-    spec = TorusSpec(4)
-    pts, thetas = frequencies(spec)
-    assert np.array_equal(thetas, 2 * math.pi * pts / 4)
-    axis = sorted(set(np.round(thetas[:, 0], 12)))
-    expected = sorted(2 * math.pi * k / 4 for k in (-1, 0, 1, 2))
-    assert axis == pytest.approx(expected)
 
 
 def test_torus_square_is_half_open():
@@ -177,8 +156,11 @@ def test_quadrant_mask_is_the_four_image_construction(L, alpha, v_exp):
     try:
         mask = quadrant_mask(region, spec)
     except ValueError:
-        with pytest.raises(ValueError):
-            region_mask(region, spec)
+        # some point of the region lies off the canonical torus range:
+        # fewer torus points are members than the region has points (a
+        # count, since enumerating a drawn region can take 10^8 points)
+        on_torus = contains(region, point_of(np.arange(spec.n_points), spec))
+        assert on_torus.sum() < region_size(region), region
         return
     pos = np.arange(L // 2 + 1)
     images = (pos, wrap(-pos, L))
@@ -214,9 +196,22 @@ def test_index_of_is_vectorized():
         assert np.array_equal(point_of(int(idx[k]), spec), pts[k])
 
 
+def _region_mask(region, spec):
+    """Membership of every torus point, shape (L^2,), in the mod-L layout;
+    ValueError, as index_of's, when a point of the region lies off the
+    canonical torus range."""
+    mask = np.zeros(spec.n_points, dtype=bool)
+    mask[index_of(enumerate_region(region), spec)] = True
+    return mask
+
+
 @pytest.mark.parametrize("L", [2, 6, 8, 64])
 def test_region_mask_matches_enumerated_indices(L):
+    # membership of every torus point matches the enumerated points, and
+    # a region point off the torus is refused, never clipped: the
+    # per-axis footprint raises exactly where index_of does
     spec = TorusSpec(L)
+    points = point_of(np.arange(spec.n_points), spec)
     regions = [
         Annulus(a, v, L)
         for a in (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -225,16 +220,15 @@ def test_region_mask_matches_enumerated_indices(L):
     refused = 0
     for region in regions:
         try:
-            expected = np.sort(index_of(enumerate_region(region), spec))
+            expected = _region_mask(region, spec)
         except ValueError:
-            # a region point off the torus: refused, never clipped
             with pytest.raises(ValueError):
-                region_mask(region, spec)
+                _axis_footprint(region, spec)
             refused += 1
             continue
-        mask = region_mask(region, spec)
-        assert mask.shape == (spec.n_points,) and mask.dtype == bool
-        assert np.array_equal(np.flatnonzero(mask), expected), region
+        outer, ring = _axis_footprint(region, spec)
+        assert outer.shape == ring.shape == (L // 2 + 1,)
+        assert np.array_equal(contains(region, points), expected), region
     assert 0 < refused < len(regions)
 
 
@@ -252,7 +246,7 @@ def test_region_size_and_quadrant_mask_match_region_mask(L):
         for v in (0.5, 1.0, 2.0, 2.5, 4.0, 8.0, 40.0):
             region = Annulus(alpha, v, L)
             try:
-                mask = region_mask(region, spec)
+                mask = _region_mask(region, spec)
             except ValueError:
                 with pytest.raises(ValueError):
                     quadrant_mask(region, spec)

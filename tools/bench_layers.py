@@ -35,34 +35,29 @@ The second times the tree's Tier-1 suite:
 
 spectral-large runs one variant per side L = 4096 and 8192.  Each
 imports scipy.fft first (so no timing below pays a lazy import), builds
-one grid (uniform M=8) on the torus of side L, runs three resolvent
-inverses, three hitting transforms, three heat inverses and three
-uniformity gaps on it, and measures the following.  A layer that takes
-under 50 ms is timed as the median of CALLS (5) calls per argument, so
-that a 10% change stands out of the machine's jitter.
+one grid (uniform M=8) on the torus of side L, runs the CLI's hitting
+transforms and uniformity gaps on it, and measures the following.
+Every layer is timed as the median of CALLS (5) calls per argument, so
+that a 10% change stands out of the machine's jitter; a call's result
+is dropped before the next call starts.
 
-* build_grid_s: the median of CALLS `build_grid` calls (the product
-  route);
-* inverse_s: the median of the three `green` calls (lam = 0.5, 1, 2
-  over L^2), validation included;
-* validate_s: the median of CALLS `dataclasses.replace` calls on each
-  returned field, which rerun its validation alone;
-* laplace_hit_s: the median over the same lams of `laplace_hit` plus
-  the CLI's sup of |F - target| over the start window of `laplace`'s
-  finite mode (alpha = 1, v = log L), the CLI's work per lam; the
-  window's footprint is built once per side, as in the CLI;
-* heat_inverse_s: the median of the three `heat` calls at the times of
-  the `uniformity` table, k L^2 / M^2 for k = 0.01, 0.1 and 1;
-* uniformity_gap_s: the median of CALLS `uniformity_gap` calls at each
-  of the same times;
+* build_grid_s: `build_grid` (the product route);
+* laplace_hit_s: `laplace_hit` plus the CLI's sup of |F - target|
+  over the start window of `laplace`'s finite mode (alpha = 1,
+  v = log L), the CLI's work per lam, at lam = 0.5, 1 and 2 over L^2;
+  the window's footprint is built once per side, as in the CLI;
+* validate_s: `dataclasses.replace` on each lam's `laplace_hit` field,
+  which reruns its validation alone;
+* uniformity_gap_s: `uniformity_gap` at the times of the `uniformity`
+  table, k L^2 / M^2 for k = 0.01, 0.1 and 1;
 * peak_rss_mb: the interpreter's peak resident set, import included;
-* build_grid_dct_s: for L <= DCT_MAX_SIDE only, the `build_grid` call
-  for meanfield(L), which takes the 1 - DCT-I route.  The meanfield
+* build_grid_dct_s: for L <= DCT_MAX_SIDE only, `build_grid` for
+  meanfield(L), which takes the 1 - DCT-I route.  The meanfield
   kernel's (L+1)^2 mass box and the temporaries of its validation
   peak at 344 MB RSS with the grid at L=4096, so it is built
   after peak_rss_mb is read.
 
-Metric names carry the side, as `inverse_s_L4096`.
+Metric names carry the side, as `laplace_hit_s_L4096`.
 """
 
 from __future__ import annotations
@@ -87,7 +82,7 @@ HEAT_KS = (0.01, 0.1, 1.0)
 M = 8
 DCT_MAX_SIDE = 4096
 SIDES = (4096, 8192)
-CALLS = 5  # calls per argument of a layer under 50 ms
+CALLS = 5  # calls per argument of each spectral layer
 
 
 def traced_peak_mb(fn) -> float:
@@ -160,69 +155,51 @@ def measure_tier1(_: int) -> dict:
     return {"tier1_s": time.perf_counter() - t0}
 
 
+def call_times(fn) -> list[float]:
+    """Seconds of each of CALLS calls of fn(), whose result is dropped at once."""
+    out = []
+    for _ in range(CALLS):
+        t0 = time.perf_counter()
+        fn()
+        out.append(time.perf_counter() - t0)
+    return out
+
+
 def measure_spectral(L: int) -> dict:
     """The spectral layer timings of one tree at side L, in this interpreter."""
     import dataclasses
 
     import scipy.fft  # noqa: F401  (imported up front, so no timing pays it)
 
-    from toruswalk import torus
     from toruswalk.cli import _sup_gap
     from toruswalk.kernels import meanfield_kernel, uniform_kernel
-    from toruswalk.spectral import build_grid, green, heat, laplace_hit, uniformity_gap
-    from toruswalk.torus import TorusSpec
+    from toruswalk.spectral import build_grid, laplace_hit, uniformity_gap
+    from toruswalk.torus import Annulus, TorusSpec, _axis_footprint
 
     kernel, spec = uniform_kernel(M), TorusSpec(L)
-    build_s = []
-    for _ in range(CALLS):
-        grid = None  # one grid at a time
-        t0 = time.perf_counter()
-        grid = build_grid(kernel, spec)
-        build_s.append(time.perf_counter() - t0)
-    inverse_s, validate_s = [], []
+    build_s = call_times(lambda: build_grid(kernel, spec))
+    grid = build_grid(kernel, spec)
+    window = _axis_footprint(Annulus(1.0, math.log(L), L), spec)
+    laplace_hit_s, validate_s = [], []
     for lam in LAMS:
-        t0 = time.perf_counter()
-        field = green(grid, lam / L**2)
-        inverse_s.append(time.perf_counter() - t0)
-        for _ in range(CALLS):
-            t0 = time.perf_counter()
-            dataclasses.replace(field)
-            validate_s.append(time.perf_counter() - t0)
+        laplace_hit_s += call_times(lambda: _sup_gap(laplace_hit(grid, lam / L**2).quadrant, 0.5, window))
+        field = laplace_hit(grid, lam / L**2)
+        validate_s += call_times(lambda: dataclasses.replace(field))
         del field  # one field at a time, as in the CLI
-    # a tree from before the per-axis footprint passes _sup_gap its quadrant_mask
-    footprint = getattr(torus, "_axis_footprint", torus.quadrant_mask)
-    window = footprint(torus.Annulus(1.0, math.log(L), L), spec)
-    laplace_hit_s = []
-    for lam in LAMS:
-        t0 = time.perf_counter()
-        _sup_gap(laplace_hit(grid, lam / L**2).quadrant, 0.5, window)
-        laplace_hit_s.append(time.perf_counter() - t0)
-    heat_inverse_s = []
-    for k in HEAT_KS:
-        t0 = time.perf_counter()
-        field = heat(grid, k * L**2 / M**2)
-        heat_inverse_s.append(time.perf_counter() - t0)
-        del field
     uniformity_gap_s = []
     for k in HEAT_KS:
-        for _ in range(CALLS):
-            t0 = time.perf_counter()
-            uniformity_gap(grid, k * L**2 / M**2)
-            uniformity_gap_s.append(time.perf_counter() - t0)
+        uniformity_gap_s += call_times(lambda: uniformity_gap(grid, k * L**2 / M**2))
     out = {
         "build_grid_s": statistics.median(build_s),
-        "inverse_s": statistics.median(inverse_s),
-        "validate_s": statistics.median(validate_s),
         "laplace_hit_s": statistics.median(laplace_hit_s),
-        "heat_inverse_s": statistics.median(heat_inverse_s),
+        "validate_s": statistics.median(validate_s),
         "uniformity_gap_s": statistics.median(uniformity_gap_s),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
     if L <= DCT_MAX_SIDE:
+        del grid
         kernel = meanfield_kernel(L)
-        t0 = time.perf_counter()
-        build_grid(kernel, spec)
-        out["build_grid_dct_s"] = time.perf_counter() - t0
+        out["build_grid_dct_s"] = statistics.median(call_times(lambda: build_grid(kernel, spec)))
     return out
 
 
@@ -258,10 +235,8 @@ SUITES = {
         variants=lambda r: [("spectral-large", L, f"_L{L}") for L in SIDES],
         units={
             "build_grid_s": "s",
-            "inverse_s": "s",
-            "validate_s": "s",
             "laplace_hit_s": "s",
-            "heat_inverse_s": "s",
+            "validate_s": "s",
             "uniformity_gap_s": "s",
             "peak_rss_mb": "MB",
             "build_grid_dct_s": "s",

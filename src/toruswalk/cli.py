@@ -14,16 +14,12 @@ holds only the rules no library object owns; the rest are left to the
 library constructors, which run for every torus, kernel, seed and
 start region before the first numeric call.
 
-Commands and their CSV columns:
-  laplace     L, M, lam, sup_gap, target
-  uniformity  L, M, t, gap
-  beta0       c, level, estimate        (one row per refinement level)
-  simulate    L, lam, mc_estimate, se, exact, z_score
-  coalesce    L, s, k, p_hat, target, se
-  conditions  M, sigma2, p1_max_dev, p2_min, p3_max_abs
-  audit       kind, K, J, theta1, theta2, value, reference
+Each command is one row of COMMANDS: the cmd_* function that returns
+its rows and resolved metadata, its config dataclass, its CSV columns
+and its help, which `toruswalk --help` prints with the columns.
 
-Exit codes: 0 success, 2 config error, 3 numeric failure (quadrature
+Exit codes: 0 success, 2 config error (also an input that needs more
+memory than the machine has), 3 numeric failure (quadrature
 non-convergence, or an exact value that fails its own checks), 4
 step-cap abort.
 """
@@ -39,6 +35,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -77,14 +74,6 @@ from .spectral import (
 )
 from .torus import Annulus, TorusSpec, _axis_footprint, region_size
 from .torus import enumerate_region, index_of  # noqa: F401  (wrapped by perfbench/tracer.py)
-
-
-@dataclass
-class RunReport:
-    command: str
-    columns: tuple[str, ...]
-    rows: list[tuple]
-    resolved: dict
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +210,7 @@ def _sup_gap(F: np.ndarray, target: float, window: tuple[np.ndarray, np.ndarray]
     return max(hi - target, target - lo, 0.0)
 
 
-def cmd_laplace(cfg: dict, seed: int | None, workers: int) -> RunReport:
-    run = read(LaplaceConfig, cfg, "laplace")
+def cmd_laplace(run: LaplaceConfig, seed: int | None, workers: int) -> tuple[list[tuple], dict]:
     scale, plan = run.scale, run.kernel
     meanfield = scale.mode == "meanfield"
     alpha = 1.0 if scale.alpha is None else scale.alpha
@@ -255,12 +243,7 @@ def cmd_laplace(cfg: dict, seed: int | None, workers: int) -> RunReport:
             # no array of this lam outlives the call, so the next transform has the room
             gap = _sup_gap(laplace_hit(grid, b).quadrant, target, window)
             rows.append((L, kernel.M, lam, gap, target))
-    return RunReport(
-        command="laplace",
-        columns=("L", "M", "lam", "sup_gap", "target"),
-        rows=rows,
-        resolved={"mode": scale.mode, "kernel": plan.label(), "regions": regions},
-    )
+    return rows, {"mode": scale.mode, "kernel": plan.label(), "regions": regions}
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +264,7 @@ class UniformityConfig(TorusRun):
     scale: UniformityScale
 
 
-def cmd_uniformity(cfg: dict, seed: int | None, workers: int) -> RunReport:
-    run = read(UniformityConfig, cfg, "uniformity")
+def cmd_uniformity(run: UniformityConfig, seed: int | None, workers: int) -> tuple[list[tuple], dict]:
     rows: list[tuple] = []
     for spec, kernel in run.tori():
         L = spec.L
@@ -291,12 +273,7 @@ def cmd_uniformity(cfg: dict, seed: int | None, workers: int) -> RunReport:
         for k in run.scale.k_values:
             t = k * base_t
             rows.append((L, kernel.M, t, uniformity_gap(grid, t)))
-    return RunReport(
-        command="uniformity",
-        columns=("L", "M", "t", "gap"),
-        rows=rows,
-        resolved={"kernel": run.kernel.label(), "base_time": "max(L^2/M^2, log L)"},
-    )
+    return rows, {"kernel": run.kernel.label(), "base_time": "max(L^2/M^2, log L)"}
 
 
 # ---------------------------------------------------------------------------
@@ -316,20 +293,14 @@ class Beta0Config:
             raise ValueError("c_values must lie in (0, 1]")
 
 
-def cmd_beta0(cfg: dict, seed: int | None, workers: int) -> RunReport:
-    run = read(Beta0Config, cfg, "beta0")
+def cmd_beta0(run: Beta0Config, seed: int | None, workers: int) -> tuple[list[tuple], dict]:
     q0 = run.q0.build_with_M(run.q0.M)
     rows: list[tuple] = []
     for c in run.c_values:
         result = beta0(c, q0, run.quad)
         for level_n, estimate in result.levels:
             rows.append((c, level_n, estimate))
-    return RunReport(
-        command="beta0",
-        columns=("c", "level", "estimate"),
-        rows=rows,
-        resolved={"q0": run.q0.label(), "quad": dataclasses.asdict(run.quad)},
-    )
+    return rows, {"q0": run.q0.label(), "quad": dataclasses.asdict(run.quad)}
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +322,7 @@ class SimulateConfig(TorusRun):
     mc: MonteCarlo
 
 
-def cmd_simulate(cfg: dict, seed: int | None, workers: int) -> RunReport:
-    run = read(SimulateConfig, cfg, "simulate")
+def cmd_simulate(run: SimulateConfig, seed: int | None, workers: int) -> tuple[list[tuple], dict]:
     tori = run.tori()
     seeds = run.mc.seeds(seed)
     lams = run.scale.lams
@@ -382,17 +352,12 @@ def cmd_simulate(cfg: dict, seed: int | None, workers: int) -> RunReport:
             else:
                 z = 0.0 if float(est[j]) == exact else math.inf
             rows.append((spec.L, lam, float(est[j]), float(se[j]), exact, z))
-    return RunReport(
-        command="simulate",
-        columns=("L", "lam", "mc_estimate", "se", "exact", "z_score"),
-        rows=rows,
-        resolved={
-            "kernel": run.kernel.label(),
-            "replicates": run.mc.replicates,
-            "seed": seeds.master,
-            "starts": "uniform over the punctured torus",
-        },
-    )
+    return rows, {
+        "kernel": run.kernel.label(),
+        "replicates": run.mc.replicates,
+        "seed": seeds.master,
+        "starts": "uniform over the punctured torus",
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +400,7 @@ class CoalesceConfig(TorusRun):
             )
 
 
-def cmd_coalesce(cfg: dict, seed: int | None, workers: int) -> RunReport:
-    run = read(CoalesceConfig, cfg, "coalesce")
+def cmd_coalesce(run: CoalesceConfig, seed: int | None, workers: int) -> tuple[list[tuple], dict]:
     scale = run.scale
     sections = [(spec, kernel, scale.starts_on(spec.L)) for spec, kernel in run.tori()]
     seeds = run.mc.seeds(seed)
@@ -467,19 +431,14 @@ def cmd_coalesce(cfg: dict, seed: int | None, workers: int) -> RunReport:
                 rows.append(
                     (L, s, k, float(law.p_hat[k - 1]), float(law.target[k - 1]), float(law.se[k - 1]))
                 )
-    return RunReport(
-        command="coalesce",
-        columns=("L", "s", "k", "p_hat", "target", "se"),
-        rows=rows,
-        resolved={
-            "kernel": run.kernel.label(),
-            "replicates": run.mc.replicates,
-            "seed": seeds.master,
-            "n": n,
-            "separation_ok": separation,
-            "work": work,
-        },
-    )
+    return rows, {
+        "kernel": run.kernel.label(),
+        "replicates": run.mc.replicates,
+        "seed": seeds.master,
+        "n": n,
+        "separation_ok": separation,
+        "work": work,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +466,7 @@ class ConditionsConfig:
             raise ValueError("'kernel' must be a family template: M_values gives its ranges")
 
 
-def cmd_conditions(cfg: dict, seed: int | None, workers: int) -> RunReport:
-    run = read(ConditionsConfig, cfg, "conditions")
+def cmd_conditions(run: ConditionsConfig, seed: int | None, workers: int) -> tuple[list[tuple], dict]:
     kernels = [run.kernel.build_with_M(M) for M in run.M_values]
     report = condition_report(kernels, **dataclasses.asdict(run.params))
     rows = [
@@ -516,17 +474,7 @@ def cmd_conditions(cfg: dict, seed: int | None, workers: int) -> RunReport:
         for row in report.rows
     ]
     p = run.params
-    return RunReport(
-        command="conditions",
-        columns=("M", "sigma2", "p1_max_dev", "p2_min", "p3_max_abs"),
-        rows=rows,
-        resolved={
-            "kernel": run.kernel.label(),
-            "delta": p.delta,
-            "delta_prime": p.delta_prime,
-            "a": p.a,
-        },
-    )
+    return rows, {"kernel": run.kernel.label(), "delta": p.delta, "delta_prime": p.delta_prime, "a": p.a}
 
 
 # ---------------------------------------------------------------------------
@@ -545,10 +493,10 @@ class AuditConfig:
     audit: AuditBlock
 
 
-def cmd_audit(cfg: dict, seed: int | None, workers: int) -> RunReport:
-    run = read(AuditConfig, cfg, "audit").audit
-    K, J = run.K, run.J
-    report = lemma21_audit(K, J, np.array(run.thetas, dtype=np.float64))
+def cmd_audit(run: AuditConfig, seed: int | None, workers: int) -> tuple[list[tuple], dict]:
+    audit = run.audit
+    K, J = audit.K, audit.J
+    report = lemma21_audit(K, J, np.array(audit.thetas, dtype=np.float64))
     rows: list[tuple] = []
     for exp_row in report.exp_rows:
         t1, t2 = exp_row.theta
@@ -560,25 +508,53 @@ def cmd_audit(cfg: dict, seed: int | None, workers: int) -> RunReport:
     rows.append(("torus_log_ratio", K, J, "", "", report.torus_log_ratio, TWO_PI))
     rows.append(("disc_log_ratio", K, J, "", "", report.disc_log_ratio, TWO_PI))
     rows.append(("ring_dyadic_sum", K, J, "", "", report.ring_dyadic_sum, RING_LOG2_LIMIT))
-    return RunReport(
-        command="audit",
-        columns=("kind", "K", "J", "theta1", "theta2", "value", "reference"),
-        rows=rows,
-        resolved={"K": K, "J": J, "n_thetas": len(run.thetas)},
-    )
+    return rows, {"K": K, "J": J, "n_thetas": len(audit.thetas)}
 
 
 # ---------------------------------------------------------------------------
 # plumbing
 
+
+class Command(NamedTuple):
+    """One CLI command: run(config, seed, workers) takes the command's
+    blocks read into the `config` dataclass and returns its CSV rows, in
+    the order and meaning of `columns`, and its resolved metadata."""
+
+    run: Callable[..., tuple[list[tuple], dict]]
+    config: type
+    columns: tuple[str, ...]
+    help: str
+
+
 COMMANDS = {
-    "laplace": cmd_laplace,
-    "uniformity": cmd_uniformity,
-    "beta0": cmd_beta0,
-    "simulate": cmd_simulate,
-    "coalesce": cmd_coalesce,
-    "conditions": cmd_conditions,
-    "audit": cmd_audit,
+    "laplace": Command(
+        cmd_laplace, LaplaceConfig, ("L", "M", "lam", "sup_gap", "target"),
+        "exact hitting transforms vs their scaling targets",
+    ),
+    "uniformity": Command(
+        cmd_uniformity, UniformityConfig, ("L", "M", "t", "gap"),
+        "worst-case deviation of the walk's law from uniform",
+    ),
+    "beta0": Command(
+        cmd_beta0, Beta0Config, ("c", "level", "estimate"),
+        "limiting mean constant of the mixture family by quadrature, one row per refinement level",
+    ),
+    "simulate": Command(
+        cmd_simulate, SimulateConfig, ("L", "lam", "mc_estimate", "se", "exact", "z_score"),
+        "Monte Carlo hitting transforms vs exact values",
+    ),
+    "coalesce": Command(
+        cmd_coalesce, CoalesceConfig, ("L", "s", "k", "p_hat", "target", "se"),
+        "lineage-count law of coalescing walkers vs the death process",
+    ),
+    "conditions": Command(
+        cmd_conditions, ConditionsConfig, ("M", "sigma2", "p1_max_dev", "p2_min", "p3_max_abs"),
+        "kernel regularity diagnostics over a range ladder",
+    ),
+    "audit": Command(
+        cmd_audit, AuditConfig, ("kind", "K", "J", "theta1", "theta2", "value", "reference"),
+        "exponential-sum bounds and logarithmic lattice-sum ratios",
+    ),
 }
 
 
@@ -593,7 +569,9 @@ def _fmt(value) -> str:
 
 
 def write_outputs(
-    report: RunReport,
+    command: str,
+    rows: list[tuple],
+    resolved: dict,
     out_dir: str,
     basename: str,
     raw_cfg: dict,
@@ -606,18 +584,18 @@ def write_outputs(
     meta_path = os.path.join(out_dir, basename + ".meta.json")
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(report.columns)
-        for row in report.rows:
+        writer.writerow(COMMANDS[command].columns)
+        for row in rows:
             writer.writerow([_fmt(v) for v in row])
     meta = {
-        "command": report.command,
+        "command": command,
         "version": __version__,
         "seed": seed,
         "workers": workers,
         "wall_seconds": wall_seconds,
-        "rows": len(report.rows),
+        "rows": len(rows),
         "config": raw_cfg,
-        "resolved": report.resolved,
+        "resolved": resolved,
     }
     with open(meta_path, "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
@@ -632,17 +610,9 @@ def main(argv: list[str] | None = None) -> int:
         "hitting times and coalescing walkers.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    helps = {
-        "laplace": "exact hitting transforms vs their scaling targets",
-        "uniformity": "worst-case deviation of the walk's law from uniform",
-        "beta0": "limiting mean constant of the mixture family by quadrature",
-        "simulate": "Monte Carlo hitting transforms vs exact values",
-        "coalesce": "lineage-count law of coalescing walkers vs the death process",
-        "conditions": "kernel regularity diagnostics over a range ladder",
-        "audit": "exponential-sum bounds and logarithmic lattice-sum ratios",
-    }
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=helps[name])
+    for name, command in COMMANDS.items():
+        text = f"{command.help}; CSV columns: {', '.join(command.columns)}"
+        p = sub.add_parser(name, help=text, description=text)
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
         p.add_argument("--workers", type=int, default=1, help="worker threads (default 1)")
@@ -660,12 +630,16 @@ def main(argv: list[str] | None = None) -> int:
         if command != args.command:
             raise ConfigError(f"config is for command {command!r}, not {args.command!r}")
         output = read(Output, blocks.pop("output", {}), f"{args.command}.output")
-        report = COMMANDS[args.command](blocks, seed=args.seed, workers=args.workers)
+        cmd = COMMANDS[args.command]
+        rows, resolved = cmd.run(read(cmd.config, blocks, args.command), args.seed, args.workers)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"config error: invalid value: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"config error: needs more memory than this machine has: {exc}", file=sys.stderr)
         return 2
     except QuadratureError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
@@ -677,10 +651,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"step-cap abort: {exc}", file=sys.stderr)
         return 4
     wall = time.perf_counter() - t0
+    basename = output.basename or args.command
     csv_path, meta_path = write_outputs(
-        report, args.out, output.basename or args.command, cfg, args.seed, args.workers, wall
+        args.command, rows, resolved, args.out, basename, cfg, args.seed, args.workers, wall
     )
-    print(f"wrote {csv_path} and {meta_path} ({len(report.rows)} rows, {wall:.2f}s)")
+    print(f"wrote {csv_path} and {meta_path} ({len(rows)} rows, {wall:.2f}s)")
     return 0
 
 

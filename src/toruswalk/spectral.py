@@ -32,15 +32,11 @@ gap and G(0, lam) are such sums of weights, with no transform.  The
 mod-L layout of `torus` (origin at index 0), for the comparisons with
 the dense oracle at small L.
 
-One grid (uniform M=8) with the hitting transforms at three lams, each
-with the `laplace` window's sup, and the uniformity gaps at the
-`uniformity` times, in a fresh single-threaded process on a 2-core
-x86_64 machine, at L=4096 and 8192: the grid takes 0.029 s and
-0.088 s, a hitting transform with its sup 0.14 s and 0.69 s, and a gap
-0.0056 s and 0.019 s, with peaks of 123 MB and 315 MB RSS;
-meanfield(4096)'s 1 - DCT-I grid takes 0.13 s (tools/bench_layers.py
-spectral-large; medians in BENCH_spectral_large.json, where the same
-code reads up to 8% apart between runs).
+At L=4096 the quadrant is 34 MB of float64.  The times of one grid
+(uniform M=8), of a hitting transform with the `laplace` window's sup,
+of a uniformity gap and of meanfield's 1 - DCT-I grid, and the peak
+RSS, at L=4096 and 8192, are the medians in BENCH_spectral_large.json
+(tools/bench_layers.py spectral-large).
 
 Kernels whose range equals the torus side are wrapped with colliding
 pre-images summed, which is exact at torus frequencies; ranges

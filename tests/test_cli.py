@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import toruswalk
 from toruswalk import __version__
-from toruswalk.cli import _sup_gap, main
+from toruswalk.cli import COMMANDS, _sup_gap, main
 from toruswalk.torus import _axis_footprint
 
 
@@ -637,6 +638,10 @@ def test_non_finite_and_boolean_numbers_are_exit_2(tmp_path, command, cfg):
             },
             None,
         ),
+        # each list below is bad only at its second value
+        ("beta0", {"command": "beta0", "q0": {"family": "uniform", "M": 2}, "c_values": [0.5, 2.0]}, None),
+        ("uniformity", dict(UNIFORMITY_CFG, scale={"k_values": [1, -1]}), None),
+        ("simulate", dict(SIMULATE_CFG, scale={"lams": [1, -1]}), None),
     ],
     ids=[
         "seed-negative",
@@ -647,6 +652,9 @@ def test_non_finite_and_boolean_numbers_are_exit_2(tmp_path, command, cfg):
         "conditions-mid-region-empty",
         "annulus-larger-than-torus",
         "annulus-window-overflows",
+        "beta0-c-out-of-range-second",
+        "uniformity-k-negative-second",
+        "simulate-lam-negative-second",
     ],
 )
 def test_config_errors_are_refused_before_any_numeric_work(tmp_path, monkeypatch, command, cfg, extra):
@@ -656,9 +664,63 @@ def test_config_errors_are_refused_before_any_numeric_work(tmp_path, monkeypatch
     monkeypatch.setattr("toruswalk.cli.build_grid", forbidden)
     monkeypatch.setattr("toruswalk.cli.simulate_hits", forbidden)
     monkeypatch.setattr("toruswalk.cli.lineage_count_law", forbidden)
+    monkeypatch.setattr("toruswalk.cli.beta0", forbidden)
     monkeypatch.setattr("toruswalk.spectral.char_fn", forbidden)
     code, _ = _run(tmp_path, cfg, command, extra=extra)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("laplace", {**MEANFIELD_LAPLACE, "torus": {"L": [2**22]}, "kernel": {"family": "uniform", "M": 2}}),
+        ("simulate", {**SIMULATE_CFG, "torus": {"L": [2**40]}}),
+        ("audit", {"command": "audit", "audit": dict(AUDIT_CFG["audit"], K=2**40)}),
+        ("conditions", dict(CONDITIONS_CFG, M_values=[2**20])),
+    ],
+    ids=["laplace-L2^22", "simulate-L2^40", "audit-K2^40", "conditions-M2^20"],
+)
+def test_input_too_big_for_memory_is_exit_2(tmp_path, command, cfg):
+    # a child interpreter whose address space is capped at 2 GiB, so a
+    # run that tries to allocate cannot touch more than that
+    cfg_path = _write_cfg(tmp_path / f"{command}.json", cfg)
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from toruswalk.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))"
+    )
+    argv = [command, "--config", cfg_path, "--out", str(tmp_path / "out")]
+    env = dict(_src_env(), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error: needs more memory than this machine has: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_table_and_help_list_each_command_with_its_columns(capsys):
+    """README's CLI table and `toruswalk --help` show exactly the commands
+    of cli.COMMANDS, each with its CSV columns in order."""
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = {}
+    for line in readme.splitlines():
+        if line.startswith("| `"):
+            # a table cell ends at every pipe that is not escaped, also inside code
+            cells = [cell.strip() for cell in re.split(r"(?<!\\)\|", line)[1:-1]]
+            assert len(cells) == 3, line
+            table[cells[0].strip("`")] = tuple(cells[2].strip("`").split(","))
+    assert table == {name: command.columns for name, command in COMMANDS.items()}
+    assert list(table) == list(COMMANDS)
+
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for name, command in COMMANDS.items():
+        assert f"{name} {command.help}; CSV columns: {', '.join(command.columns)}" in text
 
 
 def test_benchmark_tracer_hooks_resolve():

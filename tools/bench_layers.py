@@ -37,9 +37,10 @@ spectral-large runs one variant per side L = 4096 and 8192.  Each
 imports scipy.fft first (so no timing below pays a lazy import), builds
 one grid (uniform M=8) on the torus of side L, runs the CLI's hitting
 transforms and uniformity gaps on it, and measures the following.
-Every layer is timed as the median of CALLS (5) calls per argument, so
-that a 10% change stands out of the machine's jitter; a call's result
-is dropped before the next call starts.
+Every layer is timed as the median of CALLS (5) calls per argument,
+after one untimed warm-up call, so that a 10% change stands out of the
+machine's jitter and no timing pays a first call's one-off costs; a
+call's result is dropped before the next call starts.
 
 * build_grid_s: `build_grid` (the product route);
 * laplace_hit_s: `laplace_hit` plus the CLI's sup of |F - target|
@@ -156,7 +157,9 @@ def measure_tier1(_: int) -> dict:
 
 
 def call_times(fn) -> list[float]:
-    """Seconds of each of CALLS calls of fn(), whose result is dropped at once."""
+    """Seconds of each of CALLS calls of fn() after one untimed warm-up
+    call; each result is dropped at once."""
+    fn()
     out = []
     for _ in range(CALLS):
         t0 = time.perf_counter()

@@ -568,6 +568,19 @@ def _fmt(value) -> str:
     return "%.17g" % float(value)
 
 
+def _check_out_dir(path: str) -> None:
+    """Refuse an --out that cannot become a writable directory, and create
+    nothing: its nearest existing ancestor, or the path itself, must be a
+    directory that this process may write into."""
+    probe = os.path.abspath(path)
+    while not os.path.lexists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise ConfigError(f"--out {path}: {probe} exists and is not a directory")
+    if not os.access(probe, os.W_OK | os.X_OK):
+        raise ConfigError(f"--out {path}: directory {probe} is not writable")
+
+
 def write_outputs(
     command: str,
     rows: list[tuple],
@@ -630,6 +643,7 @@ def main(argv: list[str] | None = None) -> int:
         if command != args.command:
             raise ConfigError(f"config is for command {command!r}, not {args.command!r}")
         output = read(Output, blocks.pop("output", {}), f"{args.command}.output")
+        _check_out_dir(args.out)
         cmd = COMMANDS[args.command]
         rows, resolved = cmd.run(read(cmd.config, blocks, args.command), args.seed, args.workers)
     except ConfigError as exc:

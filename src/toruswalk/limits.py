@@ -20,7 +20,8 @@ beta0 evaluates the limiting mean constant of the mixture family,
 by quadrature_midpoint_2d, a midpoint rule under dyadic refinement
 with its controls in a QuadratureSpec (the integrand is smooth and
 periodic, so refinement converges fast; c = 1 gives 12/pi + 1
-exactly).
+exactly).  The integrand is formed as 1/(c + (1 - c) psi) from
+spectral.psi_grid's psi = 1 - q0_hat, with no cancellation in 1 - q0_hat.
 
 death_process_dist is the lineage-count law of the n-to-1 pure death
 chain with rate k(k-1)/2 in state k: the last row of the matrix
@@ -46,7 +47,7 @@ import numpy as np
 
 from .kernels import JumpKernel, check_range
 from .spectral import char_fn  # noqa: F401  (wrapped by perfbench/tracer.py)
-from .spectral import TILE_ENTRIES, char_fn_grid
+from .spectral import TILE_ENTRIES, psi_grid
 from .torus import TWO_PI, TorusSpec
 
 RING_LOG2_LIMIT = TWO_PI * math.log(2.0)
@@ -195,8 +196,10 @@ class Beta0Result:
 def beta0(c: float, q0: JumpKernel, quad: QuadratureSpec = QuadratureSpec()) -> Beta0Result:
     """Limiting mean constant 12/(c pi) + (2 pi)^-2 int 1/(1 - (1-c) q0_hat).
 
-    The integral runs over the full period square [-pi, pi]^2; the
-    denominator is bounded below by c, so the integrand is smooth.
+    The integral runs over the full period square [-pi, pi]^2, with the
+    integrand 1/(c + (1 - c) psi) taken from psi = 1 - q0_hat on each
+    level's tensor grid (spectral.psi_grid); the denominator is bounded
+    below by c, so the integrand is smooth.
     Raises QuadratureError (carrying the last two estimates) if one
     more doubling would pass quad.max_axis before two levels agree
     within quad.tol.
@@ -205,11 +208,11 @@ def beta0(c: float, q0: JumpKernel, quad: QuadratureSpec = QuadratureSpec()) -> 
         raise ValueError(f"mixture weight must lie in (0, 1], got {c}")
 
     def integrand(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
-        # t1, t2 are the grid's axes, (n, 1) and (1, n)
-        # 1 / (1 - (1 - c) q_hat), in the storage of q_hat
-        w = char_fn_grid(q0, t1, t2)
-        w *= -(1.0 - c)
-        w += 1.0
+        # t1, t2 are the grid's axes, (n, 1) and (1, n);
+        # 1 - (1 - c) q_hat = c + (1 - c) psi, in the storage of psi
+        w = psi_grid(q0, t1, t2)
+        w *= 1.0 - c
+        w += c
         return np.reciprocal(w, out=w)
 
     value, _, history = quadrature_midpoint_2d(integrand, math.pi, quad)

@@ -17,11 +17,13 @@ stored on the closed quadrant 0..L/2 per axis: an (L/2 + 1)^2 array
 indexed by coordinate, whose entry (a, b) stands for the m(a) m(b)
 torus points (+-a, +-b), with m = 1 at 0 and L/2 and m = 2 elsewhere.
 The grid stores psi itself, not phi, so no weight is formed from
-1 - phi: build_grid takes psi from a product form that does not cancel
-near theta = 0 (a kernel of extent e = M/2 + 1 per axis costs
-O(L^2 e)), or, when e exceeds L/10 as for meanfield, as 1 minus one
-type-I discrete cosine transform (DCT-I) of the kernel mass wrapped
-onto the quadrant.  Each field is the DCT-I of its frequency
+1 - phi: build_grid takes psi from psi_grid at the torus frequencies
+(a kernel of extent e = M/2 + 1 per axis costs O(L^2 e)), or, when e
+exceeds L/10 as for meanfield, as 1 minus one type-I discrete cosine
+transform (DCT-I) of the kernel mass wrapped onto the quadrant.
+psi_grid is the one evaluator of psi at arbitrary angles: a product
+form on a tensor grid of angles that does not cancel near theta = 0,
+which also serves limits.beta0.  Each field is the DCT-I of its frequency
 weights divided by L^2, along axis 0 and then axis 1 as in
 scipy.fft.dctn; the hitting transform skips that division, since
 L^2 cancels in G / G(0).  Heat weights exp(-t psi) that underflow to exact
@@ -62,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import JumpKernel, _box_axis
+from .kernels import JumpKernel
 from .torus import TWO_PI, TorusSpec
 
 HEAT_NEGATIVE_TOL = 1e-12
@@ -134,18 +136,27 @@ def char_fn(kernel: JumpKernel, theta: np.ndarray) -> np.ndarray:
     return result[0] if np.asarray(theta).ndim == 1 else result
 
 
-def char_fn_grid(kernel: JumpKernel, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """char_fn on the tensor grid: out[i, j] = phi(u[i], v[j]), shape (|u|, |v|).
+def psi_grid(kernel: JumpKernel, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """psi = 1 - phi on the tensor grid: out[i, j] = psi(u[i], v[j]), shape (|u|, |v|).
 
-    The box is symmetric under each axis reflection, so phi(u, v) =
-    sum_ab box[a, b] cos(u x_a) cos(v x_b), x = -M/2..M/2: the matrix
-    product cos(u (x) x) @ box @ cos(x (x) v), with O(M) cosines per
-    grid line instead of O(M^2) per grid point.
+    With Q the mass box folded onto 0..M/2 per axis (the mass of the
+    images (+-a, +-b), so the image counts are 1, 2, ..., 2), r its row
+    sums, s(t, a) = 2 sin^2(t a / 2) and c(t, a) = cos(t a), the
+    identity 1 - cos A cos B = 2 sin^2(A/2) + cos A 2 sin^2(B/2) gives
+    psi = s(u) r + c(u) Q s(v)^T, which does not cancel near theta = 0
+    and is exactly 0 at the origin: O(M) sines per grid line and one
+    |u| x e by e x |v| product, e = M/2 + 1.
     """
-    x = _box_axis(kernel.M).astype(np.float64)
-    u = np.asarray(u, dtype=np.float64).reshape(-1)
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
-    return np.cos(np.outer(u, x)) @ kernel.box @ np.cos(np.outer(x, v))
+    h = kernel.M // 2
+    m = np.full(h + 1, 2.0)
+    m[0] = 1.0
+    Q = kernel.box[h:, h:] * np.outer(m, m)
+    a = np.arange(h + 1.0)
+    ua, va = np.outer(u, a), np.outer(v, a)  # the phases t a of each axis
+    su, sv = (2.0 * np.sin(0.5 * ta) ** 2 for ta in (ua, va))
+    psi = (np.cos(ua) @ Q) @ sv.T
+    psi += (su @ Q.sum(axis=1))[:, None]
+    return psi
 
 
 def _check_quadrant(q: np.ndarray, spec: TorusSpec, what: str) -> None:
@@ -223,53 +234,16 @@ class SpectralGrid:
             raise ValueError("psi = 1 - phi must lie in [0, 2]")
 
 
-def _quadrant_mass(kernel: JumpKernel, spec: TorusSpec) -> np.ndarray:
-    """Kernel mass wrapped onto the torus, on the points 0..M/2 per axis of the quadrant."""
-    q = kernel.box[kernel.M // 2 :, kernel.M // 2 :].copy()
-    if kernel.M == spec.L:  # the mirror pre-images -L/2 and L/2 are one torus point
-        q[-1] *= 2.0
-        q[:, -1] *= 2.0
-    return q
-
-
-def _psi_product(kernel: JumpKernel, spec: TorusSpec) -> np.ndarray:
-    """psi on the quadrant from the product form, with no cancellation near 0.
-
-    With Q the mass of the images (+-a, +-b) of each quadrant point, r
-    its row sums, s(k, a) = 2 sin^2(theta_k a / 2) and c(k, a) =
-    cos(theta_k a), the identity 1 - cos A cos B = 2 sin^2(A/2) +
-    cos A 2 sin^2(B/2) gives psi = s r + c Q s^T: one product of an
-    (L/2 + 1) x e by an e x (L/2 + 1) matrix, e = M/2 + 1 the mass's
-    extent per axis.
-    """
-    L, n = spec.L, spec.L // 2 + 1
-    Q = _quadrant_mass(kernel, spec)
-    e = Q.shape[0]
-    m = np.full(e, 2.0)  # torus points per quadrant index
-    m[0] = 1.0
-    if e == n:
-        m[-1] = 1.0  # the coordinate L/2 is its own mirror image
-    Q *= np.outer(m, m)
-    # theta_k a / 2 = pi (k a) / L, reduced exactly in integers to
-    # pi j / L with j in 0..L/2, which leaves s and c unchanged
-    ka = np.outer(np.arange(n), np.arange(e)) % L
-    half = np.minimum(ka, L - ka) * (math.pi / L)
-    s = np.sin(half)
-    s *= s
-    s *= 2.0
-    psi = (np.cos(2.0 * half) @ Q) @ s.T
-    psi += (s @ Q.sum(axis=1))[:, None]
-    return psi
-
-
 def _psi_dct(kernel: JumpKernel, spec: TorusSpec) -> np.ndarray:
-    """psi on the quadrant as 1 minus the DCT-I of the wrapped mass, with psi(0) pinned to 0."""
-    n = spec.L // 2 + 1
-    q = _quadrant_mass(kernel, spec)
-    e = q.shape[0]
+    """psi on the quadrant as 1 minus the DCT-I of the kernel mass wrapped
+    onto it, with psi(0) pinned to 0."""
+    n, h = spec.L // 2 + 1, kernel.M // 2
     a = np.zeros((n, n))
-    a[:e, :e] = q
-    psi = np.subtract(1.0, _dct1(a, e), out=a)
+    a[: h + 1, : h + 1] = kernel.box[h:, h:]
+    if kernel.M == spec.L:  # the mirror pre-images -L/2 and L/2 are one torus point
+        a[h] *= 2.0
+        a[:, h] *= 2.0
+    psi = np.subtract(1.0, _dct1(a, h + 1), out=a)
     psi[0, 0] = 0.0
     return psi
 
@@ -278,19 +252,22 @@ def build_grid(kernel: JumpKernel, spec: TorusSpec) -> SpectralGrid:
     """Evaluate psi = 1 - phi over the quadrant of torus frequencies.
 
     The route is chosen by the mass's extent e = M/2 + 1 per axis
-    against the side L.  When 10 e <= L, the product form (_psi_product,
-    O(L^2 e)) is exact at every frequency, to within rounding of psi
-    itself.  Wider kernels, up to M = L (meanfield), take 1 minus one
-    DCT-I of the wrapped mass (_psi_dct, O(L^2 log L)); there psi is
-    not small off the origin.  The two costs meet near e = L/10
-    (single-threaded, L = 512 to 4096).
+    against the side L.  When 10 e <= L, psi_grid's product form at
+    theta_k = 2 pi k / L, k = 0..L/2 (O(L^2 e)), is exact at every
+    frequency, to within rounding of psi itself.  Wider kernels, up to
+    M = L (meanfield), take 1 minus one DCT-I of the wrapped mass
+    (_psi_dct, O(L^2 log L)); there psi is not small off the origin.
+    The two costs meet near e = L/10 (single-threaded, L = 512 to 4096).
     """
-    if kernel.M > spec.L:
-        raise ValueError(
-            f"kernel range {kernel.M} exceeds torus side {spec.L}; wrap is ambiguous"
-        )
-    route = _psi_product if 10 * (kernel.M // 2 + 1) <= spec.L else _psi_dct
-    return SpectralGrid(spec=spec, kernel_label=kernel.label, quadrant=route(kernel, spec))
+    L = spec.L
+    if kernel.M > L:
+        raise ValueError(f"kernel range {kernel.M} exceeds torus side {L}; wrap is ambiguous")
+    if 10 * (kernel.M // 2 + 1) <= L:
+        theta = TWO_PI * np.arange(L // 2 + 1) / L
+        psi = psi_grid(kernel, theta, theta)
+    else:
+        psi = _psi_dct(kernel, spec)
+    return SpectralGrid(spec=spec, kernel_label=kernel.label, quadrant=psi)
 
 
 @dataclass(frozen=True)

@@ -185,8 +185,9 @@ def _axis_footprint(region: Annulus, spec: TorusSpec) -> tuple[np.ndarray, np.nd
     it and not in the hole's (or is nonzero when there is no hole).
     Both are intervals: outer is 0..A, and ring is p..A or empty.
 
-    Like index_of, raises ValueError when a point of the region lies
-    outside the canonical torus range, rather than clipping the annulus.
+    Raises ValueError, naming the outer side and L, when a point of the
+    region lies outside the canonical torus range, rather than clipping
+    the annulus.
     The hole is a centered square nested in the outer one, so a
     nonempty region has a member in every extreme row and column of its
     outer square; it reaches off the torus exactly when those leave
@@ -196,7 +197,9 @@ def _axis_footprint(region: Annulus, spec: TorusSpec) -> tuple[np.ndarray, np.nd
     lo, hi = _axis_range(outer_side)
     half = spec.L // 2
     if region_size(region) > 0 and (lo < 1 - half or hi > half):
-        raise ValueError("point outside canonical torus range; wrap() it first")
+        raise ValueError(
+            f"the start window's outer side {outer_side:g} reaches off the torus of side {spec.L}"
+        )
     pos = np.arange(half + 1, dtype=np.int64)
     outer = np.zeros(pos.size, dtype=bool)
     ring = np.zeros(pos.size, dtype=bool)

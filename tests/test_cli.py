@@ -670,6 +670,38 @@ def test_config_errors_are_refused_before_any_numeric_work(tmp_path, monkeypatch
     assert code == 2
 
 
+@pytest.mark.parametrize("out", ["afile", "afile/sub"], ids=["a-file", "under-a-file"])
+def test_out_that_cannot_be_a_directory_is_refused_before_any_work(tmp_path, monkeypatch, capsys, out):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numeric work started before --out was checked")
+
+    monkeypatch.setattr("toruswalk.cli.build_grid", forbidden)
+    (tmp_path / "afile").write_text("kept")
+    code, _ = _run(tmp_path, UNIFORMITY_CFG, "uniformity", out=out)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: --out {tmp_path / out}: ") and len(err.splitlines()) == 1
+    assert "is not a directory" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "uniformity.json"]
+    assert (tmp_path / "afile").read_text() == "kept"
+
+
+def test_start_window_off_the_torus_names_its_side(tmp_path, capsys):
+    # the outer side 8 (log 64)^3 = 575.47 exceeds the torus side 64
+    cfg = {
+        "command": "laplace",
+        "torus": {"L": [64]},
+        "kernel": {"family": "uniform", "M": 2},
+        "scale": {"lams": [0.5], "mode": "finite", "rho": 0.0, "alpha": 0.5, "v_exponent": 3},
+    }
+    code, out = _run(tmp_path, cfg, "laplace")
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr().err == (
+        "config error: invalid value: the start window's outer side 575.467 "
+        "reaches off the torus of side 64\n"
+    )
+
+
 @pytest.mark.parametrize(
     "command, cfg",
     [
@@ -776,6 +808,35 @@ def test_benchmark_oracle_check_passes():
     checks.oracle(toruswalk, [0.5, 1, 2])
     assert [name for name, _, _ in checks.results] == ["oracle.laplace_hit", "oracle.heat"]
     assert checks.failed == [], checks.results
+
+
+def test_benchmark_table_checks_pass(tmp_path, monkeypatch):
+    """Every benchmark workload command, run through the CLI at a fixed
+    seed, passes the benchmark's own table checks against the recorded
+    reference: a numeric drift beyond their tolerance must fail here,
+    not in the benchmark."""
+    import importlib.util
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1] / "perfbench"
+    modules = {}
+    for name in ("workloads", "checks"):
+        spec = importlib.util.spec_from_file_location(f"perfbench_{name}", root / f"{name}.py")
+        modules[name] = importlib.util.module_from_spec(spec)
+        # dataclasses look their module up in sys.modules while the class is built
+        monkeypatch.setitem(sys.modules, spec.name, modules[name])
+        spec.loader.exec_module(modules[name])
+    workloads, checks_module = modules["workloads"], modules["checks"]
+    reference = checks_module.load_reference()
+    checks = checks_module.Checks()
+    commands = [c for w in workloads.WORKLOADS.values() for c in w.commands]
+    run_dir, out_dir = str(tmp_path), str(tmp_path / "out")
+    workloads.write_configs(commands, run_dir)
+    for command in commands:
+        assert main(workloads.cli_argv(command, run_dir, out_dir, 7)) == 0, command.name
+        checks.table(command, out_dir, reference)
+    assert len(commands) == 7 and len(checks.results) >= 2 * len(commands)
+    assert checks.failed == [], checks.failed
 
 
 @pytest.mark.parametrize(

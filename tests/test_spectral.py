@@ -25,15 +25,14 @@ from toruswalk.spectral import (
     _heat_weights,
     _live_columns,
     _psi_dct,
-    _psi_product,
     _tile_rows,
     build_grid,
     char_fn,
-    char_fn_grid,
     condition_report,
     green,
     heat,
     laplace_hit,
+    psi_grid,
     uniformity_gap,
 )
 from toruswalk.torus import TorusSpec, index_of, point_of
@@ -113,8 +112,51 @@ def test_char_fn_working_set_is_one_tile(traced_peak):
     assert traced_peak(lambda: char_fn(k, probes)) - peak <= 8 * (16384 - 4096) + 4096
 
 
+PSI_KERNELS = {
+    "uniform8": uniform_kernel(8),
+    "uniform128": uniform_kernel(128),
+    "density": density_kernel(8, QUARTIC),
+    "mixture": mixture_kernel(0.3, 16, uniform_kernel(2)),
+    "meanfield": meanfield_kernel(16),
+}
+
+
+@pytest.mark.parametrize("family", list(PSI_KERNELS))
+def test_psi_grid_matches_a_40_digit_sum(family):
+    # psi = 2 sum_x q(x) sin^2(theta . x / 2) at 40 digits, summed over
+    # the first half of the support (x and -x carry equal terms)
+    k = PSI_KERNELS[family]
+    rng = np.random.default_rng(4)
+    angles = np.concatenate([[0.0, 1e-8, -1e-5, 1e-4, 3e-3], rng.uniform(-math.pi, math.pi, 2), [math.pi, -math.pi]])
+    u, v = angles, np.roll(angles, -1)
+    grid = psi_grid(k, u, v)
+    assert grid.shape == (u.size, v.size) and grid[0, -1] == 0.0  # u = v = 0
+    # every pair for the small kernels; for uniform(128), whose 16,640
+    # points cost about 0.1 s per pair, the pairs (u[i], v[i]) of
+    # neighboring angles
+    pairs = [(i, i) for i in range(u.size)] if k.M > 16 else [(i, j) for i in range(u.size) for j in range(v.size)]
+    half = k.n_support // 2
+    with mpmath.workdps(40):
+        masses = [mpmath.mpf(float(q)) for q in k.masses[:half]]
+        points = k.points[:half].tolist()
+        worst = 0.0
+        for i, j in pairs:
+            t1, t2 = mpmath.mpf(float(u[i])) / 2, mpmath.mpf(float(v[j])) / 2
+            ref = 4 * mpmath.fsum(q * mpmath.sin(t1 * x1 + t2 * x2) ** 2 for q, (x1, x2) in zip(masses, points))
+            if ref == 0:
+                assert grid[i, j] == 0.0
+            else:
+                worst = max(worst, float(abs(grid[i, j] - ref) / ref))
+    # psi_grid's two products sum e = M/2 + 1 terms per axis and its
+    # phases t a reach pi M / 2, so its rounding grows with M: at most
+    # 4.5e-16 for these kernels of M <= 16, and 1.8e-15 for uniform(128)
+    # at (0, 1e-8); 1e-15 up to M = 32, linear beyond
+    assert worst <= 1e-15 * max(1.0, k.M / 32)
+
+
 @pytest.mark.parametrize("family", ["uniform", "density", "mixture", "meanfield"])
 def test_char_fn_grid_matches_char_fn(family):
+    # phi on the tensor grid, 1 - psi_grid, against char_fn probe by probe
     k = {
         "uniform": uniform_kernel(8),
         "density": density_kernel(8, QUARTIC),
@@ -124,21 +166,22 @@ def test_char_fn_grid_matches_char_fn(family):
     rng = np.random.default_rng(6)
     u = np.concatenate([rng.uniform(-math.pi, math.pi, 40), [0.0, math.pi, 1e-4]])
     v = np.concatenate([rng.uniform(-math.pi, math.pi, 30), [0.0, -math.pi]])
-    grid = char_fn_grid(k, u, v)
+    grid = 1.0 - psi_grid(k, u, v)
     t1, t2 = np.meshgrid(u, v, indexing="ij")
     dense = char_fn(k, np.stack([t1, t2], axis=-1))
     assert grid.shape == (u.size, v.size)
     # char_fn rounds phases theta . x of size up to pi M, so its own error
     # grows with M (1.8e-15 against a long-double sum for meanfield(16),
-    # where the grid's is 2.4e-16): 1e-15 up to M = 8, linear beyond
+    # where 1 - psi_grid's is 3.6e-16): 1e-15 up to M = 8, linear beyond
     assert np.max(np.abs(grid - dense)) <= 1e-15 * max(1.0, k.M / 8)
 
 
 def _grid_routes(kernel, spec):
-    """psi on the quadrant by the product route, the DCT-I route and 1 - char_fn."""
+    """psi on the quadrant by the product route (psi_grid at the torus
+    frequencies), the DCT-I route and 1 - char_fn."""
     k = 2 * math.pi * np.arange(spec.L // 2 + 1) / spec.L
     direct = 1.0 - char_fn(kernel, np.stack(np.meshgrid(k, k, indexing="ij"), axis=-1))
-    return _psi_product(kernel, spec), _psi_dct(kernel, spec), direct
+    return psi_grid(kernel, k, k), _psi_dct(kernel, spec), direct
 
 
 def test_grid_fft_matches_direct():
@@ -257,7 +300,7 @@ def test_heat_matches_dense_exponential_on_both_routes():
     spec = TorusSpec(16)
     k = uniform_kernel(2)
     chain = dense_chain(k, spec)
-    for psi in (_psi_product(k, spec), _psi_dct(k, spec)):
+    for psi in _grid_routes(k, spec)[:2]:
         grid = SpectralGrid(spec=spec, kernel_label=k.label, quadrant=psi)
         for t in (0.3, 6.0, 1000.0, 2000.0):
             assert np.max(np.abs(heat(grid, t).raw - dense_heat(chain, t))) < 1e-10

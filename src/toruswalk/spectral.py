@@ -21,11 +21,14 @@ The grid stores psi itself, not phi, so no weight is formed from
 (a kernel of extent e = M/2 + 1 per axis costs O(L^2 e)), or, when e
 exceeds L/10 as for meanfield, as 1 minus one type-I discrete cosine
 transform (DCT-I) of the kernel mass wrapped onto the quadrant.
-psi_grid is the one evaluator of psi at arbitrary angles: a product
-form on a tensor grid of angles that does not cancel near theta = 0,
-which also serves limits.beta0.  Each field is the DCT-I of its frequency
-weights divided by L^2, along axis 0 and then axis 1 as in
-scipy.fft.dctn; the hitting transform skips that division, since
+psi_grid and _psi_probes evaluate psi at arbitrary angles through one
+set of per-axis factors (_psi_factors), a product form that does not
+cancel near theta = 0: psi_grid reduces them by one matrix product on
+a tensor grid of angles (build_grid, limits.beta0), _psi_probes by a
+row-wise dot per probe (condition_report's mid and far annuli).
+Each field is the DCT-I of its frequency weights divided by L^2,
+along axis 0 and then axis 1 as in scipy.fft.dctn; the hitting
+transform skips that division, since
 L^2 cancels in G / G(0).  Heat weights exp(-t psi) that underflow to exact
 zeros fill whole columns, and the first pass skips those.  Sums over
 the torus weight the quadrant by m(a) m(b) (torus_sum); the uniformity
@@ -49,7 +52,12 @@ tiles of probes: a multiple of 8 probes per tile, at most TILE_ENTRIES
 (2^16) cosines unless 8 probes need more, and the last tile zero-padded
 to full size.  So its working set does not grow with the number of
 probes (1.9 MB for uniform M=128), and a probe's value does not
-depend on how the probes are batched.
+depend on how the probes are batched.  It costs (M + 1)^2 / 2 cosines
+per probe, and serves only condition_report's small ball, whose
+digits perfbench/reference.json pins; _psi_probes costs 3(M/2 + 1)
+sines and cosines and one product row of M/2 + 1 terms per probe, in
+tiles of the same kind whose working set is at most TILE_ENTRIES
+entries.
 limits._quadrant_sum runs its lattice sums in strips of the same budget.
 
 condition_report probes finite-size analogs of the small-ball,
@@ -75,7 +83,7 @@ N_RADII = 64
 # subnormal is exp(-744.4), and exp(-745.2) already rounds to 0)
 EXP_UNDERFLOW = 746.0
 # working-set budget, in float64 entries, of the tiled lattice loops:
-# char_fn's probe tiles and limits._quadrant_sum's strips
+# the probe tiles of char_fn and _psi_probes, and limits._quadrant_sum's strips
 TILE_ENTRIES = 2**16
 
 
@@ -136,6 +144,33 @@ def char_fn(kernel: JumpKernel, theta: np.ndarray) -> np.ndarray:
     return result[0] if np.asarray(theta).ndim == 1 else result
 
 
+def _sin2(phases: np.ndarray) -> np.ndarray:
+    """2 sin^2(p / 2) of each phase p, in place."""
+    np.multiply(phases, 0.5, out=phases)
+    np.sin(phases, out=phases)
+    np.square(phases, out=phases)
+    np.multiply(phases, 2.0, out=phases)
+    return phases
+
+
+def _psi_factors(kernel: JumpKernel, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows [c(u_i) Q | s(u_i) r] and [s(v_j) | 1], of e + 1 entries each,
+    whose dot product is psi(u_i, v_j): psi_grid's identity split into
+    one factor per axis, e = M/2 + 1 sines or cosines per angle."""
+    h = kernel.M // 2
+    m = np.full(h + 1, 2.0)
+    m[0] = 1.0
+    Q = kernel.box[h:, h:] * np.outer(m, m)
+    a = np.arange(h + 1.0)
+    ua = np.outer(u, a)  # the phases t a of the first axis
+    left = np.empty((ua.shape[0], h + 2))
+    np.matmul(np.cos(ua), Q, out=left[:, :-1])
+    left[:, -1] = _sin2(ua) @ Q.sum(axis=1)
+    right = np.ones((np.size(v), h + 2))
+    _sin2(np.outer(v, a, out=right[:, :-1]))
+    return left, right
+
+
 def psi_grid(kernel: JumpKernel, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """psi = 1 - phi on the tensor grid: out[i, j] = psi(u[i], v[j]), shape (|u|, |v|).
 
@@ -145,18 +180,35 @@ def psi_grid(kernel: JumpKernel, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     identity 1 - cos A cos B = 2 sin^2(A/2) + cos A 2 sin^2(B/2) gives
     psi = s(u) r + c(u) Q s(v)^T, which does not cancel near theta = 0
     and is exactly 0 at the origin: O(M) sines per grid line and one
-    |u| x e by e x |v| product, e = M/2 + 1.
+    product [c(u) Q | s(u) r] @ [s(v) | 1]^T of inner size e + 1,
+    e = M/2 + 1 (_psi_factors).
     """
-    h = kernel.M // 2
-    m = np.full(h + 1, 2.0)
-    m[0] = 1.0
-    Q = kernel.box[h:, h:] * np.outer(m, m)
-    a = np.arange(h + 1.0)
-    ua, va = np.outer(u, a), np.outer(v, a)  # the phases t a of each axis
-    su, sv = (2.0 * np.sin(0.5 * ta) ** 2 for ta in (ua, va))
-    psi = (np.cos(ua) @ Q) @ sv.T
-    psi += (su @ Q.sum(axis=1))[:, None]
-    return psi
+    left, right = _psi_factors(kernel, u, v)
+    return left @ right.T
+
+
+def _psi_probes(kernel: JumpKernel, theta: np.ndarray) -> np.ndarray:
+    """psi at each probe theta[i] = (u_i, v_i), shape theta.shape[:-1]:
+    the row-wise dot of _psi_factors(kernel, u, v), 3e sines and
+    cosines and one e x e product row per probe, e = M/2 + 1.
+
+    As in char_fn, the probes run in tiles of T = _tile_rows(4 (e + 1))
+    rows, the last padded with theta = 0.  At most three arrays of T
+    phases or factors live at once, so a tile's working set stays
+    within TILE_ENTRIES entries when 8 rows allow it (0.5 MB, whatever
+    the number of probes), and a probe's value does not depend on how
+    the probes are batched.
+    """
+    flat = np.asarray(theta, dtype=np.float64).reshape(-1, 2)
+    T = _tile_rows(4 * (kernel.M // 2 + 2))
+    padded = np.zeros((-(-flat.shape[0] // T) * T, 2))
+    padded[: flat.shape[0]] = flat
+    out = np.empty(padded.shape[0])
+    for i in range(0, padded.shape[0], T):
+        factors = _psi_factors(kernel, padded[i : i + T, 0], padded[i : i + T, 1])
+        np.einsum("ij,ij->i", *factors, out=out[i : i + T])
+        del factors  # the next tile's factors replace these, not join them
+    return out[: flat.shape[0]].reshape(np.shape(theta)[:-1])
 
 
 def _check_quadrant(q: np.ndarray, spec: TorusSpec, what: str) -> None:
@@ -455,13 +507,20 @@ class ConditionReport:
     p3_max_abs: maximum of |phi| on the sup-norm annulus (a, pi].
     Measurement only: no threshold is applied.
 
-    Accuracy floor: 1 - phi is formed as 1 - sum q cos(theta . x), which
-    cancels at the small-ball probes.  For uniform M = 128, p1_max_dev
-    reads 0.0156860551, 1.5e-6 relative above the cancellation-free
-    2 sum q sin^2(theta . x / 2) and above its theta -> 0 supremum
-    (129/128)^2 - 1 = 0.0156860352.  These digits do not depend on
-    batching: char_fn gives each probe the same value alone or among
-    any number of probes.
+    Accuracy floor: on the small ball, 1 - phi is still formed as
+    1 - char_fn = 1 - sum q cos(theta . x), which cancels there, because
+    perfbench/reference.json pins p1_max_dev's digits.  For uniform
+    M = 128, p1_max_dev reads 0.0156860551, 1.5e-6 relative above the
+    cancellation-free 2 sum q sin^2(theta . x / 2) and above its
+    theta -> 0 supremum (129/128)^2 - 1 = 0.0156860352.  The mid and
+    far annuli take psi from its cancellation-free product form
+    (_psi_probes), within 3.2e-16 relative of a 40-digit sum on the
+    tests' probes: p2_min is min psi, and p3_max_abs is max |1 - psi|,
+    which carries psi's absolute rounding, so its relative error grows
+    as |phi| shrinks (1.0e-13 for uniform M = 128, where it reads
+    2.7e-3).  These digits do not depend on batching: char_fn and
+    _psi_probes give each probe the same value alone or among any
+    number of probes.
     """
 
     rows: tuple[ConditionRow, ...]
@@ -498,10 +557,11 @@ def condition_report(
     """Measure small-ball, mid-ball, and far-field behavior of 1 - phi.
 
     Probes three sup-norm regions per kernel: the punctured ball of
-    radius delta/M (relative second-order deviation), the annulus
-    (delta/M, delta_prime] (minimum of 1 - phi), and the annulus
-    (a, pi] (maximum of |phi|).  Raises on empty regions and on fewer
-    than one angle or radius, for every kernel before the first probe.
+    radius delta/M (relative second-order deviation, from char_fn), the
+    annulus (delta/M, delta_prime] (minimum of psi = 1 - phi) and the
+    annulus (a, pi] (maximum of |1 - psi|), both from _psi_probes.
+    Raises on empty regions and on fewer than one angle or radius, for
+    every kernel before the first probe.
     """
     if delta <= 0 or delta_prime <= 0 or not 0 < a < math.pi:
         raise ValueError("probe parameters must be positive with a < pi")
@@ -520,9 +580,9 @@ def condition_report(
             sigma2 * M**2 * (th1**2).sum(axis=1) / 2.0
         )
         th2 = _supnorm_annulus_probes(delta / M, delta_prime, n_angles, n_radii)
-        mid = 1.0 - char_fn(kernel, th2)
+        mid = _psi_probes(kernel, th2)
         th3 = _supnorm_annulus_probes(a, math.pi, n_angles, n_radii)
-        far = np.abs(char_fn(kernel, th3))
+        far = np.abs(1.0 - _psi_probes(kernel, th3))
         rows.append(
             ConditionRow(
                 M=M,

@@ -666,6 +666,7 @@ def test_config_errors_are_refused_before_any_numeric_work(tmp_path, monkeypatch
     monkeypatch.setattr("toruswalk.cli.lineage_count_law", forbidden)
     monkeypatch.setattr("toruswalk.cli.beta0", forbidden)
     monkeypatch.setattr("toruswalk.spectral.char_fn", forbidden)
+    monkeypatch.setattr("toruswalk.spectral._psi_probes", forbidden)
     code, _ = _run(tmp_path, cfg, command, extra=extra)
     assert code == 2
 

@@ -20,11 +20,15 @@ from toruswalk.kernels import (
 from toruswalk.oracle import dense_chain, dense_green, dense_heat, dense_laplace_hit
 from toruswalk.spectral import (
     EXP_UNDERFLOW,
+    N_ANGLES,
+    N_RADII,
     SpectralGrid,
     _dct1,
     _heat_weights,
     _live_columns,
     _psi_dct,
+    _psi_probes,
+    _supnorm_annulus_probes,
     _tile_rows,
     build_grid,
     char_fn,
@@ -121,10 +125,20 @@ PSI_KERNELS = {
 }
 
 
+def _psi_40_digits(kernel, theta):
+    """psi(theta) = 2 sum_x q(x) sin^2(theta . x / 2) at 40 digits, summed
+    over the first half of the support (x and -x carry equal terms)."""
+    half = kernel.n_support // 2
+    with mpmath.workdps(40):
+        t1, t2 = (mpmath.mpf(float(t)) / 2 for t in theta)
+        masses = [mpmath.mpf(float(q)) for q in kernel.masses[:half]]
+        return 4 * mpmath.fsum(
+            q * mpmath.sin(t1 * x1 + t2 * x2) ** 2 for q, (x1, x2) in zip(masses, kernel.points[:half].tolist())
+        )
+
+
 @pytest.mark.parametrize("family", list(PSI_KERNELS))
 def test_psi_grid_matches_a_40_digit_sum(family):
-    # psi = 2 sum_x q(x) sin^2(theta . x / 2) at 40 digits, summed over
-    # the first half of the support (x and -x carry equal terms)
     k = PSI_KERNELS[family]
     rng = np.random.default_rng(4)
     angles = np.concatenate([[0.0, 1e-8, -1e-5, 1e-4, 3e-3], rng.uniform(-math.pi, math.pi, 2), [math.pi, -math.pi]])
@@ -135,19 +149,14 @@ def test_psi_grid_matches_a_40_digit_sum(family):
     # points cost about 0.1 s per pair, the pairs (u[i], v[i]) of
     # neighboring angles
     pairs = [(i, i) for i in range(u.size)] if k.M > 16 else [(i, j) for i in range(u.size) for j in range(v.size)]
-    half = k.n_support // 2
-    with mpmath.workdps(40):
-        masses = [mpmath.mpf(float(q)) for q in k.masses[:half]]
-        points = k.points[:half].tolist()
-        worst = 0.0
-        for i, j in pairs:
-            t1, t2 = mpmath.mpf(float(u[i])) / 2, mpmath.mpf(float(v[j])) / 2
-            ref = 4 * mpmath.fsum(q * mpmath.sin(t1 * x1 + t2 * x2) ** 2 for q, (x1, x2) in zip(masses, points))
-            if ref == 0:
-                assert grid[i, j] == 0.0
-            else:
-                worst = max(worst, float(abs(grid[i, j] - ref) / ref))
-    # psi_grid's two products sum e = M/2 + 1 terms per axis and its
+    worst = 0.0
+    for i, j in pairs:
+        ref = _psi_40_digits(k, (u[i], v[j]))
+        if ref == 0:
+            assert grid[i, j] == 0.0
+        else:
+            worst = max(worst, float(abs(grid[i, j] - ref) / ref))
+    # psi_grid's factors sum e = M/2 + 1 terms per axis and its
     # phases t a reach pi M / 2, so its rounding grows with M: at most
     # 4.5e-16 for these kernels of M <= 16, and 1.8e-15 for uniform(128)
     # at (0, 1e-8); 1e-15 up to M = 32, linear beyond
@@ -174,6 +183,63 @@ def test_char_fn_grid_matches_char_fn(family):
     # grows with M (1.8e-15 against a long-double sum for meanfield(16),
     # where 1 - psi_grid's is 3.6e-16): 1e-15 up to M = 8, linear beyond
     assert np.max(np.abs(grid - dense)) <= 1e-15 * max(1.0, k.M / 8)
+
+
+@pytest.mark.parametrize("family", list(PSI_KERNELS))
+def test_psi_probes_match_a_40_digit_sum(family):
+    # condition_report's mid annulus (0.5/M, 1] and far annulus (1, pi]
+    # at the default parameters; 4 angles x 2 radii each, one radius per
+    # angle for uniform(128), whose sum costs about 0.1 s a probe
+    k = PSI_KERNELS[family]
+    n_radii = 1 if k.M > 16 else 2
+    th = np.concatenate([
+        _supnorm_annulus_probes(0.5 / k.M, 1.0, 4, n_radii),
+        _supnorm_annulus_probes(1.0, math.pi, 4, n_radii),
+    ])
+    got = _psi_probes(k, th)
+    worst = max(float(abs(got[i] - ref) / ref) for i, ref in enumerate(_psi_40_digits(k, t) for t in th))
+    # psi_grid's tolerance: the same factors, summed in another order
+    assert worst <= 1e-15 * max(1.0, k.M / 32)
+
+
+@pytest.mark.parametrize("family", ["uniform", "mixture"])
+def test_psi_probe_value_does_not_depend_on_batching(family):
+    # every tile has the same call shapes, so a probe's value is the same
+    # alone, in any slice, and at any position of a call
+    k = {"uniform": uniform_kernel(128), "mixture": mixture_kernel(0.3, 64, uniform_kernel(2))}[family]
+    rng = np.random.default_rng(9)
+    th = np.concatenate([rng.uniform(-math.pi, math.pi, (4000, 2)), rng.uniform(-1e-3, 1e-3, (96, 2))])
+    full = _psi_probes(k, th)
+    assert full.shape == (4096,) and _psi_probes(k, th[:0]).shape == (0,)
+    for part in (slice(5, 77), slice(3, 4096), slice(4093, 4096)):
+        assert np.array_equal(_psi_probes(k, th[part]), full[part])
+    for i in (0, 7, 8, 2049, 4095):
+        assert _psi_probes(k, th[i]) == full[i]
+
+
+LADDERS = {
+    "uniform": [uniform_kernel(M) for M in (8, 32, 128)],
+    "density": [density_kernel(M, QUARTIC) for M in (8, 32, 128)],
+    "mixture": [mixture_kernel(0.3, M, uniform_kernel(2)) for M in (8, 32, 128)],
+}
+
+
+@pytest.mark.parametrize("family", list(LADDERS))
+def test_condition_report_annuli_match_char_fn(family):
+    # p1 is 1 - char_fn on the small ball bit for bit; p2 and p3 come from
+    # the probe form of psi and agree with 1 - char_fn to within rounding
+    ladder = LADDERS[family]
+    rep = condition_report(ladder, delta=0.5, delta_prime=1.0, a=1.0)
+    for k, row in zip(ladder, rep.rows):
+        M = k.M
+        sigma2 = k.sigma2_limit if k.sigma2_limit is not None else k.sigma2_M / M**2
+        th1 = _supnorm_annulus_probes(0.0, 0.5 / M, N_ANGLES, N_RADII)
+        ratio = (1.0 - char_fn(k, th1)) / (sigma2 * M**2 * (th1**2).sum(axis=1) / 2.0)
+        assert row.p1_max_dev == float(np.max(np.abs(ratio - 1.0)))
+        p2 = float(np.min(1.0 - char_fn(k, _supnorm_annulus_probes(0.5 / M, 1.0, N_ANGLES, N_RADII))))
+        p3 = float(np.max(np.abs(char_fn(k, _supnorm_annulus_probes(1.0, math.pi, N_ANGLES, N_RADII)))))
+        assert row.p2_min == pytest.approx(p2, rel=1e-12, abs=0.0)
+        assert row.p3_max_abs == pytest.approx(p3, rel=1e-12, abs=0.0)
 
 
 def _grid_routes(kernel, spec):

@@ -24,8 +24,12 @@ mc-lattice runs two variants per repeat.  The first measures:
   calls, over probes x support;
 * beta0_s: `beta0` on the mc-lattice config (q0 uniform M=4, c = 0.01
   and 0.003, tol 1e-10), both values, best of 3 passes;
-* char_fn_peak_mb, audit_peak_mb, beta0_peak_mb: the tracemalloc peak,
-  in MB, of one more `char_fn(uniform M=128, 4096 probes)` call, of
+* conditions_s: `condition_report` on the mc-lattice ladder (uniform
+  M = 8, 32 and 128, the CLI's default parameters), the median of
+  CALLS calls after one untimed warm-up call;
+* char_fn_peak_mb, conditions_peak_mb, audit_peak_mb, beta0_peak_mb:
+  the tracemalloc peak, in MB, of one more `char_fn(uniform M=128,
+  4096 probes)` call, of one more `condition_report` on the ladder, of
   `lemma21_audit` on the mc-lattice config (K=4096, J=16, 4 thetas),
   and of the beta0 pair, each traced alone after the timed calls.
 
@@ -103,7 +107,7 @@ def measure_mc_lattice(seed: int) -> dict:
     from toruswalk.kernels import sample_jumps, uniform_kernel
     from toruswalk.limits import QuadratureSpec, beta0, lemma21_audit
     from toruswalk.mc import SeedSpec, simulate_hits
-    from toruswalk.spectral import char_fn
+    from toruswalk.spectral import char_fn, condition_report
     from toruswalk.torus import TorusSpec
 
     k8 = uniform_kernel(8)
@@ -133,6 +137,12 @@ def measure_mc_lattice(seed: int) -> dict:
         for c in (0.01, 0.003):
             beta0(c, q0, quad)
         beta0_s.append(time.perf_counter() - t0)
+    ladder = [uniform_kernel(M) for M in (8, 32, 128)]
+
+    def conditions():
+        condition_report(ladder, delta=0.5, delta_prime=1.0, a=1.0)
+
+    conditions_s = call_times(conditions)
     thetas = np.array([[0.1, 0.0], [0.5, 0.5], [1.0, -2.0], [3.0, 3.0]])
     return {
         "simulate_hits_s": hits_s,
@@ -140,7 +150,9 @@ def measure_mc_lattice(seed: int) -> dict:
         "sample_jumps_ns_per_draw": min(draw_s) / 4096 * 1e9,
         "char_fn_ns_per_term": min(char_s) / (4096 * k128.n_support) * 1e9,
         "beta0_s": min(beta0_s),
+        "conditions_s": statistics.median(conditions_s),
         "char_fn_peak_mb": traced_peak_mb(lambda: char_fn(k128, probes)),
+        "conditions_peak_mb": traced_peak_mb(conditions),
         "audit_peak_mb": traced_peak_mb(lambda: lemma21_audit(4096, 16, thetas)),
         "beta0_peak_mb": traced_peak_mb(lambda: [beta0(c, q0, quad) for c in (0.01, 0.003)]),
     }
@@ -227,7 +239,9 @@ SUITES = {
             "sample_jumps_ns_per_draw": "ns/draw",
             "char_fn_ns_per_term": "ns/term",
             "beta0_s": "s",
+            "conditions_s": "s",
             "char_fn_peak_mb": "MB",
+            "conditions_peak_mb": "MB",
             "audit_peak_mb": "MB",
             "beta0_peak_mb": "MB",
             "tier1_s": "s",

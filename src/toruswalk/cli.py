@@ -186,25 +186,18 @@ class LaplaceConfig(TorusRun):
     scale: LaplaceScale
 
 
-def _span(v: np.ndarray) -> slice:
-    """The slice of the True entries of v, which must be one interval."""
-    idx = np.flatnonzero(v)
-    return slice(idx[0], idx[-1] + 1) if idx.size else slice(0, 0)
-
-
-def _sup_gap(F: np.ndarray, target: float, window: tuple[np.ndarray, np.ndarray]) -> float:
+def _sup_gap(F: np.ndarray, target: float, window: tuple[int, int]) -> float:
     """max |F(x) - target| over the starts x, on the quadrant: F is even
-    in each coordinate, and window = (outer, ring) is the starts'
-    per-axis footprint (torus._axis_footprint), three intervals.
+    in each coordinate, and window = (A, p) is the starts' footprint
+    (torus._axis_footprint), rows and columns 0..A minus the (0..p-1)^2
+    corner: the blocks F[p:A+1, :A+1] and F[:p, p:A+1].
 
-    quadrant_mask is outer (x) outer and (ring[a] or ring[b]): ring rows
-    by outer columns, and the outer rows off the ring by ring columns.
     max and min are exact, so reducing the two views equals the masked
     reduction bit for bit; rounding is monotone, so this is
     max(max F - target, target - min F), with no temporary as large as F.
     """
-    outer, ring = window
-    blocks = (F[_span(ring), _span(outer)], F[_span(outer & ~ring), _span(ring)])
+    A, p = window
+    blocks = (F[p : A + 1, : A + 1], F[:p, p : A + 1])
     hi = max(float(np.max(b, initial=-np.inf)) for b in blocks)
     lo = min(float(np.min(b, initial=np.inf)) for b in blocks)
     return max(hi - target, target - lo, 0.0)
@@ -379,11 +372,12 @@ class CoalesceScale:
 
     def starts_on(self, L: int) -> np.ndarray:
         """The explicit starts, or n starts spread along the diagonal,
-        wrapped onto the torus of side L; lineage_starts refuses n > L,
-        where two diagonal starts coincide."""
+        wrapped onto the torus of side L."""
         if self.starts is not None:
             return lineage_starts(self.starts, L)
         n = self.n
+        if n > L:  # n diagonal starts are distinct exactly when n <= L
+            raise ValueError(f"cannot place {n} distinct diagonal starts on the torus of side {L}")
         return lineage_starts([[(i * L) // n, (i * L) // n] for i in range(n)], L)
 
 
@@ -424,7 +418,7 @@ def cmd_coalesce(run: CoalesceConfig, seed: int | None, workers: int) -> tuple[l
                 workers=workers,
                 step_cap=run.mc.step_cap,
             )
-            cell = f"L={L},s={s:g}"
+            cell = f"L={L},s={s!r}"
             separation[cell] = law.separation_ok
             work[cell] = {"events": law.events, "merges": law.merges, "censored": law.censored}
             for k in range(1, n + 1):

@@ -18,10 +18,10 @@ Start windows:
   punctured torus: the alpha = 0 annulus with v = L.
 
 An annulus supports vectorized membership, enumeration and a
-closed-form point count (region_size).  quadrant_mask gives its
-membership over the quadrant 0..L/2 per axis on which `spectral`
-stores its fields; it is the outer form of two per-axis intervals
-(_axis_footprint), which the CLI reduces over directly.
+closed-form point count (region_size).  On the quadrant 0..L/2 per
+axis, where `spectral` stores its fields, its window is two integers
+(A, p) from _axis_footprint: rows and columns 0..A minus the
+(0..p-1)^2 corner, which the CLI reduces over as two slices.
 
 Layout: the full torus appears only where a site is named by one
 integer, the row-major linear index (x1 mod L) * L + (x2 mod L) of
@@ -119,8 +119,8 @@ class Annulus:
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.v <= 0:
-            raise ValueError(f"window parameter v must be positive, got {self.v}")
+        if not 0 < self.v < math.inf:  # also refuses nan
+            raise ValueError(f"window parameter v must be positive and finite, got {self.v}")
         TorusSpec(self.L)  # refuses a side that is not a positive even integer
 
     def bounds(self) -> tuple[float, float]:
@@ -177,21 +177,35 @@ def enumerate_region(region: Annulus) -> np.ndarray:
     return pts[contains(region, pts)]
 
 
-def _axis_footprint(region: Annulus, spec: TorusSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The region's footprint on one axis of the quadrant, 0..L/2: (outer, ring).
+def _axis_footprint(region: Annulus, spec: TorusSpec) -> tuple[int, int]:
+    """The region's start window on the quadrant 0..L/2 per axis, as (A, p).
 
-    outer[a] is True when some image of a (a or -a, wrapped) lies in
-    the outer square's side interval, ring[a] when some image lies in
-    it and not in the hole's (or is nonzero when there is no hole).
-    Both are intervals: outer is 0..A, and ring is p..A or empty.
+    Quadrant point (a, b) stands for its torus images (+-a, +-b); one of
+    them lies in the region exactly when a, b <= A and a >= p or b >= p,
+    so a field even in each coordinate takes the same values on those
+    points as on the region's.  The window is empty when p > A.
+
+    Proof.  Let lo..hi be the integers in the outer side's half-open
+    interval (_axis_range); lo is -hi or 1 - hi, so the images of a reach
+    it exactly for a <= hi: the outer footprint is 0..A, A = min(hi, L/2).
+    A point lies in the region when both coordinates lie in lo..hi and
+    one lies off the hole (off 0 when there is no hole, so p = 1).  With
+    a hole ilo..ihi, image +a is in lo..hi and off the hole for
+    a in ihi+1..hi, and image -a for a in 1-ilo..-lo, which is nonempty
+    only when ilo > lo; then 1 - ilo <= ihi + 1 and ihi <= -lo, so the
+    ring, where some image is in lo..hi and off the hole, is p..A with
+    p = 1 - ilo when ilo > lo and p = ihi + 1 otherwise.  The images are
+    chosen per axis, so (a, b) has one in the region exactly when one
+    coordinate is in the ring and the other in the outer footprint.  An
+    empty region has a hole that covers lo..hi (or no hole and hi = 0),
+    so p > A.
 
     Raises ValueError, naming the outer side and L, when a point of the
     region lies outside the canonical torus range, rather than clipping
-    the annulus.
-    The hole is a centered square nested in the outer one, so a
-    nonempty region has a member in every extreme row and column of its
-    outer square; it reaches off the torus exactly when those leave
-    (-L/2, L/2].
+    the annulus.  The hole is a centered square nested in the outer one,
+    so a nonempty region has a member in every extreme row and column of
+    its outer square; it reaches off the torus exactly when those leave
+    (-L/2, L/2].  On the torus, a = L/2 has the one image L/2.
     """
     inner, outer_side = region.bounds()
     lo, hi = _axis_range(outer_side)
@@ -200,30 +214,7 @@ def _axis_footprint(region: Annulus, spec: TorusSpec) -> tuple[np.ndarray, np.nd
         raise ValueError(
             f"the start window's outer side {outer_side:g} reaches off the torus of side {spec.L}"
         )
-    pos = np.arange(half + 1, dtype=np.int64)
-    outer = np.zeros(pos.size, dtype=bool)
-    ring = np.zeros(pos.size, dtype=bool)
-    for x in (pos, wrap(-pos, spec.L)):
-        o = _in_side(x, outer_side)
-        outer |= o
-        ring |= o & ~(_in_side(x, inner) if inner > 0.0 else x == 0)
-    return outer, ring
-
-
-def quadrant_mask(region: Annulus, spec: TorusSpec) -> np.ndarray:
-    """Membership on the quadrant 0..L/2 per axis, shape (L/2 + 1, L/2 + 1).
-
-    Entry (a, b) is True when any of its torus images (+-a, +-b) lies
-    in the region, so a field even in each coordinate takes the same
-    values on the True entries as on the region's points.  Refuses a
-    region off the torus as _axis_footprint does.
-
-    It is the outer form of _axis_footprint's (outer, ring):
-    mask = outer (x) outer and (ring[a] or ring[b]).  A point lies in
-    the region when both coordinates lie in the outer side and one of
-    them lies off the hole, so an image of (a, b) lies in it exactly
-    when ring[a] and outer[b], or outer[a] and ring[b], the images
-    being chosen per axis; ring implies outer.
-    """
-    outer, ring = _axis_footprint(region, spec)
-    return np.outer(outer, outer) & (ring[:, None] | ring[None, :])
+    if inner == 0.0:
+        return min(hi, half), 1
+    ilo, ihi = _axis_range(inner)
+    return min(hi, half), 1 - ilo if ilo > lo else ihi + 1

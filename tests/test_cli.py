@@ -167,8 +167,10 @@ def test_laplace_slices_match_the_masked_sup_and_the_green_ratio(L, half_M, lam_
     try:
         window = _axis_footprint(region, spec)
     except ValueError:
-        return  # off the torus, as quadrant_mask refuses it
-    mask = toruswalk.quadrant_mask(region, spec)
+        return  # off the torus
+    A, p = window  # rows and columns 0..A minus the (0..p-1)^2 corner
+    i = np.arange(L // 2 + 1)
+    mask = np.outer(i <= A, i <= A) & ~np.outer(i < p, i < p)
     hi = float(np.max(F, where=mask, initial=-np.inf))
     lo = float(np.min(F, where=mask, initial=np.inf))
     assert _sup_gap(F, target, window) == max(hi - target, target - lo, 0.0)
@@ -351,6 +353,18 @@ def test_coalesce_explicit_starts(tmp_path):
     meta = json.loads((out / "coalesce.meta.json").read_text())
     assert meta["resolved"]["n"] == 3
     assert meta["resolved"]["separation_ok"]["L=8,s=0.1"] is False
+
+
+def test_coalesce_meta_keeps_close_s_values_apart(tmp_path):
+    # s values that agree to six digits are two CSV sections and two cells
+    cfg = dict(COALESCE_CFG, scale={"s_values": [0.1234567, 0.1234568], "n": 2})
+    code, out = _run(tmp_path, cfg, "coalesce")
+    assert code == 0
+    sections = {line.split(",")[1] for line in (out / "coalesce.csv").read_text().splitlines()[1:]}
+    assert len(sections) == 2
+    resolved = json.loads((out / "coalesce.meta.json").read_text())["resolved"]
+    cells = {"L=8,s=0.1234567", "L=8,s=0.1234568"}
+    assert set(resolved["separation_ok"]) == set(resolved["work"]) == cells
 
 
 def test_coalesce_meta_reports_work(tmp_path):
@@ -703,6 +717,21 @@ def test_start_window_off_the_torus_names_its_side(tmp_path, capsys):
     )
 
 
+def _run_capped(tmp_path, command, cfg):
+    """Run the CLI in a child interpreter whose address space is capped
+    at 2 GiB, so a run that tries to allocate cannot touch more than that."""
+    cfg_path = _write_cfg(tmp_path / f"{command}.json", cfg)
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from toruswalk.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))"
+    )
+    argv = [command, "--config", cfg_path, "--out", str(tmp_path / "out")]
+    env = dict(_src_env(), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env)
+
+
 @pytest.mark.parametrize(
     "command, cfg",
     [
@@ -714,21 +743,22 @@ def test_start_window_off_the_torus_names_its_side(tmp_path, capsys):
     ids=["laplace-L2^22", "simulate-L2^40", "audit-K2^40", "conditions-M2^20"],
 )
 def test_input_too_big_for_memory_is_exit_2(tmp_path, command, cfg):
-    # a child interpreter whose address space is capped at 2 GiB, so a
-    # run that tries to allocate cannot touch more than that
-    cfg_path = _write_cfg(tmp_path / f"{command}.json", cfg)
-    code = (
-        "import resource, sys\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
-        "from toruswalk.cli import main\n"
-        "sys.exit(main(sys.argv[1:]))"
-    )
-    argv = [command, "--config", cfg_path, "--out", str(tmp_path / "out")]
-    env = dict(_src_env(), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env)
+    proc = _run_capped(tmp_path, command, cfg)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("config error: needs more memory than this machine has: ")
     assert len(proc.stderr.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_too_many_diagonal_starts_are_refused_before_they_are_built(tmp_path):
+    # n diagonal starts are distinct exactly when n <= L; 10^9 of them
+    # would not fit under the cap, so the refusal must come first
+    cfg = dict(COALESCE_CFG, scale={"s_values": [0.2], "n": 10**9})
+    proc = _run_capped(tmp_path, "coalesce", cfg)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == (
+        "config error: invalid value: cannot place 1000000000 distinct diagonal starts on the torus of side 8\n"
+    )
     assert not (tmp_path / "out").exists()
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toruswalk.torus import (
@@ -15,12 +15,19 @@ from toruswalk.torus import (
     enumerate_region,
     index_of,
     point_of,
-    quadrant_mask,
     region_size,
     wrap,
 )
 
 EVEN_SIDES = st.integers(min_value=1, max_value=64).map(lambda k: 2 * k)
+
+
+def _quadrant_mask(window, L):
+    """The outer form of _axis_footprint's (A, p) on the quadrant 0..L/2:
+    rows and columns 0..A minus the (0..p-1)^2 corner."""
+    A, p = window
+    i = np.arange(L // 2 + 1)
+    return np.outer(i <= A, i <= A) & ~np.outer(i < p, i < p)
 
 
 def test_spec_rejects_odd_or_tiny():
@@ -121,6 +128,12 @@ def test_annulus_can_be_empty():
     assert enumerate_region(a).shape[0] == 0
 
 
+@pytest.mark.parametrize("v", [0.0, -1.0, float("nan"), float("inf")])
+def test_annulus_refuses_a_window_parameter_not_positive_and_finite(v):
+    with pytest.raises(ValueError, match="window parameter v must be positive"):
+        Annulus(0.5, v, 8)
+
+
 @settings(max_examples=200)
 @given(
     x=st.integers(min_value=-40, max_value=40),
@@ -149,12 +162,16 @@ def test_annulus_membership_matches_inequalities(x, y, alpha, v):
     alpha=st.floats(min_value=0.0, max_value=1.0),
     v_exp=st.floats(min_value=-0.25, max_value=1.0),
 )
+@example(L=2, alpha=1.0, v_exp=1.0)  # the smallest torus
+@example(L=16, alpha=0.5, v_exp=0.375)  # inner side 1.41: the hole is the origin alone
+@example(L=16, alpha=0.5, v_exp=0.0)  # equal inner and outer sides: an empty window
+@example(L=16, alpha=1.0, v_exp=0.5)  # sides 4 and 16: integer half-sides
 def test_quadrant_mask_is_the_four_image_construction(L, alpha, v_exp):
-    # quadrant_mask, the outer form of the per-axis footprint, marks
-    # (a, b) exactly when one of its images (+-a, +-b) is a member
+    # the outer form of the footprint (A, p) marks (a, b) exactly when
+    # one of its images (+-a, +-b) is a member
     spec, region = TorusSpec(L), Annulus(alpha, L**v_exp, L)
     try:
-        mask = quadrant_mask(region, spec)
+        mask = _quadrant_mask(_axis_footprint(region, spec), L)
     except ValueError:
         # some point of the region lies off the canonical torus range:
         # fewer torus points are members than the region has points (a
@@ -226,19 +243,20 @@ def test_region_mask_matches_enumerated_indices(L):
                 _axis_footprint(region, spec)
             refused += 1
             continue
-        outer, ring = _axis_footprint(region, spec)
-        assert outer.shape == ring.shape == (L // 2 + 1,)
+        A, p = _axis_footprint(region, spec)
+        assert 0 <= A <= L // 2 and p >= 1
         assert np.array_equal(contains(region, points), expected), region
     assert 0 < refused < len(regions)
 
 
 @pytest.mark.parametrize("L", [2, 8, 64, 256])
 def test_region_size_and_quadrant_mask_match_region_mask(L):
-    # region_size counts each torus point once, and quadrant_mask marks
-    # a quadrant point when any of its images (+-a, +-b) is a member.
-    # A square of integer half-side (L = 256, alpha = 1, v = 4) is not
-    # symmetric under reflection, so quadrant_mask is not the fold of
-    # one membership pattern and its m(a) m(b)-weighted count overcounts.
+    # region_size counts each torus point once, and the outer form of the
+    # footprint marks a quadrant point when any of its images (+-a, +-b)
+    # is a member.  A square of integer half-side (L = 256, alpha = 1,
+    # v = 4) is not symmetric under reflection, so that mask is not the
+    # fold of one membership pattern and its m(a) m(b)-weighted count
+    # overcounts.
     spec = TorusSpec(L)
     i = np.arange(L)
     fold = np.minimum(i, L - i)
@@ -249,9 +267,9 @@ def test_region_size_and_quadrant_mask_match_region_mask(L):
                 mask = _region_mask(region, spec)
             except ValueError:
                 with pytest.raises(ValueError):
-                    quadrant_mask(region, spec)
+                    _axis_footprint(region, spec)
                 continue
             assert region_size(region) == mask.sum(), region
             expected = np.zeros((L // 2 + 1, L // 2 + 1), dtype=bool)
             np.logical_or.at(expected, np.ix_(fold, fold), mask.reshape(L, L))
-            assert np.array_equal(quadrant_mask(region, spec), expected), region
+            assert np.array_equal(_quadrant_mask(_axis_footprint(region, spec), L), expected), region

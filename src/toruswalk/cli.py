@@ -48,7 +48,9 @@ from .limits import (
     RegimeParams,
     RING_LOG2_LIMIT,
     TWO_PI,
+    beta,
     beta0,
+    death_process_dist,
     lemma21_audit,
     t_scale,
     target_laplace,
@@ -56,6 +58,7 @@ from .limits import (
 from .mc import (
     DEFAULT_CHUNK,
     DEFAULT_STEP_CAP,
+    PAIR_CLOCK,
     SeedSpec,
     StepCapExceeded,
     estimate_laplace,
@@ -72,7 +75,7 @@ from .spectral import (
     laplace_hit,
     uniformity_gap,
 )
-from .torus import Annulus, TorusSpec, _axis_footprint, region_size
+from .torus import Annulus, TorusSpec, _axis_footprint, region_size, wrap
 from .torus import enumerate_region, index_of  # noqa: F401  (wrapped by perfbench/tracer.py)
 
 
@@ -394,16 +397,38 @@ class CoalesceConfig(TorusRun):
             )
 
 
+def _torus_separation_ok(pos: np.ndarray, L: int) -> bool:
+    """Whether the starts lie pairwise at least L/log L apart, as the
+    death-clock target assumes."""
+    n = pos.shape[0]
+    floor = L / math.log(L) if L > 2 else 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = wrap(pos[i] - pos[j], L)
+            if math.hypot(float(d[0]), float(d[1])) < floor:
+                return False
+    return True
+
+
 def cmd_coalesce(run: CoalesceConfig, seed: int | None, workers: int) -> tuple[list[tuple], dict]:
+    # The target is the fixed-kernel limit (rho = 0) from starts at scale L:
+    # sigma2 is the config's or else _kernel_sigma2's sigma2_M / M^2, a pair
+    # merges at rate PAIR_CLOCK / beta = 2 / beta, and lineage_count_law
+    # reads the law at time s * L^2 * t_scale(L, M).
     scale = run.scale
-    sections = [(spec, kernel, scale.starts_on(spec.L)) for spec, kernel in run.tori()]
-    seeds = run.mc.seeds(seed)
     n = scale.n if scale.starts is None else len(scale.starts)
+    sections = []
+    for spec, kernel in run.tori():
+        starts = scale.starts_on(spec.L)
+        sigma2 = _kernel_sigma2(kernel, run.kernel) if scale.sigma2 is None else scale.sigma2
+        b = beta(RegimeParams(rho=0.0, sigma2=sigma2))
+        sections.append((spec, kernel, starts, b, _torus_separation_ok(starts, spec.L)))
+    seeds = run.mc.seeds(seed)
 
     rows: list[tuple] = []
     separation: dict[str, bool] = {}
     work: dict[str, dict[str, int]] = {}
-    for li, (spec, kernel, starts) in enumerate(sections):
+    for li, (spec, kernel, starts, b, separated) in enumerate(sections):
         L = spec.L
         for si, s in enumerate(scale.s_values):
             law = lineage_count_law(
@@ -413,18 +438,16 @@ def cmd_coalesce(run: CoalesceConfig, seed: int | None, workers: int) -> tuple[l
                 s,
                 run.mc.replicates,
                 seeds.subspace(li, si),
-                sigma2=scale.sigma2,
                 chunk_size=run.mc.chunk_size,
                 workers=workers,
                 step_cap=run.mc.step_cap,
             )
+            target = death_process_dist(n, PAIR_CLOCK * s / b)
             cell = f"L={L},s={s!r}"
-            separation[cell] = law.separation_ok
+            separation[cell] = separated
             work[cell] = {"events": law.events, "merges": law.merges, "censored": law.censored}
             for k in range(1, n + 1):
-                rows.append(
-                    (L, s, k, float(law.p_hat[k - 1]), float(law.target[k - 1]), float(law.se[k - 1]))
-                )
+                rows.append((L, s, k, float(law.p_hat[k - 1]), float(target[k - 1]), float(law.se[k - 1])))
     return rows, {
         "kernel": run.kernel.label(),
         "replicates": run.mc.replicates,

@@ -20,7 +20,9 @@ site.  This event-driven construction is exact (no discretization).
 simulate_coalescent replays it one event at a time and returns the
 whole trace; lineage_count_law runs all replicates of a chunk in
 lockstep, one event of every live system per numpy round, and keeps
-only the lineage count at the horizon.
+only the lineage count at the horizon.  It returns the empirical law
+and its work only; the pure-death target it is compared with comes
+from `limits` (death_process_dist, beta), formed by the caller.
 
 Layout: walkers and lineages keep their sites as coordinates mod L,
 in [0, L), the layout of `torus` (the lockstep coalescent's site code
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import JumpKernel, _library, sample_jump, sample_jumps
-from .limits import RegimeParams, beta, death_process_dist, t_scale
+from .limits import t_scale
 from .torus import TorusSpec, wrap
 
 DEFAULT_STEP_CAP = 10**10
@@ -253,9 +255,6 @@ def estimate_laplace(
     vals = np.exp(-lams[:, None] * h[None, :])
     est = vals.mean(axis=1)
     se = vals.std(axis=1, ddof=1) / math.sqrt(h.size)
-    exact = lams == 0.0
-    est[exact] = 1.0
-    se[exact] = 0.0
     return est, se
 
 
@@ -333,37 +332,18 @@ def simulate_coalescent(
 
 @dataclass(frozen=True)
 class LineageCountLaw:
-    """Empirical law of the lineage count at one scaled time, next to the
-    pure-death target it should approach.
-
-    The target is the fixed-kernel limit (rho = 0) from separated starts
-    (alpha = 1): there a pair merges at scaled time Exp with mean
-    beta / PAIR_CLOCK, beta = 1/(pi sigma2), so the n-lineage count is
-    the pure death chain run to time PAIR_CLOCK * s / beta."""
+    """Empirical law of the lineage count at one scaled time, and the
+    work that measured it."""
 
     n: int
     s: float
     t_abs: float  # s * L^2 * t_scale(L, M)
-    sigma2: float  # normalized variance in beta; sigma2_M / M^2 unless overridden
     replicates: int
     p_hat: np.ndarray  # (n,), p_hat[k-1] estimates P(count = k)
     se: np.ndarray  # binomial standard errors
-    target: np.ndarray  # death_process_dist(n, PAIR_CLOCK * s / beta)
-    separation_ok: bool  # starts pairwise >= L/log(L) apart, as the target assumes
     events: int  # kernel jumps taken (n = 2: difference-walk steps up to the hit or cut)
     merges: int  # mergers before the horizon, summed over replicates
     censored: int  # pair walkers cut at the merge horizon, counted as unmerged
-
-
-def _torus_separation_ok(pos: np.ndarray, L: int) -> bool:
-    n = pos.shape[0]
-    floor = L / math.log(L) if L > 2 else 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = wrap(pos[i] - pos[j], L)
-            if math.hypot(float(d[0]), float(d[1])) < floor:
-                return False
-    return True
 
 
 def _lockstep_coalescent(
@@ -464,22 +444,15 @@ def lineage_count_law(
     s: float,
     replicates: int,
     seeds: SeedSpec,
-    sigma2: float | None = None,
     chunk_size: int = DEFAULT_CHUNK,
     workers: int = 1,
     step_cap: int = DEFAULT_STEP_CAP,
 ) -> LineageCountLaw:
     """Empirical pmf of the lineage count at time s * L^2 * t_scale(L, M).
 
-    The reported target holds for a kernel fixed as L grows (rho = 0)
-    and starts at scale L (alpha = 1).  By limits.py, the hitting time
-    H of the pair's difference walk then has H / (L^2 t_scale) -> Exp
-    with mean beta = beta(RegimeParams(rho=0, sigma2)); the pair merges
-    at H / PAIR_CLOCK, and each of the k(k-1)/2 pairs merges at that
-    rate, so the target is death_process_dist(n, PAIR_CLOCK * s / beta).
-    sigma2 defaults to the simulated kernel's own normalized variance
-    sigma2_M / M^2 and only enters the target.  Starts closer than
-    L/log L are allowed but flagged via separation_ok=False.
+    For a kernel fixed as L grows and starts at scale L, the law tends
+    to limits.death_process_dist run to PAIR_CLOCK * s / beta, beta
+    from limits.beta at rho = 0; the `coalesce` command forms that target.
 
     Two lineages reduce exactly to a rate-2 difference walk (the
     increment law of the difference is again the kernel, by symmetry),
@@ -496,9 +469,6 @@ def lineage_count_law(
         raise ValueError(f"scaled time must be nonnegative, got {s}")
     if replicates < 1:
         raise ValueError(f"need at least one replicate, got {replicates}")
-    if sigma2 is None:
-        sigma2 = kernel.sigma2_M / kernel.M**2
-    regime = RegimeParams(rho=0.0, sigma2=float(sigma2))
     t_abs = s * spec.L**2 * t_scale(spec.L, kernel.M)
 
     # each part is (hist, events, censored) of one chunk; hist[k-1]
@@ -546,12 +516,9 @@ def lineage_count_law(
         n=n,
         s=float(s),
         t_abs=float(t_abs),
-        sigma2=regime.sigma2,
         replicates=replicates,
         p_hat=p_hat,
         se=se,
-        target=death_process_dist(n, PAIR_CLOCK * s / beta(regime)),
-        separation_ok=_torus_separation_ok(pos, spec.L),
         events=int(events),
         merges=int(np.dot(n - np.arange(1, n + 1), counts)),
         censored=int(censored),

@@ -23,12 +23,15 @@ from toruswalk.kernels import meanfield_kernel, mixture_kernel, uniform_kernel
 from toruswalk.limits import (
     RING_LOG2_LIMIT,
     AuditError,
+    RegimeParams,
+    beta,
     beta0,
+    death_process_dist,
     exponential_sum_audit,
     lemma21_audit,
     t_scale,
 )
-from toruswalk.mc import SeedSpec, estimate_laplace, lineage_count_law, simulate_hits
+from toruswalk.mc import PAIR_CLOCK, SeedSpec, estimate_laplace, lineage_count_law, simulate_hits
 from toruswalk.oracle import dense_chain, dense_green, dense_heat, dense_laplace_hit
 from toruswalk.spectral import (
     build_grid,
@@ -280,6 +283,7 @@ def test_criterion_09_pair_law_trend_known_red():
     (s=2), which the finite-size law approaches slowly from below.  The
     seed is fixed and was not searched."""
     kernel = uniform_kernel(2)  # M^2 = 4 tracks log L at these sizes
+    b = beta(RegimeParams(rho=0.0, sigma2=kernel.sigma2_M / kernel.M**2))
     seeds = SeedSpec(MASTER_SEED)
     tv: dict[tuple[int, float], float] = {}
     for li, L in enumerate((64, 256)):
@@ -288,7 +292,8 @@ def test_criterion_09_pair_law_trend_known_red():
             law = lineage_count_law(
                 kernel, TorusSpec(L), starts, s, 1000, seeds.subspace(9, li, si)
             )
-            tv[(L, s)] = float(np.abs(law.p_hat - law.target).sum() / 2.0)
+            target = death_process_dist(2, PAIR_CLOCK * s / b)
+            tv[(L, s)] = float(np.abs(law.p_hat - target).sum() / 2.0)
     ok = all(tv[(256, s)] < tv[(64, s)] for s in (0.5, 2.0))
     _report(
         9,

@@ -329,6 +329,35 @@ def test_coalesce_table_and_determinism(tmp_path):
     assert meta["resolved"]["separation_ok"] == {"L=8,s=0.2": True}
 
 
+def test_coalesce_target_column_is_the_death_clock(tmp_path):
+    # rho = 0 and the kernel's own sigma2_M / M^2 set beta; a pair merges
+    # at rate 2 / beta, so the target is the death chain run to 2 s / beta
+    def rows(cfg, out):
+        code, path = _run(tmp_path, cfg, "coalesce", out=out)
+        assert code == 0
+        return [line.split(",") for line in (path / "coalesce.csv").read_text().splitlines()[1:]]
+
+    kernel = toruswalk.uniform_kernel(COALESCE_CFG["kernel"]["M"])
+    b = toruswalk.beta(toruswalk.RegimeParams(rho=0.0, sigma2=kernel.sigma2_M / kernel.M**2))
+    s_values = [0.0, 0.5]
+    for n in (2, 3):
+        table = rows(dict(COALESCE_CFG, scale={"s_values": s_values, "n": n}), f"n{n}")
+        for i, s in enumerate(s_values):
+            cell = table[i * n : (i + 1) * n]
+            target = [float(row[4]) for row in cell]
+            assert target == list(toruswalk.death_process_dist(n, 2.0 * s / b))
+            if s == 0.0:
+                point_mass = [0.0] * (n - 1) + [1.0]
+                assert target == point_mass
+                assert [float(row[3]) for row in cell] == point_mass
+    # a sigma2 override moves the target alone: the law is the same draws
+    scale = {"s_values": [1.0], "n": 2}
+    base = rows(dict(COALESCE_CFG, scale=scale), "base")
+    over = rows(dict(COALESCE_CFG, scale=dict(scale, sigma2=1 / 12)), "over")
+    assert [(r[3], r[5]) for r in base] == [(r[3], r[5]) for r in over]
+    assert [r[4] for r in base] != [r[4] for r in over]
+
+
 def test_coalesce_rejects_n_and_starts_together(tmp_path):
     cfg = dict(COALESCE_CFG)
     cfg["scale"] = {"s_values": [0.2], "n": 2, "starts": [[1, 0], [0, 1]]}
@@ -656,6 +685,7 @@ def test_non_finite_and_boolean_numbers_are_exit_2(tmp_path, command, cfg):
         ("beta0", {"command": "beta0", "q0": {"family": "uniform", "M": 2}, "c_values": [0.5, 2.0]}, None),
         ("uniformity", dict(UNIFORMITY_CFG, scale={"k_values": [1, -1]}), None),
         ("simulate", dict(SIMULATE_CFG, scale={"lams": [1, -1]}), None),
+        ("coalesce", dict(COALESCE_CFG, scale=dict(COALESCE_CFG["scale"], sigma2=-1)), None),
     ],
     ids=[
         "seed-negative",
@@ -669,6 +699,7 @@ def test_non_finite_and_boolean_numbers_are_exit_2(tmp_path, command, cfg):
         "beta0-c-out-of-range-second",
         "uniformity-k-negative-second",
         "simulate-lam-negative-second",
+        "coalesce-sigma2-negative",
     ],
 )
 def test_config_errors_are_refused_before_any_numeric_work(tmp_path, monkeypatch, command, cfg, extra):

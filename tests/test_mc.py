@@ -12,7 +12,6 @@ import scipy.stats
 
 from toruswalk import mc
 from toruswalk.kernels import meanfield_kernel, sample_jumps, uniform_kernel
-from toruswalk.limits import RegimeParams, beta, death_process_dist
 from toruswalk.mc import (
     SeedSpec,
     StepCapExceeded,
@@ -262,45 +261,20 @@ def test_lineage_law_point_mass_at_time_zero():
     )
     assert law.p_hat[2] == 1.0
     assert law.p_hat[:2].sum() == 0.0
-    assert law.target[2] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_lineage_law_fields_and_target():
+def test_lineage_law_fields():
     k = uniform_kernel(2)
     law = lineage_count_law(
         k, TorusSpec(8), np.array([[3, 0], [0, 3]]), 0.5, 400, SeedSpec(9), workers=3
     )
     assert law.n == 2 and law.s == 0.5
     assert law.p_hat.sum() == pytest.approx(1.0, abs=1e-12)
-    assert law.sigma2 == pytest.approx(0.75 / 4)  # the fixed kernel's sigma2_M / M^2
-    # the pair merges at half the difference walk's hitting time
-    expected = death_process_dist(2, 2 * 0.5 / beta(RegimeParams(rho=0.0, sigma2=law.sigma2)))
-    assert np.allclose(law.target, expected)
     # worker count leaves the estimate untouched
     again = lineage_count_law(
         k, TorusSpec(8), np.array([[3, 0], [0, 3]]), 0.5, 400, SeedSpec(9), workers=1
     )
     assert np.array_equal(law.p_hat, again.p_hat)
-
-
-def test_lineage_law_sigma2_override_only_moves_target():
-    k = uniform_kernel(2)
-    spec = TorusSpec(8)
-    starts = np.array([[3, 0], [0, 3]])
-    base = lineage_count_law(k, spec, starts, 1.0, 300, SeedSpec(14))
-    over = lineage_count_law(k, spec, starts, 1.0, 300, SeedSpec(14), sigma2=1 / 12)
-    assert np.array_equal(base.p_hat, over.p_hat)
-    assert over.sigma2 == 1 / 12
-    assert not np.allclose(base.target, over.target)
-
-
-def test_lineage_law_separation_flag():
-    k = uniform_kernel(2)
-    spec = TorusSpec(8)  # L / log L = 3.847
-    far = lineage_count_law(k, spec, np.array([[3, 0], [0, 3]]), 0.1, 50, SeedSpec(2))
-    near = lineage_count_law(k, spec, np.array([[1, 0], [0, 1]]), 0.1, 50, SeedSpec(2))
-    assert far.separation_ok is True
-    assert near.separation_ok is False
 
 
 def test_lineage_law_three_walkers_smoke():
@@ -314,7 +288,6 @@ def test_lineage_law_three_walkers_smoke():
     )
     assert law.p_hat.shape == (3,)
     assert law.p_hat.sum() == pytest.approx(1.0, abs=1e-12)
-    assert law.target.shape == (3,)
 
 
 def test_lineage_law_validation():

@@ -27,6 +27,12 @@ mc-lattice runs two variants per repeat.  The first measures:
 * conditions_s: `condition_report` on the mc-lattice ladder (uniform
   M = 8, 32 and 128, the CLI's default parameters), the median of
   CALLS calls after one untimed warm-up call;
+* coalesce_s: `lineage_count_law` on the mc-lattice coalesce config
+  (uniform M=8, L=64, 8 diagonal starts, s = 0.5, 500 replicates,
+  seed = repeat + 1), the median of CALLS calls after one untimed
+  warm-up call;
+* coalescent_events_per_s: the law's kernel jumps (`events`) over
+  coalesce_s;
 * char_fn_peak_mb, conditions_peak_mb, audit_peak_mb, beta0_peak_mb:
   the tracemalloc peak, in MB, of one more `char_fn(uniform M=128,
   4096 probes)` call, of one more `condition_report` on the ladder, of
@@ -88,6 +94,7 @@ M = 8
 DCT_MAX_SIDE = 4096
 SIDES = (4096, 8192)
 CALLS = 5  # calls per argument of each spectral layer
+COALESCE_STARTS = [[8 * i, 8 * i] for i in range(8)]  # the CLI's 8 diagonal starts at L=64
 
 
 def traced_peak_mb(fn) -> float:
@@ -106,7 +113,7 @@ def measure_mc_lattice(seed: int) -> dict:
 
     from toruswalk.kernels import sample_jumps, uniform_kernel
     from toruswalk.limits import QuadratureSpec, beta0, lemma21_audit
-    from toruswalk.mc import SeedSpec, simulate_hits
+    from toruswalk.mc import SeedSpec, lineage_count_law, simulate_hits
     from toruswalk.spectral import char_fn, condition_report
     from toruswalk.torus import TorusSpec
 
@@ -143,6 +150,11 @@ def measure_mc_lattice(seed: int) -> dict:
         condition_report(ladder, delta=0.5, delta_prime=1.0, a=1.0)
 
     conditions_s = call_times(conditions)
+
+    def coalesce():
+        return lineage_count_law(k8, TorusSpec(64), COALESCE_STARTS, 0.5, 500, SeedSpec(seed))
+
+    coalesce_s = statistics.median(call_times(coalesce))
     thetas = np.array([[0.1, 0.0], [0.5, 0.5], [1.0, -2.0], [3.0, 3.0]])
     return {
         "simulate_hits_s": hits_s,
@@ -151,6 +163,8 @@ def measure_mc_lattice(seed: int) -> dict:
         "char_fn_ns_per_term": min(char_s) / (4096 * k128.n_support) * 1e9,
         "beta0_s": min(beta0_s),
         "conditions_s": statistics.median(conditions_s),
+        "coalesce_s": coalesce_s,
+        "coalescent_events_per_s": coalesce().events / coalesce_s,
         "char_fn_peak_mb": traced_peak_mb(lambda: char_fn(k128, probes)),
         "conditions_peak_mb": traced_peak_mb(conditions),
         "audit_peak_mb": traced_peak_mb(lambda: lemma21_audit(4096, 16, thetas)),
@@ -240,6 +254,8 @@ SUITES = {
             "char_fn_ns_per_term": "ns/term",
             "beta0_s": "s",
             "conditions_s": "s",
+            "coalesce_s": "s",
+            "coalescent_events_per_s": "1/s",
             "char_fn_peak_mb": "MB",
             "conditions_peak_mb": "MB",
             "audit_peak_mb": "MB",

@@ -260,15 +260,28 @@ class UniformityConfig(TorusRun):
     scale: UniformityScale
 
 
+def _refuse_overflowed_times(name: str, values: tuple[float, ...], times: list[float], L: int) -> None:
+    """Refuse a time that overflows a float, naming its scaled value
+    (times[i] is formed from values[i]) and the torus side L."""
+    for value, t in zip(values, times):
+        if not math.isfinite(t):
+            raise ValueError(f"the time at {name}={value!r} overflows a float on the torus of side {L}")
+
+
 def cmd_uniformity(run: UniformityConfig, seed: int | None, workers: int) -> tuple[list[tuple], dict]:
-    rows: list[tuple] = []
+    k_values = run.scale.k_values
+    sections = []
     for spec, kernel in run.tori():
-        L = spec.L
+        base_t = max(spec.L**2 / kernel.M**2, math.log(spec.L))
+        times = [k * base_t for k in k_values]
+        _refuse_overflowed_times("k", k_values, times, spec.L)
+        sections.append((spec, kernel, times))
+
+    rows: list[tuple] = []
+    for spec, kernel, times in sections:
         grid = build_grid(kernel, spec)
-        base_t = max(L**2 / kernel.M**2, math.log(L))
-        for k in run.scale.k_values:
-            t = k * base_t
-            rows.append((L, kernel.M, t, uniformity_gap(grid, t)))
+        for t in times:
+            rows.append((spec.L, kernel.M, t, uniformity_gap(grid, t)))
     return rows, {"kernel": run.kernel.label(), "base_time": "max(L^2/M^2, log L)"}
 
 
@@ -412,9 +425,10 @@ def _torus_separation_ok(pos: np.ndarray, L: int) -> bool:
 
 def cmd_coalesce(run: CoalesceConfig, seed: int | None, workers: int) -> tuple[list[tuple], dict]:
     # The target is the fixed-kernel limit (rho = 0) from starts at scale L:
-    # sigma2 is the config's or else _kernel_sigma2's sigma2_M / M^2, a pair
-    # merges at rate PAIR_CLOCK / beta = 2 / beta, and lineage_count_law
-    # reads the law at time s * L^2 * t_scale(L, M).
+    # the law at scaled time s, the absolute horizon s * L^2 * t_scale(L, M),
+    # tends to the pure-death law run to PAIR_CLOCK * s / beta, where
+    # sigma2 is the config's or else _kernel_sigma2's sigma2_M / M^2 and a
+    # pair merges at rate PAIR_CLOCK / beta = 2 / beta.
     scale = run.scale
     n = scale.n if scale.starts is None else len(scale.starts)
     sections = []
@@ -422,20 +436,23 @@ def cmd_coalesce(run: CoalesceConfig, seed: int | None, workers: int) -> tuple[l
         starts = scale.starts_on(spec.L)
         sigma2 = _kernel_sigma2(kernel, run.kernel) if scale.sigma2 is None else scale.sigma2
         b = beta(RegimeParams(rho=0.0, sigma2=sigma2))
-        sections.append((spec, kernel, starts, b, _torus_separation_ok(starts, spec.L)))
+        horizons = [s * spec.L**2 * t_scale(spec.L, kernel.M) for s in scale.s_values]
+        _refuse_overflowed_times("s", scale.s_values, horizons, spec.L)
+        sections.append((spec, kernel, starts, b, horizons, _torus_separation_ok(starts, spec.L)))
     seeds = run.mc.seeds(seed)
 
     rows: list[tuple] = []
     separation: dict[str, bool] = {}
+    horizon: dict[str, float] = {}
     work: dict[str, dict[str, int]] = {}
-    for li, (spec, kernel, starts, b, separated) in enumerate(sections):
+    for li, (spec, kernel, starts, b, horizons, separated) in enumerate(sections):
         L = spec.L
         for si, s in enumerate(scale.s_values):
             law = lineage_count_law(
                 kernel,
                 spec,
                 starts,
-                s,
+                horizons[si],
                 run.mc.replicates,
                 seeds.subspace(li, si),
                 chunk_size=run.mc.chunk_size,
@@ -445,6 +462,7 @@ def cmd_coalesce(run: CoalesceConfig, seed: int | None, workers: int) -> tuple[l
             target = death_process_dist(n, PAIR_CLOCK * s / b)
             cell = f"L={L},s={s!r}"
             separation[cell] = separated
+            horizon[cell] = law.horizon
             work[cell] = {"events": law.events, "merges": law.merges, "censored": law.censored}
             for k in range(1, n + 1):
                 rows.append((L, s, k, float(law.p_hat[k - 1]), float(target[k - 1]), float(law.se[k - 1])))
@@ -454,6 +472,7 @@ def cmd_coalesce(run: CoalesceConfig, seed: int | None, workers: int) -> tuple[l
         "seed": seeds.master,
         "n": n,
         "separation_ok": separation,
+        "horizon": horizon,
         "work": work,
     }
 

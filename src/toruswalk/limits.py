@@ -234,7 +234,9 @@ def death_process_dist(n: int, t: float) -> np.ndarray:
 
     The law is the last row of expm(t Q) for the bidiagonal generator Q.
 
-    Returns an array p of length n with p[k-1] = P(D_t = k).
+    Returns an array p of length n with p[k-1] = P(D_t = k).  Raises
+    ArithmeticError where expm breaks down and the row is not finite,
+    for t past about 1e35 (n = 40) to 1e39 (n = 2).
     """
     if n < 1:
         raise ValueError(f"need at least one lineage, got {n}")
@@ -247,7 +249,10 @@ def death_process_dist(n: int, t: float) -> np.ndarray:
     Q[k - 1, k - 2] = rates
     import scipy.linalg  # imported here so that importing the CLI loads no scipy
 
-    return scipy.linalg.expm(t * Q)[n - 1]
+    p = scipy.linalg.expm(t * Q)[n - 1]
+    if not np.all(np.isfinite(p)):
+        raise ArithmeticError(f"the pure-death law from n={n} at t={t!r} is not finite")
+    return p
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,10 @@ site.  This event-driven construction is exact (no discretization).
 simulate_coalescent replays it one event at a time and returns the
 whole trace; lineage_count_law runs all replicates of a chunk in
 lockstep, one event of every live system per numpy round, and keeps
-only the lineage count at the horizon.  It returns the empirical law
-and its work only; the pure-death target it is compared with comes
-from `limits` (death_process_dist, beta), formed by the caller.
+only the lineage count at the horizon.  Every horizon is an absolute
+time on the walkers' own clock (each walker jumps at rate 1); the
+scaled time of a limit theorem, and the target it is compared with,
+are the caller's.
 
 Layout: walkers and lineages keep their sites as coordinates mod L,
 in [0, L), the layout of `torus` (the lockstep coalescent's site code
@@ -43,7 +44,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import JumpKernel, _library, sample_jump, sample_jumps
-from .limits import t_scale
 from .torus import TorusSpec, wrap
 
 DEFAULT_STEP_CAP = 10**10
@@ -332,12 +332,11 @@ def simulate_coalescent(
 
 @dataclass(frozen=True)
 class LineageCountLaw:
-    """Empirical law of the lineage count at one scaled time, and the
-    work that measured it."""
+    """Empirical law of the lineage count at one horizon, and the work
+    that measured it."""
 
     n: int
-    s: float
-    t_abs: float  # s * L^2 * t_scale(L, M)
+    horizon: float  # absolute time: each walker jumps at rate 1
     replicates: int
     p_hat: np.ndarray  # (n,), p_hat[k-1] estimates P(count = k)
     se: np.ndarray  # binomial standard errors
@@ -415,11 +414,11 @@ def _lockstep_coalescent(
     return hist, events
 
 
-def _pair_merge_horizon_rounds(t_abs: float) -> int:
-    # The merge skeleton needs N rounds with Gamma(N,1)/2 <= t_abs, i.e.
-    # N <= Poisson(2 t_abs) in distribution; 12 standard deviations past
+def _pair_merge_horizon_rounds(horizon: float) -> int:
+    # The merge skeleton needs N rounds with Gamma(N,1)/2 <= horizon, i.e.
+    # N <= Poisson(2 horizon) in distribution; 12 standard deviations past
     # the mean leaves censoring probability below 1e-12.
-    lam = PAIR_CLOCK * t_abs
+    lam = PAIR_CLOCK * horizon
     return int(math.ceil(lam + 12.0 * math.sqrt(lam) + 100.0))
 
 
@@ -441,46 +440,42 @@ def lineage_count_law(
     kernel: JumpKernel,
     spec: TorusSpec,
     starts: np.ndarray,
-    s: float,
+    horizon: float,
     replicates: int,
     seeds: SeedSpec,
     chunk_size: int = DEFAULT_CHUNK,
     workers: int = 1,
     step_cap: int = DEFAULT_STEP_CAP,
 ) -> LineageCountLaw:
-    """Empirical pmf of the lineage count at time s * L^2 * t_scale(L, M).
-
-    For a kernel fixed as L grows and starts at scale L, the law tends
-    to limits.death_process_dist run to PAIR_CLOCK * s / beta, beta
-    from limits.beta at rho = 0; the `coalesce` command forms that target.
+    """Empirical pmf of the lineage count at the absolute time `horizon`,
+    which must be finite and nonnegative.
 
     Two lineages reduce exactly to a rate-2 difference walk (the
     increment law of the difference is again the kernel, by symmetry),
     so n=2 runs as a vectorized first-passage batch; larger systems run
     the event-driven construction for all replicates of a chunk in
-    lockstep (_lockstep_coalescent).  At s = 0 nothing is simulated:
+    lockstep (_lockstep_coalescent).  At horizon 0 nothing is simulated:
     the law is the point mass at n.  The law also reports its work:
     kernel jumps taken, mergers, and pair walkers censored at
     _pair_merge_horizon_rounds.
     """
     pos = lineage_starts(starts, spec.L)
     n = pos.shape[0]
-    if s < 0:
-        raise ValueError(f"scaled time must be nonnegative, got {s}")
+    if not 0.0 <= horizon < math.inf:
+        raise ValueError(f"horizon must be finite and nonnegative, got {horizon}")
     if replicates < 1:
         raise ValueError(f"need at least one replicate, got {replicates}")
-    t_abs = s * spec.L**2 * t_scale(spec.L, kernel.M)
 
     # each part is (hist, events, censored) of one chunk; hist[k-1]
     # counts the replicates left with k lineages
-    if n == 1 or t_abs == 0.0:
+    if n == 1 or horizon == 0.0:
         # no lineage can move or merge: the point mass at n
         hist = np.zeros(n, dtype=np.int64)
         hist[-1] = replicates
         parts = [(hist, 0, 0)]
     elif n == 2:
         d0 = wrap(pos[0] - pos[1], spec.L)
-        max_rounds = _pair_merge_horizon_rounds(t_abs)
+        max_rounds = _pair_merge_horizon_rounds(horizon)
 
         def pair_task(_i: int, count: int, rng: np.random.Generator):
             steps = _skeleton_first_passage(
@@ -497,14 +492,14 @@ def lineage_count_law(
             merged = 0
             if resolved.size:
                 merge_times = rng.gamma(resolved.astype(np.float64)) / PAIR_CLOCK
-                merged = int(np.count_nonzero(merge_times <= t_abs))
+                merged = int(np.count_nonzero(merge_times <= horizon))
             return np.array([merged, count - merged], dtype=np.int64), events, cut
 
         parts = _run_chunked(replicates, chunk_size, workers, seeds, pair_task)
     else:
 
         def multi_task(_i: int, count: int, rng: np.random.Generator):
-            hist, events = _lockstep_coalescent(kernel, spec.L, pos, t_abs, count, rng, step_cap)
+            hist, events = _lockstep_coalescent(kernel, spec.L, pos, horizon, count, rng, step_cap)
             return hist, events, 0
 
         parts = _run_chunked(replicates, chunk_size, workers, seeds, multi_task)
@@ -514,8 +509,7 @@ def lineage_count_law(
     se = np.sqrt(p_hat * (1.0 - p_hat) / replicates)
     return LineageCountLaw(
         n=n,
-        s=float(s),
-        t_abs=float(t_abs),
+        horizon=float(horizon),
         replicates=replicates,
         p_hat=p_hat,
         se=se,

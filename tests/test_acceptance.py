@@ -49,6 +49,11 @@ def _report(n: int, ok: bool, detail: str) -> None:
     print(f"[criterion {n}] {'PASS' if ok else 'FAIL'} - {detail}")
 
 
+def _horizon(s: float, L: int, M: int) -> float:
+    """The absolute time of the scaled time s, as the coalesce command forms it."""
+    return s * L**2 * t_scale(L, M)
+
+
 def _origin(spec: TorusSpec) -> int:
     return int(index_of(np.zeros(2, dtype=np.int64), spec))
 
@@ -276,9 +281,10 @@ def test_criterion_08_monte_carlo_matches_exact():
 
 
 def test_criterion_09_pair_law_trend_known_red():
-    """Two-lineage merge law vs its death-clock target at two sizes.
-    The target is the fixed-kernel limit: the pair's difference walk
-    jumps at rate 2 and the kernel's own sigma2 = 0.75/4 sets beta, so
+    """Two-lineage merge law vs its death-clock target at two sizes,
+    each law read at the absolute horizon s * L^2 * t_scale(L, M).  The
+    target is the fixed-kernel limit: the pair's difference walk jumps
+    at rate 2 and the kernel's own sigma2 = 0.75/4 sets beta, so
     P(merged by s) -> 1 - exp(-2 s / beta) = .445 (s=0.5) and .905
     (s=2), which the finite-size law approaches slowly from below.  The
     seed is fixed and was not searched."""
@@ -290,7 +296,7 @@ def test_criterion_09_pair_law_trend_known_red():
         starts = np.array([[0, 0], [L // 2, L // 2]])
         for si, s in enumerate((0.5, 2.0)):
             law = lineage_count_law(
-                kernel, TorusSpec(L), starts, s, 1000, seeds.subspace(9, li, si)
+                kernel, TorusSpec(L), starts, _horizon(s, L, kernel.M), 1000, seeds.subspace(9, li, si)
             )
             target = death_process_dist(2, PAIR_CLOCK * s / b)
             tv[(L, s)] = float(np.abs(law.p_hat - target).sum() / 2.0)

@@ -403,7 +403,10 @@ def test_coalesce_meta_reports_work(tmp_path):
         assert code == 0
         rows = (out / "coalesce.csv").read_text().splitlines()[1:]
         p_hat = [float(line.split(",")[3]) for line in rows]
-        work = json.loads((out / "coalesce.meta.json").read_text())["resolved"]["work"]
+        resolved = json.loads((out / "coalesce.meta.json").read_text())["resolved"]
+        # the Monte Carlo ran to the cell's absolute horizon s * L^2 * log L / M^2
+        assert resolved["horizon"] == {"L=8,s=0.2": 0.2 * 8**2 * toruswalk.t_scale(8, 2)}
+        work = resolved["work"]
         assert set(work) == {"L=8,s=0.2"}
         cell = work["L=8,s=0.2"]
         assert set(cell) == {"events", "merges", "censored"}
@@ -686,6 +689,9 @@ def test_non_finite_and_boolean_numbers_are_exit_2(tmp_path, command, cfg):
         ("uniformity", dict(UNIFORMITY_CFG, scale={"k_values": [1, -1]}), None),
         ("simulate", dict(SIMULATE_CFG, scale={"lams": [1, -1]}), None),
         ("coalesce", dict(COALESCE_CFG, scale=dict(COALESCE_CFG["scale"], sigma2=-1)), None),
+        # 1e308 * 8^2 * log 8 / 2^2 and 1e308 * 16^2 / 4^2 overflow a float
+        ("coalesce", dict(COALESCE_CFG, scale={"s_values": [0.5, 1e308], "n": 2}), None),
+        ("uniformity", dict(UNIFORMITY_CFG, scale={"k_values": [1, 1e308]}), None),
     ],
     ids=[
         "seed-negative",
@@ -700,6 +706,8 @@ def test_non_finite_and_boolean_numbers_are_exit_2(tmp_path, command, cfg):
         "uniformity-k-negative-second",
         "simulate-lam-negative-second",
         "coalesce-sigma2-negative",
+        "coalesce-horizon-overflows",
+        "uniformity-time-overflows",
     ],
 )
 def test_config_errors_are_refused_before_any_numeric_work(tmp_path, monkeypatch, command, cfg, extra):
@@ -779,6 +787,15 @@ def test_input_too_big_for_memory_is_exit_2(tmp_path, command, cfg):
     assert proc.stderr.startswith("config error: needs more memory than this machine has: ")
     assert len(proc.stderr.splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_coalesce_target_that_is_not_finite_is_exit_3(tmp_path, capsys):
+    # the Monte Carlo runs to full coalescence, but expm(t Q) breaks down at
+    # the death clock 2 s / beta, far below a float's overflow
+    cfg = dict(COALESCE_CFG, scale={"s_values": [1e300], "n": 3})
+    code, out = _run(tmp_path, cfg, "coalesce")
+    assert code == 3 and not out.exists()
+    assert capsys.readouterr().err.startswith("numeric failure: the pure-death law from n=3 at t=")
 
 
 def test_too_many_diagonal_starts_are_refused_before_they_are_built(tmp_path):

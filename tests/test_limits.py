@@ -217,6 +217,11 @@ def test_death_dist_validation():
         death_process_dist(0, 1.0)
     with pytest.raises(ValueError):
         death_process_dist(3, -0.1)
+    # expm(t Q) breaks down long before t overflows: its row is NaN
+    with pytest.raises(ArithmeticError, match=r"n=3 at t=1e\+300"):
+        death_process_dist(3, 1e300)
+    with np.errstate(invalid="ignore"), pytest.raises(ArithmeticError, match="n=2 at t=inf"):
+        death_process_dist(2, math.inf)
 
 
 def _brute_square_sum(K: int, theta) -> complex:

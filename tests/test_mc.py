@@ -12,6 +12,7 @@ import scipy.stats
 
 from toruswalk import mc
 from toruswalk.kernels import meanfield_kernel, sample_jumps, uniform_kernel
+from toruswalk.limits import t_scale
 from toruswalk.mc import (
     SeedSpec,
     StepCapExceeded,
@@ -24,6 +25,11 @@ from toruswalk.mc import (
 from toruswalk.oracle import dense_chain, dense_laplace_hit
 from toruswalk.spectral import build_grid, heat
 from toruswalk.torus import TorusSpec, index_of, point_of, wrap
+
+
+def _horizon(s: float, L: int, M: int) -> float:
+    """The absolute time of the scaled time s, as the coalesce command forms it."""
+    return s * L**2 * t_scale(L, M)
 
 
 def test_seed_spec_validation_and_subspace():
@@ -241,12 +247,12 @@ def test_lineage_law_two_routes_agree():
     spec = TorusSpec(8)
     starts = np.array([[3, 0], [0, 3]])
     s = 0.3
-    law = lineage_count_law(k, spec, starts, s, 4000, SeedSpec(8_001))
+    law = lineage_count_law(k, spec, starts, _horizon(s, 8, 2), 4000, SeedSpec(8_001))
     merged_events = 0
     reps = 4000
     seeds = SeedSpec(8_002)
     for i in range(reps):
-        trace = simulate_coalescent(k, spec, starts, law.t_abs, seeds.stream(i))
+        trace = simulate_coalescent(k, spec, starts, law.horizon, seeds.stream(i))
         merged_events += len(trace.events)
     p_direct = merged_events / reps
     se = math.sqrt(
@@ -257,7 +263,7 @@ def test_lineage_law_two_routes_agree():
 
 def test_lineage_law_point_mass_at_time_zero():
     law = lineage_count_law(
-        uniform_kernel(2), TorusSpec(8), np.array([[1, 0], [0, 1], [3, 3]]), 0.0, 50, SeedSpec(1)
+        uniform_kernel(2), TorusSpec(8), np.array([[1, 0], [0, 1], [3, 3]]), _horizon(0.0, 8, 2), 50, SeedSpec(1)
     )
     assert law.p_hat[2] == 1.0
     assert law.p_hat[:2].sum() == 0.0
@@ -266,13 +272,13 @@ def test_lineage_law_point_mass_at_time_zero():
 def test_lineage_law_fields():
     k = uniform_kernel(2)
     law = lineage_count_law(
-        k, TorusSpec(8), np.array([[3, 0], [0, 3]]), 0.5, 400, SeedSpec(9), workers=3
+        k, TorusSpec(8), np.array([[3, 0], [0, 3]]), _horizon(0.5, 8, 2), 400, SeedSpec(9), workers=3
     )
-    assert law.n == 2 and law.s == 0.5
+    assert law.n == 2 and law.horizon == _horizon(0.5, 8, 2)
     assert law.p_hat.sum() == pytest.approx(1.0, abs=1e-12)
     # worker count leaves the estimate untouched
     again = lineage_count_law(
-        k, TorusSpec(8), np.array([[3, 0], [0, 3]]), 0.5, 400, SeedSpec(9), workers=1
+        k, TorusSpec(8), np.array([[3, 0], [0, 3]]), _horizon(0.5, 8, 2), 400, SeedSpec(9), workers=1
     )
     assert np.array_equal(law.p_hat, again.p_hat)
 
@@ -282,7 +288,7 @@ def test_lineage_law_three_walkers_smoke():
         uniform_kernel(2),
         TorusSpec(8),
         np.array([[3, 0], [0, 3], [-3, -3]]),
-        0.4,
+        _horizon(0.4, 8, 2),
         500,
         SeedSpec(21),
     )
@@ -294,11 +300,12 @@ def test_lineage_law_validation():
     k = uniform_kernel(2)
     spec = TorusSpec(8)
     with pytest.raises(ValueError):
-        lineage_count_law(k, spec, np.array([[1, 1], [1, 1]]), 1.0, 10, SeedSpec(0))
+        lineage_count_law(k, spec, np.array([[1, 1], [1, 1]]), _horizon(1.0, 8, 2), 10, SeedSpec(0))
+    for horizon in (_horizon(-1.0, 8, 2), math.inf, math.nan):
+        with pytest.raises(ValueError, match="horizon must be finite and nonnegative"):
+            lineage_count_law(k, spec, np.array([[1, 1], [2, 2]]), horizon, 10, SeedSpec(0))
     with pytest.raises(ValueError):
-        lineage_count_law(k, spec, np.array([[1, 1], [2, 2]]), -1.0, 10, SeedSpec(0))
-    with pytest.raises(ValueError):
-        lineage_count_law(k, spec, np.array([[1, 1], [2, 2]]), 1.0, 0, SeedSpec(0))
+        lineage_count_law(k, spec, np.array([[1, 1], [2, 2]]), _horizon(1.0, 8, 2), 0, SeedSpec(0))
 
 
 def test_pair_merge_probability_grows_toward_one():
@@ -311,7 +318,7 @@ def test_pair_merge_probability_grows_toward_one():
     seeds = SeedSpec(606)
     p1 = {}
     for si, s in enumerate((0.5, 10.0)):
-        law = lineage_count_law(k, spec, starts, s, 1000, seeds.subspace(si))
+        law = lineage_count_law(k, spec, starts, _horizon(s, 64, 8), 1000, seeds.subspace(si))
         p1[s] = law.p_hat[0]
     assert p1[10.0] > p1[0.5] + 0.2
     assert p1[10.0] > 0.6
@@ -340,8 +347,8 @@ def test_lockstep_law_matches_per_event_replay(n):
     starts = _diagonal_starts(n, spec.L)
     reps = 3000
     for si, s in enumerate((0.05, 0.3)):
-        law = lineage_count_law(k, spec, starts, s, 20_000, SeedSpec(31, (n, si)))
-        p = _replayed_counts(k, spec, starts, law.t_abs, reps, SeedSpec(32, (n, si))) / reps
+        law = lineage_count_law(k, spec, starts, _horizon(s, 8, 2), 20_000, SeedSpec(31, (n, si)))
+        p = _replayed_counts(k, spec, starts, law.horizon, reps, SeedSpec(32, (n, si))) / reps
         se = np.hypot(
             np.maximum(law.se, 1.0 / law.replicates),
             np.maximum(np.sqrt(p * (1 - p) / reps), 1.0 / reps),
@@ -386,8 +393,8 @@ def test_lockstep_law_matches_exact_chain():
     k = uniform_kernel(2)
     spec = TorusSpec(4)
     starts = np.array([[0, 0], [1, 0], [2, 2]])
-    law = lineage_count_law(k, spec, starts, 0.2, 100_000, SeedSpec(41))
-    exact = _exact_coalescing_count_law(k, spec.L, starts, law.t_abs)
+    law = lineage_count_law(k, spec, starts, _horizon(0.2, 4, 2), 100_000, SeedSpec(41))
+    exact = _exact_coalescing_count_law(k, spec.L, starts, law.horizon)
     assert exact.sum() == pytest.approx(1.0, abs=1e-10)
     se = np.maximum(np.sqrt(exact * (1 - exact) / law.replicates), 1.0 / law.replicates)
     assert np.max(np.abs(law.p_hat - exact) / se) < 5.0
@@ -397,8 +404,8 @@ def test_lockstep_law_worker_count_never_changes_results():
     k = uniform_kernel(2)
     spec = TorusSpec(8)
     starts = _diagonal_starts(4, spec.L)
-    one = lineage_count_law(k, spec, starts, 0.3, 500, SeedSpec(51), chunk_size=64, workers=1)
-    three = lineage_count_law(k, spec, starts, 0.3, 500, SeedSpec(51), chunk_size=64, workers=3)
+    one = lineage_count_law(k, spec, starts, _horizon(0.3, 8, 2), 500, SeedSpec(51), chunk_size=64, workers=1)
+    three = lineage_count_law(k, spec, starts, _horizon(0.3, 8, 2), 500, SeedSpec(51), chunk_size=64, workers=3)
     assert np.array_equal(one.p_hat, three.p_hat)
     assert (one.events, one.merges) == (three.events, three.merges)
 
@@ -409,7 +416,7 @@ def test_chunk_size_and_workers_must_be_positive(bad):
     runs = [lambda: simulate_hits(k, spec, 8, SeedSpec(1), **bad)]
     for n in (2, 3):
         starts = _diagonal_starts(n, spec.L)
-        runs.append(lambda starts=starts: lineage_count_law(k, spec, starts, 0.3, 8, SeedSpec(1), **bad))
+        runs.append(lambda starts=starts: lineage_count_law(k, spec, starts, _horizon(0.3, 8, 2), 8, SeedSpec(1), **bad))
     messages = set()
     for run in runs:
         with pytest.raises(ValueError, match="must be positive") as err:
@@ -424,34 +431,34 @@ def test_lockstep_step_cap_is_exact():
     k = uniform_kernel(2)
     spec = TorusSpec(8)
     starts = _diagonal_starts(3, spec.L)
-    law = lineage_count_law(k, spec, starts, 0.3, 1, SeedSpec(61))
+    law = lineage_count_law(k, spec, starts, _horizon(0.3, 8, 2), 1, SeedSpec(61))
     assert law.events > 0
-    again = lineage_count_law(k, spec, starts, 0.3, 1, SeedSpec(61), step_cap=law.events)
+    again = lineage_count_law(k, spec, starts, law.horizon, 1, SeedSpec(61), step_cap=law.events)
     assert again.events == law.events
     with pytest.raises(StepCapExceeded) as info:
-        lineage_count_law(k, spec, starts, 0.3, 1, SeedSpec(61), step_cap=law.events - 1)
+        lineage_count_law(k, spec, starts, law.horizon, 1, SeedSpec(61), step_cap=law.events - 1)
     assert info.value.cap == law.events - 1
     with pytest.raises(StepCapExceeded):
-        lineage_count_law(k, spec, starts, 1.0, 200, SeedSpec(62), step_cap=5)
+        lineage_count_law(k, spec, starts, _horizon(1.0, 8, 2), 200, SeedSpec(62), step_cap=5)
 
 
 def test_lineage_law_work_counters():
     k = uniform_kernel(2)
     spec = TorusSpec(8)
-    single = lineage_count_law(k, spec, np.array([[1, 1]]), 1.0, 50, SeedSpec(71))
+    single = lineage_count_law(k, spec, np.array([[1, 1]]), _horizon(1.0, 8, 2), 50, SeedSpec(71))
     assert (single.events, single.merges, single.censored) == (0, 0, 0)
-    # at s = 0 nothing moves: the point mass at n, with no work done
+    # at horizon 0 nothing moves: the point mass at n, with no work done
     far = np.array([[0, 0], [32, 32]])
-    still = lineage_count_law(k, TorusSpec(64), far, 0.0, 200, SeedSpec(72))
+    still = lineage_count_law(k, TorusSpec(64), far, _horizon(0.0, 64, 2), 200, SeedSpec(72))
     assert (still.events, still.merges, still.censored) == (0, 0, 0)
     assert still.p_hat.tolist() == [0.0, 1.0]
     # walkers that miss the origin within the merge horizon's rounds are
     # cut, not dropped
-    pair = lineage_count_law(k, TorusSpec(64), far, 1e-3, 200, SeedSpec(72))
+    pair = lineage_count_law(k, TorusSpec(64), far, _horizon(1e-3, 64, 2), 200, SeedSpec(72))
     assert pair.censored > 0
     assert pair.events >= pair.censored
     starts = _diagonal_starts(4, spec.L)
-    law = lineage_count_law(k, spec, starts, 0.3, 400, SeedSpec(73))
+    law = lineage_count_law(k, spec, starts, _horizon(0.3, 8, 2), 400, SeedSpec(73))
     counts = np.rint(law.p_hat * law.replicates)
     assert law.merges == int(np.dot(4 - np.arange(1, 5), counts))
     assert law.censored == 0

@@ -28,9 +28,10 @@ mc-lattice runs two variants per repeat.  The first measures:
   M = 8, 32 and 128, the CLI's default parameters), the median of
   CALLS calls after one untimed warm-up call;
 * coalesce_s: `lineage_count_law` on the mc-lattice coalesce config
-  (uniform M=8, L=64, 8 diagonal starts, s = 0.5, 500 replicates,
-  seed = repeat + 1), the median of CALLS calls after one untimed
-  warm-up call;
+  (uniform M=8, L=64, 8 diagonal starts, 500 replicates, seed =
+  repeat + 1) at the absolute horizon 0.5 * 64**2 * t_scale(64, 8), the
+  `coalesce` command's horizon at s = 0.5, the median of CALLS calls
+  after one untimed warm-up call;
 * coalescent_events_per_s: the law's kernel jumps (`events`) over
   coalesce_s;
 * char_fn_peak_mb, conditions_peak_mb, audit_peak_mb, beta0_peak_mb:
@@ -112,7 +113,7 @@ def measure_mc_lattice(seed: int) -> dict:
     import numpy as np
 
     from toruswalk.kernels import sample_jumps, uniform_kernel
-    from toruswalk.limits import QuadratureSpec, beta0, lemma21_audit
+    from toruswalk.limits import QuadratureSpec, beta0, lemma21_audit, t_scale
     from toruswalk.mc import SeedSpec, lineage_count_law, simulate_hits
     from toruswalk.spectral import char_fn, condition_report
     from toruswalk.torus import TorusSpec
@@ -151,8 +152,10 @@ def measure_mc_lattice(seed: int) -> dict:
 
     conditions_s = call_times(conditions)
 
+    horizon = 0.5 * 64**2 * t_scale(64, 8)
+
     def coalesce():
-        return lineage_count_law(k8, TorusSpec(64), COALESCE_STARTS, 0.5, 500, SeedSpec(seed))
+        return lineage_count_law(k8, TorusSpec(64), COALESCE_STARTS, horizon, 500, SeedSpec(seed))
 
     coalesce_s = statistics.median(call_times(coalesce))
     thetas = np.array([[0.1, 0.0], [0.5, 0.5], [1.0, -2.0], [3.0, 3.0]])

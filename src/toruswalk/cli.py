@@ -236,8 +236,9 @@ def cmd_laplace(run: LaplaceConfig, seed: int | None, workers: int) -> tuple[lis
         for lam in scale.lams:
             b = lam / L**2 if meanfield else lam / (L**2 * t_scale(L, kernel.M))
             target = target_laplace(params, lam)
-            # no array of this lam outlives the call, so the next transform has the room
-            gap = _sup_gap(laplace_hit(grid, b).quadrant, target, window)
+            # F on the window's rows 0..A only; no array of this lam
+            # outlives the call, so the next transform has the room
+            gap = _sup_gap(laplace_hit(grid, b, rows=window[0] + 1).quadrant, target, window)
             rows.append((L, kernel.M, lam, gap, target))
     return rows, {"mode": scale.mode, "kernel": plan.label(), "regions": regions}
 
@@ -279,9 +280,8 @@ def cmd_uniformity(run: UniformityConfig, seed: int | None, workers: int) -> tup
 
     rows: list[tuple] = []
     for spec, kernel, times in sections:
-        grid = build_grid(kernel, spec)
-        for t in times:
-            rows.append((spec.L, kernel.M, t, uniformity_gap(grid, t)))
+        for t, gap in zip(times, uniformity_gap(build_grid(kernel, spec), times)):
+            rows.append((spec.L, kernel.M, t, gap))
     return rows, {"kernel": run.kernel.label(), "base_time": "max(L^2/M^2, log L)"}
 
 

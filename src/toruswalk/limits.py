@@ -235,12 +235,14 @@ def death_process_dist(n: int, t: float) -> np.ndarray:
     The law is the last row of expm(t Q) for the bidiagonal generator Q.
 
     Returns an array p of length n with p[k-1] = P(D_t = k).  Raises
-    ArithmeticError where expm breaks down and the row is not finite,
-    for t past about 1e35 (n = 40) to 1e39 (n = 2).
+    ValueError for a negative or NaN t, and ArithmeticError where expm
+    breaks down and the row is not finite, for t past about 1e35
+    (n = 40) to 1e39 (n = 2), and for an infinite t, which never
+    reaches expm.
     """
     if n < 1:
         raise ValueError(f"need at least one lineage, got {n}")
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"time must be nonnegative, got {t}")
     k = np.arange(2, n + 1)
     rates = k * (k - 1) / 2.0
@@ -249,8 +251,8 @@ def death_process_dist(n: int, t: float) -> np.ndarray:
     Q[k - 1, k - 2] = rates
     import scipy.linalg  # imported here so that importing the CLI loads no scipy
 
-    p = scipy.linalg.expm(t * Q)[n - 1]
-    if not np.all(np.isfinite(p)):
+    p = scipy.linalg.expm(t * Q)[n - 1] if t < math.inf else None  # inf * Q holds inf * 0
+    if p is None or not np.all(np.isfinite(p)):
         raise ArithmeticError(f"the pure-death law from n={n} at t={t!r} is not finite")
     return p
 

@@ -281,6 +281,12 @@ class CoalescenceTrace:
     final_positions: np.ndarray  # (len(survivors), 2), aligned with survivors
 
 
+def _check_horizon(horizon: float) -> None:
+    """Refuse a horizon that is negative, infinite or NaN."""
+    if not 0.0 <= horizon < math.inf:
+        raise ValueError(f"horizon must be finite and nonnegative, got {horizon}")
+
+
 def simulate_coalescent(
     kernel: JumpKernel,
     spec: TorusSpec,
@@ -300,8 +306,7 @@ def simulate_coalescent(
     starts = lineage_starts(starts, spec.L)
     pos = starts.copy()
     n = pos.shape[0]
-    if horizon < 0:
-        raise ValueError(f"horizon must be nonnegative, got {horizon}")
+    _check_horizon(horizon)
 
     alive = list(range(n))
     events: list[MergeEvent] = []
@@ -461,8 +466,7 @@ def lineage_count_law(
     """
     pos = lineage_starts(starts, spec.L)
     n = pos.shape[0]
-    if not 0.0 <= horizon < math.inf:
-        raise ValueError(f"horizon must be finite and nonnegative, got {horizon}")
+    _check_horizon(horizon)
     if replicates < 1:
         raise ValueError(f"need at least one replicate, got {replicates}")
 

@@ -16,31 +16,41 @@ psi and each of these fields are even in each coordinate, so each is
 stored on the closed quadrant 0..L/2 per axis: an (L/2 + 1)^2 array
 indexed by coordinate, whose entry (a, b) stands for the m(a) m(b)
 torus points (+-a, +-b), with m = 1 at 0 and L/2 and m = 2 elsewhere.
-The grid stores psi itself, not phi, so no weight is formed from
-1 - phi: build_grid takes psi from psi_grid at the torus frequencies
-(a kernel of extent e = M/2 + 1 per axis costs O(L^2 e)), or, when e
-exceeds L/10 as for meanfield, as 1 minus one type-I discrete cosine
-transform (DCT-I) of the kernel mass wrapped onto the quadrant.
+Every weight is formed from psi itself, not from 1 - phi.
 psi_grid and _psi_probes evaluate psi at arbitrary angles through one
 set of per-axis factors (_psi_factors), a product form that does not
 cancel near theta = 0: psi_grid reduces them by one matrix product on
-a tensor grid of angles (build_grid, limits.beta0), _psi_probes by a
-row-wise dot per probe (condition_report's mid and far annuli).
+a tensor grid of angles (limits.beta0), _psi_probes by a row-wise dot
+per probe (condition_report's mid and far annuli).  build_grid keeps
+those factors at the torus frequencies (O(L M) memory), or, when the
+kernel's extent M/2 + 1 exceeds L/10 as for meanfield, stores psi on
+the quadrant as 1 minus one type-I discrete cosine transform (DCT-I)
+of the kernel mass wrapped onto it.  Either way a consumer reads psi
+one column strip at a time (SpectralGrid.strips), formed from the
+factors or sliced from the stored quadrant, so no consumer of a
+product-route grid holds the psi quadrant.
+
 Each field is the DCT-I of its frequency weights divided by L^2,
-along axis 0 and then axis 1 as in scipy.fft.dctn; the hitting
-transform skips that division, since
-L^2 cancels in G / G(0).  Heat weights exp(-t psi) that underflow to exact
-zeros fill whole columns, and the first pass skips those.  Sums over
-the torus weight the quadrant by m(a) m(b) (torus_sum); the uniformity
-gap and G(0, lam) are such sums of weights, with no transform.  The
-`values` and `raw` properties unfold a field to the full torus in the
-mod-L layout of `torus` (origin at index 0), for the comparisons with
-the dense oracle at small L.
+along axis 0 and then axis 1 as in scipy.fft.dctn, bit for bit: the
+weights are formed in place on each psi strip and run through the
+axis-0 pass at once, and only the rows the caller keeps go on to the
+axis-1 pass (_dct1_rows).  The hitting transform skips the division,
+since L^2 cancels in G / G(0), and keeps only the rows 0..A that the
+`laplace` start window reads, in one (A + 1, L/2 + 1) buffer.  Heat
+strips whose weights exp(-t psi) all underflow to exact zeros are
+skipped.  Sums over the torus weight the quadrant by m(a) m(b)
+(torus_sum); the uniformity gap and G(0, lam) are such sums of
+weights, with no transform.  The `values` and `raw` properties unfold
+a whole-quadrant field to the full torus in the mod-L layout of
+`torus` (origin at index 0), for the comparisons with the dense oracle
+at small L.
 
 At L=4096 the quadrant is 34 MB of float64.  The times of one grid
 (uniform M=8), of a hitting transform with the `laplace` window's sup,
-of a uniformity gap and of meanfield's 1 - DCT-I grid, and the peak
-RSS, at L=4096 and 8192, are the medians in BENCH_spectral_large.json
+of a uniformity gap, of the CLI's `laplace` and `uniformity` work per
+side and of meanfield's 1 - DCT-I grid, the peak RSS and the
+tracemalloc peaks, at L=4096 and 8192, and the alpha = 0.5 window
+path at L=8192 and 16384, are the medians in BENCH_spectral_large.json
 (tools/bench_layers.py spectral-large).
 
 Kernels whose range equals the torus side are wrapped with colliding
@@ -58,7 +68,8 @@ digits perfbench/reference.json pins; _psi_probes costs 3(M/2 + 1)
 sines and cosines and one product row of M/2 + 1 terms per probe, in
 tiles of the same kind whose working set is at most TILE_ENTRIES
 entries.
-limits._quadrant_sum runs its lattice sums in strips of the same budget.
+limits._quadrant_sum runs its lattice sums, and SpectralGrid.strips
+forms psi, in strips of the same budget.
 
 condition_report probes finite-size analogs of the small-ball,
 mid-ball, and far-field behavior of 1 - phi on sup-norm annuli; it
@@ -68,6 +79,7 @@ measures and reports, and deliberately attaches no pass/fail verdict.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,13 +95,15 @@ N_RADII = 64
 # subnormal is exp(-744.4), and exp(-745.2) already rounds to 0)
 EXP_UNDERFLOW = 746.0
 # working-set budget, in float64 entries, of the tiled lattice loops:
-# the probe tiles of char_fn and _psi_probes, and limits._quadrant_sum's strips
+# the probe tiles of char_fn and _psi_probes, limits._quadrant_sum's
+# strips and SpectralGrid's psi strips
 TILE_ENTRIES = 2**16
 
 
 def _tile_rows(n_columns: int) -> int:
-    """Rows of a tile of n_columns entries each: a multiple of 8, at least 8,
-    and at most TILE_ENTRIES entries in all when that allows 8 rows."""
+    """Rows of a tile of n_columns entries each (or columns of a strip of
+    that many rows): a multiple of 8, at least 8, and at most
+    TILE_ENTRIES entries in all when that allows 8 rows."""
     return max(8, TILE_ENTRIES // n_columns // 8 * 8)
 
 
@@ -211,11 +225,19 @@ def _psi_probes(kernel: JumpKernel, theta: np.ndarray) -> np.ndarray:
     return out[: flat.shape[0]].reshape(np.shape(theta)[:-1])
 
 
-def _check_quadrant(q: np.ndarray, spec: TorusSpec, what: str) -> None:
-    """Refuse an array that is not the (L/2 + 1)^2 quadrant of the torus."""
+def _check_quadrant(q: np.ndarray, spec: TorusSpec, what: str, rows: bool = False) -> None:
+    """Refuse an array that is not the (L/2 + 1)^2 quadrant of the torus,
+    or with rows=True its leading rows 0..A for some A."""
     n = spec.L // 2 + 1
-    if q.shape != (n, n):
-        raise ValueError(f"{what} must have the quadrant shape (L/2 + 1, L/2 + 1)")
+    if q.ndim != 2 or q.shape[1] != n or not (1 <= q.shape[0] <= n if rows else q.shape[0] == n):
+        shape = "(A + 1, L/2 + 1) with A <= L/2" if rows else "(L/2 + 1, L/2 + 1)"
+        raise ValueError(f"{what} must have the quadrant shape {shape}")
+
+
+def _check_psi(psi: np.ndarray) -> None:
+    """Refuse psi = 1 - phi values outside [0, 2] beyond rounding."""
+    if float(psi.min()) < -1e-12 or float(psi.max()) > 2.0 + 1e-12:
+        raise ValueError("psi = 1 - phi must lie in [0, 2]")
 
 
 def unfold(q: np.ndarray, spec: TorusSpec) -> np.ndarray:
@@ -224,6 +246,7 @@ def unfold(q: np.ndarray, spec: TorusSpec) -> np.ndarray:
     Axis index i holds coordinate i or i - L, whose quadrant index is
     min(i, L - i).
     """
+    _check_quadrant(q, spec, "an unfolded field")
     i = np.arange(spec.L)
     f = np.minimum(i, spec.L - i)
     return q[np.ix_(f, f)].ravel()
@@ -239,87 +262,137 @@ def torus_sum(q: np.ndarray) -> float:
     return float(m @ q @ m[: q.shape[1]])
 
 
-def _dct1(a: np.ndarray, live: int) -> np.ndarray:
-    """Unnormalized DCT-I along both axes of a, whose columns from `live` on hold zeros.
+def _dct1_rows(strips: Iterable[tuple[int, np.ndarray]], n: int, rows: int) -> np.ndarray:
+    """Rows 0..rows-1 of the unnormalized DCT-I, along axis 0 and then
+    axis 1 as in scipy.fft.dctn, of the n x n array whose columns
+    lo..lo+w-1 hold each (lo, strip) of `strips` and whose other columns
+    hold zeros.
 
-    The transform runs along axis 0 first and then along axis 1, the
-    order of scipy.fft.dctn, so the zero columns stay zero through the
-    first pass and only the live ones need it.  The result equals
-    dctn(a, type=1) bit for bit.
+    Each strip's axis-0 pass runs in place on the strip, and only its
+    rows 0..rows-1 are kept: output row i of the axis-1 pass is the
+    transform of row i of the axis-0 pass alone.  So a call holds one
+    (rows, n) buffer and at most two strips (the one being formed and
+    the one before it), whatever n.  Every column and row goes through
+    the same 1-D transform as in dctn, so the result equals
+    dctn(a, type=1)[:rows] bit for bit.
     """
     import scipy.fft  # costs about 0.1 s, so only processes that transform pay it
 
-    head = a[:, :live]
-    out = scipy.fft.dct(head, type=1, axis=0, overwrite_x=True)
-    if not np.may_share_memory(out, a):  # scipy wrote a new array, not into head
-        head[...] = out
-    return scipy.fft.dct(a, type=1, axis=1, overwrite_x=True)
+    out = np.zeros((rows, n))
+    for lo, strip in strips:
+        strip = scipy.fft.dct(strip, type=1, axis=0, overwrite_x=True)
+        out[:, lo : lo + strip.shape[1]] = strip[:rows]
+    return scipy.fft.dct(out, type=1, axis=1, overwrite_x=True)
 
 
-def _field(weights: np.ndarray, L: int, live: int) -> np.ndarray:
-    """L^-2 sum_y weights(y) c(y, x) on the quadrant, from weights on the
-    quadrant whose columns from `live` on hold zeros."""
-    out = _dct1(weights, live)
+def _field(strips: Iterable[tuple[int, np.ndarray]], L: int) -> np.ndarray:
+    """L^-2 sum_y weights(y) c(y, x) on the quadrant, from the column
+    strips of the weights (_dct1_rows)."""
+    out = _dct1_rows(strips, L // 2 + 1, L // 2 + 1)
     out /= L * L
     return out
 
 
 @dataclass(frozen=True)
 class SpectralGrid:
-    """psi = 1 - phi evaluated on the quadrant of one torus's frequencies.
+    """psi = 1 - phi on the quadrant of one torus's frequencies.
 
-    quadrant[k1, k2] = psi(2*pi*(k1, k2)/L) for k1, k2 in 0..L/2; psi
-    is even in each coordinate, so this fixes it on every frequency.
-    psi(0) = 0 exactly, and psi lies in [0, 2] up to rounding.
+    psi[k1, k2] = psi(2*pi*(k1, k2)/L) for k1, k2 in 0..L/2; psi is even
+    in each coordinate, so this fixes it on every frequency.  psi(0) = 0
+    exactly, and psi lies in [0, 2] up to rounding.
+
+    The grid holds exactly one of:
+
+    * quadrant: psi itself, an (L/2 + 1)^2 array (the DCT-I route);
+    * factors: psi's per-axis factors (left, right), each of shape
+      (L/2 + 1, e + 1), whose product left @ right.T is psi (the product
+      route; _psi_factors).  They take O(L M) memory, and psi is formed
+      only on the columns a caller asks for (psi, strips).
     """
 
     spec: TorusSpec
     kernel_label: str
-    quadrant: np.ndarray
+    quadrant: np.ndarray | None = None
+    factors: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self) -> None:
-        q = self.quadrant
-        _check_quadrant(q, self.spec, "grid")
-        if q[0, 0] != 0.0:
+        if (self.quadrant is None) == (self.factors is None):
+            raise ValueError("a grid holds exactly one of psi's quadrant and its factors")
+        if self.quadrant is not None:
+            q = self.quadrant
+            _check_quadrant(q, self.spec, "grid")
+            origin = q[0, 0]
+            _check_psi(q)
+        else:
+            left, right = self.factors
+            n = self.spec.L // 2 + 1
+            if left.ndim != 2 or left.shape[0] != n or right.shape != left.shape:
+                raise ValueError("psi's factors must have the shape (L/2 + 1, e + 1)")
+            origin = left[0] @ right[0]
+        if origin != 0.0:
             raise ValueError("origin frequency must carry psi = 0 exactly")
-        if float(q.min()) < -1e-12 or float(q.max()) > 2.0 + 1e-12:
-            raise ValueError("psi = 1 - phi must lie in [0, 2]")
+
+    def psi(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """psi on the quadrant's columns lo..hi-1 (all of them by default),
+        as a new C-contiguous array that the caller may overwrite.  On the
+        product route it is formed here, as left @ right[lo:hi].T, and
+        checked to lie in [0, 2]; its entries equal those of the whole
+        product bit for bit."""
+        if self.factors is None:
+            return self.quadrant[:, lo:hi].copy()
+        left, right = self.factors
+        psi = left @ right[lo:hi].T
+        _check_psi(psi)
+        return psi
+
+    def strips(self, hi: int | None = None) -> Iterator[tuple[int, np.ndarray]]:
+        """(lo, psi(lo, lo + w)) for consecutive strips of w columns that
+        cover columns 0..hi-1 (all of them by default), w = _tile_rows(L/2 + 1):
+        at most TILE_ENTRIES entries a strip when 8 columns allow it."""
+        n = self.spec.L // 2 + 1
+        hi = n if hi is None else hi
+        w = _tile_rows(n)
+        for lo in range(0, hi, w):
+            yield lo, self.psi(lo, min(lo + w, hi))
 
 
 def _psi_dct(kernel: JumpKernel, spec: TorusSpec) -> np.ndarray:
     """psi on the quadrant as 1 minus the DCT-I of the kernel mass wrapped
-    onto it, with psi(0) pinned to 0."""
+    onto it, with psi(0) pinned to 0.  The mass fills the quadrant's
+    first M/2 + 1 columns, which go through _dct1_rows as one strip."""
     n, h = spec.L // 2 + 1, kernel.M // 2
-    a = np.zeros((n, n))
-    a[: h + 1, : h + 1] = kernel.box[h:, h:]
+    mass = np.zeros((n, h + 1))
+    mass[: h + 1] = kernel.box[h:, h:]
     if kernel.M == spec.L:  # the mirror pre-images -L/2 and L/2 are one torus point
-        a[h] *= 2.0
-        a[:, h] *= 2.0
-    psi = np.subtract(1.0, _dct1(a, h + 1), out=a)
+        mass[h] *= 2.0
+        mass[:, h] *= 2.0
+    out = _dct1_rows([(0, mass)], n, n)
+    psi = np.subtract(1.0, out, out=out)
     psi[0, 0] = 0.0
     return psi
 
 
 def build_grid(kernel: JumpKernel, spec: TorusSpec) -> SpectralGrid:
-    """Evaluate psi = 1 - phi over the quadrant of torus frequencies.
+    """psi = 1 - phi over the quadrant of torus frequencies.
 
     The route is chosen by the mass's extent e = M/2 + 1 per axis
-    against the side L.  When 10 e <= L, psi_grid's product form at
-    theta_k = 2 pi k / L, k = 0..L/2 (O(L^2 e)), is exact at every
-    frequency, to within rounding of psi itself.  Wider kernels, up to
-    M = L (meanfield), take 1 minus one DCT-I of the wrapped mass
-    (_psi_dct, O(L^2 log L)); there psi is not small off the origin.
-    The two costs meet near e = L/10 (single-threaded, L = 512 to 4096).
+    against the side L.  When 10 e <= L, the grid holds psi_grid's
+    per-axis factors at theta_k = 2 pi k / L, k = 0..L/2 (O(L e)
+    memory), and psi is formed from them on the columns each transform
+    or sum asks for (O(L^2 e) per pass over the quadrant), exact at
+    every frequency to within rounding of psi itself.  Wider kernels, up
+    to M = L (meanfield), take 1 minus one DCT-I of the wrapped mass
+    (_psi_dct, O(L^2 log L)), stored as the quadrant; there psi is not
+    small off the origin.  The two costs meet near e = L/10
+    (single-threaded, L = 512 to 4096).
     """
     L = spec.L
     if kernel.M > L:
         raise ValueError(f"kernel range {kernel.M} exceeds torus side {L}; wrap is ambiguous")
     if 10 * (kernel.M // 2 + 1) <= L:
         theta = TWO_PI * np.arange(L // 2 + 1) / L
-        psi = psi_grid(kernel, theta, theta)
-    else:
-        psi = _psi_dct(kernel, spec)
-    return SpectralGrid(spec=spec, kernel_label=kernel.label, quadrant=psi)
+        return SpectralGrid(spec=spec, kernel_label=kernel.label, factors=_psi_factors(kernel, theta, theta))
+    return SpectralGrid(spec=spec, kernel_label=kernel.label, quadrant=_psi_dct(kernel, spec))
 
 
 @dataclass(frozen=True)
@@ -346,34 +419,37 @@ class HeatGrid:
         return unfold(self.quadrant, self.spec)
 
 
+def _check_time(t: float) -> None:
+    """Refuse a time that is negative, infinite or NaN."""
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"time must be finite and nonnegative, got {t}")
+
+
 def _live_columns(psi: np.ndarray, t: float) -> int:
-    """The number of leading quadrant columns where exp(-t psi) can be nonzero.
+    """The number of leading columns of psi where exp(-t psi) can be
+    nonzero, 0 if there is none.
 
     A column whose least t psi exceeds EXP_UNDERFLOW holds only exact
     zeros, since exp is monotone and exp(-EXP_UNDERFLOW) is 0.0; the
     live columns run up to the last column that does not.
     """
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"time must be finite and nonnegative, got {t}")
-    return int(np.flatnonzero(psi.min(axis=0) * t <= EXP_UNDERFLOW)[-1]) + 1
-
-
-def _heat_weights(grid: SpectralGrid, t: float) -> tuple[np.ndarray, int]:
-    """exp(-t psi) on the quadrant, and the number of its live columns
-    (_live_columns), the only ones exp is taken on."""
-    psi = grid.quadrant
-    live = _live_columns(psi, t)
-    w = np.empty_like(psi)
-    w[:, live:] = 0.0
-    head = np.multiply(psi[:, :live], -t, out=w[:, :live])
-    np.exp(head, out=head)
-    return w, live
+    live = np.flatnonzero(psi.min(axis=0) * t <= EXP_UNDERFLOW)
+    return int(live[-1]) + 1 if live.size else 0
 
 
 def heat(grid: SpectralGrid, t: float) -> HeatGrid:
-    """Distribution of the walk at time t, started at the origin."""
-    w, live = _heat_weights(grid, t)
-    return HeatGrid(spec=grid.spec, t=t, quadrant=_field(w, grid.spec.L, live))
+    """Distribution of the walk at time t, started at the origin.
+
+    The weights exp(-t psi) are formed in place on each column strip;
+    a strip with no live column (_live_columns) holds only zeros, and
+    is skipped."""
+    _check_time(t)
+    strips = (
+        (lo, np.exp(np.multiply(psi, -t, out=psi), out=psi))
+        for lo, psi in grid.strips()
+        if _live_columns(psi, t)
+    )
+    return HeatGrid(spec=grid.spec, t=t, quadrant=_field(strips, grid.spec.L))
 
 
 @dataclass(frozen=True)
@@ -400,27 +476,28 @@ class GreenField:
         return unfold(self.quadrant, self.spec)
 
 
-def _resolvent_weights(grid: SpectralGrid, lam: float) -> np.ndarray:
-    """1 / (lam + psi) on the quadrant."""
+def _resolvent_weights(psi: np.ndarray, lam: float) -> np.ndarray:
+    """1 / (lam + psi), formed in place in psi."""
     if lam <= 0:
         raise ValueError(f"resolvent parameter must be positive, got {lam}")
-    w = grid.quadrant + lam
-    np.reciprocal(w, out=w)
-    return w
+    np.add(psi, lam, out=psi)
+    return np.reciprocal(psi, out=psi)
 
 
 def green(grid: SpectralGrid, lam: float) -> GreenField:
     """Resolvent G(x, lam) = integral exp(-lam s) P_x(X_s = 0) ds, all x,
     transformed from the weights 1 / (lam + psi)."""
-    w = _resolvent_weights(grid, lam)
-    return GreenField(spec=grid.spec, lam=lam, quadrant=_field(w, grid.spec.L, w.shape[1]))
+    strips = ((lo, _resolvent_weights(psi, lam)) for lo, psi in grid.strips())
+    return GreenField(spec=grid.spec, lam=lam, quadrant=_field(strips, grid.spec.L))
 
 
 @dataclass(frozen=True)
 class LaplaceField:
     """Hitting transform F(x, lam) = E_x exp(-lam H), H the origin hit time.
 
-    Stored on the quadrant; values unfolds it to the torus.
+    quadrant holds F on the quadrant's rows 0..A, all of them (A = L/2)
+    unless laplace_hit was asked for fewer; values unfolds a whole
+    quadrant to the torus.  The checks cover the rows held.
     """
 
     spec: TorusSpec
@@ -429,7 +506,7 @@ class LaplaceField:
 
     def __post_init__(self) -> None:
         q = self.quadrant
-        _check_quadrant(q, self.spec, "transform values")
+        _check_quadrant(q, self.spec, "transform values", rows=True)
         if q[0, 0] != 1.0:
             raise ValueError("hitting transform must equal 1 at the origin")
         if float(q.min()) <= 0.0 or float(q.max()) > 1.0:
@@ -440,19 +517,28 @@ class LaplaceField:
         return unfold(self.quadrant, self.spec)
 
 
-def laplace_hit(grid: SpectralGrid, lam: float) -> LaplaceField:
-    """F(x, lam) = G(x, lam) / G(0, lam); equals 1 exactly at the origin.
+def laplace_hit(grid: SpectralGrid, lam: float, rows: int | None = None) -> LaplaceField:
+    """F(x, lam) = G(x, lam) / G(0, lam) on the quadrant's rows
+    0..rows-1 (all L/2 + 1 of them by default); equals 1 exactly at the
+    origin.
 
-    One DCT-I of the resolvent weights 1 / (lam + psi), divided in place
-    by its origin value: the L^-2 of G cancels in the ratio and is never
+    One DCT-I of the resolvent weights 1 / (lam + psi), formed strip by
+    strip from psi's column strips (_dct1_rows, which keeps the rows
+    asked for in one (rows, L/2 + 1) buffer), divided in place by its
+    origin value: the L^-2 of G cancels in the ratio and is never
     applied, so at a power-of-two L, where dividing by L^2 is exact,
-    F is green(grid, lam).quadrant over its origin value bit for bit.
-    No GreenField is built: a positive origin value together with
-    LaplaceField's F in (0, 1] is the resolvent's positive, peaked-at-0
-    check.
+    F is green(grid, lam).quadrant over its origin value bit for bit,
+    and F on rows 0..rows-1 equals the whole quadrant's rows bit for
+    bit.  No GreenField is built: a positive origin value together with
+    LaplaceField's F in (0, 1] is the resolvent's positive,
+    peaked-at-0 check.
     """
-    w = _resolvent_weights(grid, lam)
-    q = _dct1(w, w.shape[1])
+    n = grid.spec.L // 2 + 1
+    rows = n if rows is None else rows
+    if not 1 <= rows <= n:
+        raise ValueError(f"rows must lie in 1..L/2 + 1 = {n}, got {rows}")
+    strips = ((lo, _resolvent_weights(psi, lam)) for lo, psi in grid.strips())
+    q = _dct1_rows(strips, n, rows)
     g0 = q[0, 0]
     if not g0 > 0.0:
         raise ArithmeticError(f"resolvent at lam={lam!r} must be strictly positive")
@@ -463,12 +549,13 @@ def laplace_hit(grid: SpectralGrid, lam: float) -> LaplaceField:
 def green_at_origin(grid: SpectralGrid, lam: float) -> float:
     """G(0, lam) = L^-2 sum_y 1 / (lam + psi_y), summed on the quadrant
     with no transform."""
-    return torus_sum(_resolvent_weights(grid, lam)) / grid.spec.n_points
+    return torus_sum(_resolvent_weights(grid.psi(), lam)) / grid.spec.n_points
 
 
-def uniformity_gap(grid: SpectralGrid, t: float) -> float:
+def uniformity_gap(grid: SpectralGrid, t: float | Sequence[float]) -> float | list[float]:
     """Worst-case deviation from the flat law at time t,
-    sup_x L^2 |P_0(X_t = x) - L^-2|, with no transform.
+    sup_x L^2 |P_0(X_t = x) - L^-2|, with no transform; for a sequence
+    of times, the list of their gaps.
 
     L^2 P_0(X_t = x) - 1 = sum_{y != 0} exp(-t psi_y) c(y, x), with
     nonnegative weights and |c(y, x)| <= 1 = c(y, 0), so the sup is
@@ -476,12 +563,30 @@ def uniformity_gap(grid: SpectralGrid, t: float) -> float:
     frequencies, taken on the live columns (_live_columns).  The zero
     frequency is left out, not subtracted, which would cancel the
     digits of a small gap against exp(0) = 1.
+
+    One pass over psi's column strips finds each column's least psi, so
+    each time's live columns; then, per time, the weights on its live
+    columns are formed strip by strip into one array and summed by
+    torus_sum.  That array has the shape of the live columns, so the
+    sum runs the same BLAS calls, and gives the same digits, as on a
+    whole psi grid: a strip-wise column sum would not, because a BLAS
+    matrix-vector product rounds its last few outputs in another order.
+    No psi grid is held: at most two psi strips and one time's weights.
     """
-    psi = grid.quadrant
-    w = psi[:, : _live_columns(psi, t)] * -t
-    np.exp(w, out=w)
-    w[0, 0] = 0.0
-    return torus_sum(w)
+    times = [t] if np.ndim(t) == 0 else list(t)
+    for ti in times:
+        _check_time(ti)
+    least = np.concatenate([psi.min(axis=0, keepdims=True) for _, psi in grid.strips()], axis=1)
+    gaps = []
+    for ti in times:
+        live = _live_columns(least, ti)
+        w = np.empty((grid.spec.L // 2 + 1, live))
+        for lo, psi in grid.strips(live):
+            np.multiply(psi, -ti, out=w[:, lo : lo + psi.shape[1]])
+        np.exp(w, out=w)
+        w[0, 0] = 0.0
+        gaps.append(torus_sum(w))
+    return gaps[0] if np.ndim(t) == 0 else gaps
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -213,15 +214,19 @@ def test_death_dist_count_decreases_stochastically_in_time():
 
 
 def test_death_dist_validation():
-    with pytest.raises(ValueError):
-        death_process_dist(0, 1.0)
-    with pytest.raises(ValueError):
-        death_process_dist(3, -0.1)
-    # expm(t Q) breaks down long before t overflows: its row is NaN
-    with pytest.raises(ArithmeticError, match=r"n=3 at t=1e\+300"):
-        death_process_dist(3, 1e300)
-    with np.errstate(invalid="ignore"), pytest.raises(ArithmeticError, match="n=2 at t=inf"):
-        death_process_dist(2, math.inf)
+    # every refusal comes before any floating-point warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            death_process_dist(0, 1.0)
+        for t in (-0.1, math.nan):
+            with pytest.raises(ValueError):
+                death_process_dist(3, t)
+        # expm(t Q) breaks down long before t overflows: its row is NaN
+        with pytest.raises(ArithmeticError, match=r"n=3 at t=1e\+300"):
+            death_process_dist(3, 1e300)
+        with pytest.raises(ArithmeticError, match="n=2 at t=inf"):
+            death_process_dist(2, math.inf)
 
 
 def _brute_square_sum(K: int, theta) -> complex:

@@ -175,8 +175,9 @@ def test_coalescent_validation():
     stream = SeedSpec(4).stream(0)
     with pytest.raises(ValueError):
         simulate_coalescent(k, spec, np.array([[1, 1], [9, 9]]), 1.0, stream)  # same mod L
-    with pytest.raises(ValueError):
-        simulate_coalescent(k, spec, np.array([[1, 1], [2, 2]]), -1.0, stream)
+    for horizon in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="horizon must be finite and nonnegative"):
+            simulate_coalescent(k, spec, np.array([[1, 1], [2, 2]]), horizon, stream)
 
 
 def test_coalescent_bookkeeping():

@@ -23,8 +23,6 @@ from toruswalk.spectral import (
     N_ANGLES,
     N_RADII,
     SpectralGrid,
-    _dct1,
-    _heat_weights,
     _live_columns,
     _psi_dct,
     _psi_probes,
@@ -37,9 +35,10 @@ from toruswalk.spectral import (
     heat,
     laplace_hit,
     psi_grid,
+    torus_sum,
     uniformity_gap,
 )
-from toruswalk.torus import TorusSpec, index_of, point_of
+from toruswalk.torus import Annulus, TorusSpec, _axis_footprint, index_of, point_of
 
 ORIGIN8 = int(index_of(np.zeros(2, dtype=np.int64), TorusSpec(8)))
 QUARTIC = KernelDensity(lambda a, b: 1.0 + (a * a + b * b) ** 2, label="quartic")
@@ -270,9 +269,9 @@ def test_grid_fft_matches_direct():
 def test_grid_origin_pinned_and_bounded():
     # L = 16 takes the DCT-I route and L = 64 the product route
     for L in (16, 64):
-        grid = build_grid(uniform_kernel(4), TorusSpec(L))
-        assert grid.quadrant[0, 0] == 0.0
-        assert grid.quadrant.min() >= -1e-12 and grid.quadrant.max() <= 2.0 + 1e-12
+        psi = build_grid(uniform_kernel(4), TorusSpec(L)).psi()
+        assert psi[0, 0] == 0.0
+        assert psi.min() >= -1e-12 and psi.max() <= 2.0 + 1e-12
 
 
 def test_grid_psi_is_exact_at_the_lowest_frequencies():
@@ -280,7 +279,7 @@ def test_grid_psi_is_exact_at_the_lowest_frequencies():
     # the DCT-I is 3.1e-11 off at frequency (1, 0) at this size
     L = 4096
     k = uniform_kernel(8)
-    psi = build_grid(k, TorusSpec(L)).quadrant
+    psi = build_grid(k, TorusSpec(L)).psi()
     with mpmath.workdps(40):
         masses = [mpmath.mpf(float(q)) for q in k.masses]
         for k1, k2 in ((1, 0), (0, 1), (1, 1), (2, 0), (2, 1), (3, 3)):
@@ -349,15 +348,17 @@ def test_heat_rejects_negative_time():
 
 
 def test_band_limited_heat_transform_is_dctn_bit_for_bit():
+    # heat transforms only the column strips with a live column; dividing
+    # by L^2 is exact at this power-of-two side
     assert np.exp(-EXP_UNDERFLOW) == 0.0
-    grid = build_grid(uniform_kernel(8), TorusSpec(512))
+    L = 512
+    grid = build_grid(uniform_kernel(8), TorusSpec(L))
+    psi = grid.psi()
     widths = []
     for t in (0.0, 1000.0, 2000.0, 20000.0):
-        w, live = _heat_weights(grid, t)
-        full = np.exp(grid.quadrant * -t)
-        assert np.array_equal(w, full)
-        assert np.array_equal(_dct1(w, live), scipy.fft.dctn(full, type=1))
-        widths.append(live)
+        full = np.exp(psi * -t)
+        assert np.array_equal(heat(grid, t).quadrant, scipy.fft.dctn(full, type=1) / L**2)
+        widths.append(_live_columns(psi, t))
     # every column at t = 0; then widths that are not multiples of 8
     assert widths == [257, 45, 29, 9]
 
@@ -370,8 +371,8 @@ def test_heat_matches_dense_exponential_on_both_routes():
         grid = SpectralGrid(spec=spec, kernel_label=k.label, quadrant=psi)
         for t in (0.3, 6.0, 1000.0, 2000.0):
             assert np.max(np.abs(heat(grid, t).raw - dense_heat(chain, t))) < 1e-10
-        # the two largest times transform 4 and 3 of the 9 columns
-        assert [_heat_weights(grid, t)[1] for t in (1000.0, 2000.0)] == [4, 3]
+        # at the two largest times 4 and 3 of the 9 columns are live
+        assert [_live_columns(psi, t) for t in (1000.0, 2000.0)] == [4, 3]
 
 
 def test_heat_probs_sum_to_one():
@@ -493,15 +494,15 @@ def test_uniformity_gap_is_the_sup_of_the_heat_deviation():
             dev = heat(grid, t).quadrant - 1.0 / n
             ref = n * max(float(dev.max()), -float(dev.min()))
             assert uniformity_gap(grid, t) == pytest.approx(ref, rel=1e-12, abs=1e-12)
-        assert _live_columns(grid.quadrant, 2560.0) < 129
+        assert _live_columns(grid.psi(), 2560.0) < 129
 
 
 def test_uniformity_gap_working_set_is_below_a_quarter_quadrant(traced_peak):
-    # the sum holds exp(-t psi) on the live columns only (61 of 1025
-    # here) and runs no transform
+    # the sum holds psi one column strip at a time and exp(-t psi) on
+    # the live columns only (61 of 1025 here), and runs no transform
     L, M = 2048, 8
     grid = build_grid(uniform_kernel(M), TorusSpec(L))
-    assert traced_peak(lambda: uniformity_gap(grid, 0.1 * L**2 / M**2)) < grid.quadrant.nbytes / 4
+    assert traced_peak(lambda: uniformity_gap(grid, 0.1 * L**2 / M**2)) < 8 * (L // 2 + 1) ** 2 / 4
 
 
 def test_meanfield_grid_costs_about_its_box(traced_peak):
@@ -509,6 +510,119 @@ def test_meanfield_grid_costs_about_its_box(traced_peak):
     # sampling CDF, four more boxes' worth, are never built for a grid
     peak = traced_peak(lambda: build_grid(meanfield_kernel(1024), TorusSpec(1024)))
     assert peak < 4 * 8 * 1025**2  # four (L + 1)^2 float64 mass boxes
+
+
+def _strip_kernels(L):
+    """A kernel of each family: three on the product route, meanfield on
+    the DCT-I route."""
+    return (
+        uniform_kernel(8),
+        mixture_kernel(0.5, 8, uniform_kernel(2)),
+        density_kernel(8, QUARTIC),
+        meanfield_kernel(L),
+    )
+
+
+@pytest.mark.parametrize("L", [64, 100, 250, 1024])
+def test_strip_transforms_equal_the_whole_quadrant_bit_for_bit(L):
+    # psi's column strips are the columns of the whole product (or of the
+    # stored quadrant), and the DCT-I route's psi is 1 - dctn of the
+    # wrapped mass; F on rows 0..A, formed strip by strip, equals the
+    # rows of one dctn of the whole quadrant's weights over its origin
+    # value, for A from the CLI's windows at alpha = 0.25, 0.5 and 1
+    # (v = log L) and for every row count at the smaller sides
+    spec = TorusSpec(L)
+    theta = 2 * math.pi * np.arange(L // 2 + 1) / L
+    for kernel in _strip_kernels(L):
+        grid = build_grid(kernel, spec)
+        psi = grid.psi()
+        if grid.factors is not None:
+            assert np.array_equal(psi, psi_grid(kernel, theta, theta))
+        else:
+            h = kernel.M // 2
+            mass = np.zeros_like(psi)
+            mass[: h + 1, : h + 1] = kernel.box[h:, h:]
+            mass[h] *= 2.0  # M = L: the mirror pre-images are one torus point
+            mass[:, h] *= 2.0
+            ref = 1.0 - scipy.fft.dctn(mass, type=1)
+            ref[0, 0] = 0.0
+            assert np.array_equal(psi, ref)
+        for lo, strip in grid.strips():
+            assert np.array_equal(strip, psi[:, lo : lo + strip.shape[1]])
+        windows = [_axis_footprint(Annulus(alpha, math.log(L), L), spec)[0] for alpha in (0.25, 0.5, 1.0)]
+        if L <= 100:
+            windows += range(L // 2 + 1)
+        for lam in (0.5 / L**2, 2.0 / L**2):
+            full = scipy.fft.dctn(1.0 / (psi + lam), type=1)
+            full /= full[0, 0]
+            assert np.array_equal(laplace_hit(grid, lam).quadrant, full)
+            for A in windows:
+                assert np.array_equal(laplace_hit(grid, lam, rows=A + 1).quadrant, full[: A + 1])
+
+
+@pytest.mark.parametrize("L", [64, 100, 250, 1024])
+def test_uniformity_gap_equals_the_whole_quadrant_sum_bit_for_bit(L):
+    # the gaps against the sum on a whole psi grid: exp(-t psi) on the
+    # live columns with the origin weight zeroed, then torus_sum
+    spec = TorusSpec(L)
+    for kernel in _strip_kernels(L):
+        grid = build_grid(kernel, spec)
+        psi = grid.psi()
+        times = [k * max(L**2 / kernel.M**2, math.log(L)) for k in (0.0, 0.01, 0.1, 1.0, 3.0)]
+        ref = []
+        for t in times:
+            w = psi[:, : _live_columns(psi, t)] * -t
+            np.exp(w, out=w)
+            w[0, 0] = 0.0
+            ref.append(torus_sum(w))
+        assert uniformity_gap(grid, times) == ref
+        assert [uniformity_gap(grid, t) for t in times] == ref
+
+
+def test_laplace_working_set_is_its_rows(traced_peak):
+    # F on rows 0..A holds one (A + 1, L/2 + 1) buffer and at most two
+    # psi strips of w columns: at alpha = 0.5 the peak follows
+    # (A + 1)(L/2 + 1), far below the quadrant; at alpha = 1 (A = L/2)
+    # it stays within 1.25 quadrants
+    for L in (1024, 4096):
+        spec, n = TorusSpec(L), L // 2 + 1
+        grid = build_grid(uniform_kernel(8), spec)
+        laplace_hit(grid, 1.0 / L**2, rows=8)  # pocketfft's plans for these lengths
+        A = _axis_footprint(Annulus(0.5, math.log(L), L), spec)[0]
+        peak = traced_peak(lambda: laplace_hit(grid, 1.0 / L**2, rows=A + 1))
+        assert peak <= 8 * ((A + 1) * n + 2 * n * _tile_rows(n)) + 2**16
+    assert peak < 8 * n * n / 5
+    assert traced_peak(lambda: laplace_hit(grid, 1.0 / L**2)) <= 1.25 * 8 * n * n
+
+
+def test_grid_holds_psi_or_its_factors():
+    spec = TorusSpec(64)
+    grid = build_grid(uniform_kernel(4), spec)
+    assert grid.quadrant is None and dataclasses.replace(grid).factors is not None
+    left, right = grid.factors
+    with pytest.raises(ValueError, match="exactly one"):
+        dataclasses.replace(grid, quadrant=grid.psi())
+    with pytest.raises(ValueError, match="exactly one"):
+        dataclasses.replace(grid, factors=None)
+    with pytest.raises(ValueError, match="factors must have the shape"):
+        dataclasses.replace(grid, factors=(left[:-1], right[:-1]))
+    with pytest.raises(ValueError, match="psi = 0 exactly"):
+        dataclasses.replace(grid, factors=(left, right + 1.0))
+    with pytest.raises(ValueError, match=r"\[0, 2\]"):
+        dataclasses.replace(grid, factors=(left * 3.0, right)).psi()
+    assert np.array_equal(SpectralGrid(spec, grid.kernel_label, quadrant=grid.psi()).psi(), grid.psi())
+
+
+def test_laplace_rows_are_checked_and_do_not_unfold():
+    grid = build_grid(uniform_kernel(2), TorusSpec(8))
+    for rows in (0, 6):
+        with pytest.raises(ValueError, match="rows must lie in"):
+            laplace_hit(grid, 0.5, rows=rows)
+    F = laplace_hit(grid, 0.5, rows=2)
+    assert F.quadrant.shape == (2, 5)
+    dataclasses.replace(F)
+    with pytest.raises(ValueError, match="quadrant shape"):
+        F.values
 
 
 def test_uniformity_bound_sums_every_nonzero_frequency():

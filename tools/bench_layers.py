@@ -44,14 +44,14 @@ The second times the tree's Tier-1 suite:
 
 * tier1_s: `python -m pytest -q` from the tree's root.
 
-spectral-large runs one variant per side L = 4096 and 8192.  Each
-imports scipy.fft first (so no timing below pays a lazy import), builds
-one grid (uniform M=8) on the torus of side L, runs the CLI's hitting
-transforms and uniformity gaps on it, and measures the following.
-Every layer is timed as the median of CALLS (5) calls per argument,
-after one untimed warm-up call, so that a 10% change stands out of the
-machine's jitter and no timing pays a first call's one-off costs; a
-call's result is dropped before the next call starts.
+spectral-large runs two variants per side.  The first, at L = 4096
+and 8192, imports scipy.fft first (so no timing below pays a lazy
+import), builds one grid (uniform M=8) on the torus of side L, runs the
+CLI's hitting transforms and uniformity gaps on it, and measures the
+following.  Every layer is timed as the median of CALLS (5) calls per
+argument, after one untimed warm-up call, so that a 10% change stands
+out of the machine's jitter and no timing pays a first call's one-off
+costs; a call's result is dropped before the next call starts.
 
 * build_grid_s: `build_grid` (the product route);
 * laplace_hit_s: `laplace_hit` plus the CLI's sup of |F - target|
@@ -61,13 +61,30 @@ call's result is dropped before the next call starts.
 * validate_s: `dataclasses.replace` on each lam's `laplace_hit` field,
   which reruns its validation alone;
 * uniformity_gap_s: `uniformity_gap` at the times of the `uniformity`
-  table, k L^2 / M^2 for k = 0.01, 0.1 and 1;
+  table, k L^2 / M^2 for k = 0.01, 0.1 and 1, one time per call;
+* laplace_cmd_s, uniformity_cmd_s: the CLI's whole work on this side,
+  `cmd_laplace` on the `laplace` config of the benchmark's
+  spectral-large workload (lam = 0.5, 1 and 2; alpha = 1, v = log L)
+  and `cmd_uniformity` on its `uniformity` config, each with
+  `torus.L` = [L]: the grid build included, whatever the tree builds;
 * peak_rss_mb: the interpreter's peak resident set, import included;
+* laplace_peak_mb, uniformity_peak_mb: the tracemalloc peak of one more
+  `cmd_laplace` and one more `cmd_uniformity` call on those configs,
+  traced alone after peak_rss_mb is read;
 * build_grid_dct_s: for L <= DCT_MAX_SIDE only, `build_grid` for
   meanfield(L), which takes the 1 - DCT-I route.  The meanfield
   kernel's (L+1)^2 mass box and the temporaries of its validation
   peak at 344 MB RSS with the grid at L=4096, so it is built
   after peak_rss_mb is read.
+
+The second, at L = 8192 and 16384, runs the window path of the
+paper's intermediate regime: `cmd_laplace` on one side, uniform M=8,
+rho = 0, alpha = 0.5, v = log L and one lam = 1, in a fresh interpreter
+that imports scipy.fft first.  It measures window_s, the median of
+WINDOW_CALLS (3) calls after one untimed warm-up call; window_rss_mb,
+the interpreter's peak resident set after them; and window_peak_mb,
+the tracemalloc peak of one more call.  A tree that forms the whole
+quadrant needs about 1.1 GB of RSS at L = 16384.
 
 Metric names carry the side, as `laplace_hit_s_L4096`.
 """
@@ -94,7 +111,9 @@ HEAT_KS = (0.01, 0.1, 1.0)
 M = 8
 DCT_MAX_SIDE = 4096
 SIDES = (4096, 8192)
+WINDOW_SIDES = (8192, 16384)
 CALLS = 5  # calls per argument of each spectral layer
+WINDOW_CALLS = 3
 COALESCE_STARTS = [[8 * i, 8 * i] for i in range(8)]  # the CLI's 8 diagonal starts at L=64
 
 
@@ -197,6 +216,18 @@ def call_times(fn) -> list[float]:
     return out
 
 
+def _cli_run(command: str, L: int, scale: dict):
+    """The CLI's run(config) of `command` on uniform M=8 at the one side
+    L, with the given scale block, read as the CLI reads it."""
+    from toruswalk import cli
+    from toruswalk.config import read
+
+    block = {"torus": {"L": [L]}, "kernel": {"family": "uniform", "M": M}, "scale": scale}
+    run = cli.COMMANDS[command]
+    config = read(run.config, block, command)
+    return lambda: run.run(config, None, 1)
+
+
 def measure_spectral(L: int) -> dict:
     """The spectral layer timings of one tree at side L, in this interpreter."""
     import dataclasses
@@ -221,21 +252,50 @@ def measure_spectral(L: int) -> dict:
     uniformity_gap_s = []
     for k in HEAT_KS:
         uniformity_gap_s += call_times(lambda: uniformity_gap(grid, k * L**2 / M**2))
+    del grid
+    laplace_cmd = _cli_run("laplace", L, {"lams": list(LAMS), "mode": "finite", "rho": 0})
+    uniformity_cmd = _cli_run("uniformity", L, {"k_values": list(HEAT_KS)})
     out = {
         "build_grid_s": statistics.median(build_s),
         "laplace_hit_s": statistics.median(laplace_hit_s),
         "validate_s": statistics.median(validate_s),
         "uniformity_gap_s": statistics.median(uniformity_gap_s),
+        "laplace_cmd_s": statistics.median(call_times(laplace_cmd)),
+        "uniformity_cmd_s": statistics.median(call_times(uniformity_cmd)),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "laplace_peak_mb": traced_peak_mb(laplace_cmd),
+        "uniformity_peak_mb": traced_peak_mb(uniformity_cmd),
     }
     if L <= DCT_MAX_SIDE:
-        del grid
         kernel = meanfield_kernel(L)
         out["build_grid_dct_s"] = statistics.median(call_times(lambda: build_grid(kernel, spec)))
     return out
 
 
-MEASURES = {"mc-lattice": measure_mc_lattice, "tier1": measure_tier1, "spectral-large": measure_spectral}
+def measure_window(L: int) -> dict:
+    """The window path's time and memory of one tree at side L, in this interpreter."""
+    import scipy.fft  # noqa: F401  (imported up front, so no timing pays it)
+
+    window = _cli_run("laplace", L, {"lams": [1.0], "mode": "finite", "rho": 0, "alpha": 0.5})
+    window()
+    times = []
+    for _ in range(WINDOW_CALLS):
+        t0 = time.perf_counter()
+        window()
+        times.append(time.perf_counter() - t0)
+    return {
+        "window_s": statistics.median(times),
+        "window_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "window_peak_mb": traced_peak_mb(window),
+    }
+
+
+MEASURES = {
+    "mc-lattice": measure_mc_lattice,
+    "tier1": measure_tier1,
+    "spectral-large": measure_spectral,
+    "spectral-window": measure_window,
+}
 
 
 class Suite(NamedTuple):
@@ -268,14 +328,22 @@ SUITES = {
         fields={},
     ),
     "spectral-large": Suite(
-        variants=lambda r: [("spectral-large", L, f"_L{L}") for L in SIDES],
+        variants=lambda r: [("spectral-large", L, f"_L{L}") for L in SIDES]
+        + [("spectral-window", L, f"_L{L}") for L in WINDOW_SIDES],
         units={
             "build_grid_s": "s",
             "laplace_hit_s": "s",
             "validate_s": "s",
             "uniformity_gap_s": "s",
+            "laplace_cmd_s": "s",
+            "uniformity_cmd_s": "s",
             "peak_rss_mb": "MB",
+            "laplace_peak_mb": "MB",
+            "uniformity_peak_mb": "MB",
             "build_grid_dct_s": "s",
+            "window_s": "s",
+            "window_rss_mb": "MB",
+            "window_peak_mb": "MB",
         },
         fields={
             "kernel": f"uniform(M={M})",
@@ -283,6 +351,7 @@ SUITES = {
             "lams": [f"{lam:g} / L^2" for lam in LAMS],
             "laplace_window": "finite mode, alpha = 1, v = log L",
             "heat_times": [f"{k:g} L^2 / M^2" for k in HEAT_KS],
+            "window_path": "cmd_laplace, finite mode, rho = 0, alpha = 0.5, v = log L, lams [1]",
         },
     ),
 }

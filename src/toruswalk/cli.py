@@ -9,10 +9,17 @@ are printed with 17 significant digits and no timestamps, so re-runs
 are byte-identical; timing and provenance live in the metadata file.
 
 Each command declares its config blocks as frozen dataclasses next to
-its cmd_* function, filled by `config.read`.  A block's __post_init__
-holds only the rules no library object owns; the rest are left to the
-library constructors, which run for every torus, kernel, seed and
-start region before the first numeric call.
+its cmd_* function, filled by `config.read`.  Every rule is checked
+before the first numeric call.  A block's __post_init__ holds the rules
+no library object owns (the keys a mode takes, a ladder's repeated
+values), and restates a library rule only where the library checks it
+too late: LaplaceScale's lam > 0, SimulateScale's lam >= 0 and
+Beta0Config's c in (0, 1] are checked by the library only at the
+transform, after the simulation or at the quadrature of each value.
+The rest are left to the library constructors, which run for every
+torus, kernel, seed and start region up front, and to the time rule
+(torus._check_time), which each command's pre-pass applies to every
+time it forms from the config.
 
 Each command is one row of COMMANDS: the cmd_* function that returns
 its rows and resolved metadata, its config dataclass, its CSV columns
@@ -75,7 +82,7 @@ from .spectral import (
     laplace_hit,
     uniformity_gap,
 )
-from .torus import Annulus, TorusSpec, _axis_footprint, region_size, wrap
+from .torus import Annulus, TorusSpec, _axis_footprint, _check_time, region_size, wrap
 from .torus import enumerate_region, index_of  # noqa: F401  (wrapped by perfbench/tracer.py)
 
 
@@ -83,11 +90,22 @@ from .torus import enumerate_region, index_of  # noqa: F401  (wrapped by perfben
 # blocks shared by several commands
 
 
+def _refuse_repeats(key: str, values: tuple) -> None:
+    """Refuse a ladder that lists a value twice: `resolved` keys its
+    cells by value, so a repeated cell would overwrite the first."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"'{key}' lists {value!r} more than once")
+
+
 @dataclass(frozen=True)
 class Torus:
     """The `torus` block: the table has one section per side L."""
 
     L: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        _refuse_repeats("L", self.L)
 
 
 @dataclass(frozen=True)
@@ -251,22 +269,10 @@ def cmd_laplace(run: LaplaceConfig, seed: int | None, workers: int) -> tuple[lis
 class UniformityScale:
     k_values: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        if any(k < 0 for k in self.k_values):
-            raise ValueError("k_values must be nonnegative")
-
 
 @dataclass(frozen=True)
 class UniformityConfig(TorusRun):
     scale: UniformityScale
-
-
-def _refuse_overflowed_times(name: str, values: tuple[float, ...], times: list[float], L: int) -> None:
-    """Refuse a time that overflows a float, naming its scaled value
-    (times[i] is formed from values[i]) and the torus side L."""
-    for value, t in zip(values, times):
-        if not math.isfinite(t):
-            raise ValueError(f"the time at {name}={value!r} overflows a float on the torus of side {L}")
 
 
 def cmd_uniformity(run: UniformityConfig, seed: int | None, workers: int) -> tuple[list[tuple], dict]:
@@ -275,7 +281,8 @@ def cmd_uniformity(run: UniformityConfig, seed: int | None, workers: int) -> tup
     for spec, kernel in run.tori():
         base_t = max(spec.L**2 / kernel.M**2, math.log(spec.L))
         times = [k * base_t for k in k_values]
-        _refuse_overflowed_times("k", k_values, times, spec.L)
+        for k, t in zip(k_values, times):  # a negative k or an overflow fails here
+            _check_time(t, f"the time at k={k!r} on the torus of side {spec.L}")
         sections.append((spec, kernel, times))
 
     rows: list[tuple] = []
@@ -381,8 +388,7 @@ class CoalesceScale:
     sigma2: float | None = None
 
     def __post_init__(self) -> None:
-        if any(s < 0 for s in self.s_values):
-            raise ValueError("s_values must be nonnegative")
+        _refuse_repeats("s_values", self.s_values)
         if (self.n is None) == (self.starts is None):
             raise ValueError("give exactly one of 'n' or 'starts'")
 
@@ -437,7 +443,8 @@ def cmd_coalesce(run: CoalesceConfig, seed: int | None, workers: int) -> tuple[l
         sigma2 = _kernel_sigma2(kernel, run.kernel) if scale.sigma2 is None else scale.sigma2
         b = beta(RegimeParams(rho=0.0, sigma2=sigma2))
         horizons = [s * spec.L**2 * t_scale(spec.L, kernel.M) for s in scale.s_values]
-        _refuse_overflowed_times("s", scale.s_values, horizons, spec.L)
+        for s, h in zip(scale.s_values, horizons):  # a negative s or an overflow fails here
+            _check_time(h, f"the horizon at s={s!r} on the torus of side {spec.L}")
         sections.append((spec, kernel, starts, b, horizons, _torus_separation_ok(starts, spec.L)))
     seeds = run.mc.seeds(seed)
 
@@ -504,10 +511,9 @@ class ConditionsConfig:
 
 def cmd_conditions(run: ConditionsConfig, seed: int | None, workers: int) -> tuple[list[tuple], dict]:
     kernels = [run.kernel.build_with_M(M) for M in run.M_values]
-    report = condition_report(kernels, **dataclasses.asdict(run.params))
     rows = [
         (row.M, row.sigma2, row.p1_max_dev, row.p2_min, row.p3_max_abs)
-        for row in report.rows
+        for row in condition_report(kernels, **dataclasses.asdict(run.params))
     ]
     p = run.params
     return rows, {"kernel": run.kernel.label(), "delta": p.delta, "delta_prime": p.delta_prime, "a": p.a}

@@ -156,8 +156,9 @@ class KernelPlan:
                 raise ValueError(f"the {self.family} family requires '{key}'")
         if self.M is not None and self.M_exponent is not None:
             raise ValueError("give one of 'M' or 'M_exponent', not both")
-        if self.M_exponent is not None and not 0.0 < self.M_exponent <= 1.0:
-            raise ValueError(f"'M_exponent' must lie in (0, 1], got {self.M_exponent}")
+        # even_ceil(L**1) = L at every even L, a range no torus takes
+        if self.M_exponent is not None and not 0.0 < self.M_exponent < 1.0:
+            raise ValueError(f"'M_exponent' must lie in (0, 1), got {self.M_exponent}")
         if self.density is not None and self.density not in _DENSITY_REGISTRY:
             raise ValueError(f"'density' must be one of {sorted(_DENSITY_REGISTRY)}")
         if self.q0 is not None and self.q0.M is None:

@@ -99,7 +99,7 @@ def target_laplace(params: RegimeParams, lam: float) -> float:
     rho = inf uses the meanfield limit 1/(1 + lam) (time scale L^2);
     finite rho gives (1 - alpha') + alpha'/(1 + beta * lam).
     """
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError(f"lam must be nonnegative, got {lam}")
     if math.isinf(params.rho):
         return 1.0 / (1.0 + lam)
@@ -302,7 +302,7 @@ def exponential_sum_audit(K: int, theta: np.ndarray) -> ExponentialSumAudit:
     """
     th = np.asarray(theta, dtype=np.float64).reshape(2)
     sup = float(np.max(np.abs(th)))
-    if sup == 0.0 or sup > math.pi + 1e-12:
+    if not 0.0 < sup <= math.pi + 1e-12:
         raise ValueError("frequency must be a nonzero point of the closed pi-ball")
     if K < 2:
         raise ValueError(f"K must be at least 2, got {K}")
@@ -321,9 +321,9 @@ def exponential_sum_audit(K: int, theta: np.ndarray) -> ExponentialSumAudit:
     disc_bound = 4.0 * (K + 1) / sup
 
     slack = 1e-9
-    if box_abs > box_bound * (1.0 + 1e-12) + slack:
+    if not box_abs <= box_bound * (1.0 + 1e-12) + slack:
         raise AuditError(f"square-sum bound violated at K={K}, theta={tuple(th)}")
-    if disc_abs > disc_bound * (1.0 + 1e-12) + slack:
+    if not disc_abs <= disc_bound * (1.0 + 1e-12) + slack:
         raise AuditError(f"disc-sum bound violated at K={K}, theta={tuple(th)}")
     return ExponentialSumAudit(
         K=K,

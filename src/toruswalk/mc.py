@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import JumpKernel, _library, sample_jump, sample_jumps
-from .torus import TorusSpec, wrap
+from .torus import TorusSpec, _check_time, wrap
 
 DEFAULT_STEP_CAP = 10**10
 DEFAULT_CHUNK = 4096
@@ -247,10 +247,10 @@ def estimate_laplace(
     h = np.asarray(hit_times, dtype=np.float64).reshape(-1)
     if h.size < 2:
         raise ValueError(f"need at least two samples, got {h.size}")
-    if np.any(h < 0):
+    if not np.all(h >= 0):
         raise ValueError("hit times must be nonnegative")
     lams = np.atleast_1d(np.asarray(lams, dtype=np.float64))
-    if np.any(lams < 0):
+    if not np.all(lams >= 0):
         raise ValueError("lam grid must be nonnegative")
     vals = np.exp(-lams[:, None] * h[None, :])
     est = vals.mean(axis=1)
@@ -281,12 +281,6 @@ class CoalescenceTrace:
     final_positions: np.ndarray  # (len(survivors), 2), aligned with survivors
 
 
-def _check_horizon(horizon: float) -> None:
-    """Refuse a horizon that is negative, infinite or NaN."""
-    if not 0.0 <= horizon < math.inf:
-        raise ValueError(f"horizon must be finite and nonnegative, got {horizon}")
-
-
 def simulate_coalescent(
     kernel: JumpKernel,
     spec: TorusSpec,
@@ -306,7 +300,7 @@ def simulate_coalescent(
     starts = lineage_starts(starts, spec.L)
     pos = starts.copy()
     n = pos.shape[0]
-    _check_horizon(horizon)
+    _check_time(horizon, "horizon")
 
     alive = list(range(n))
     events: list[MergeEvent] = []
@@ -466,7 +460,7 @@ def lineage_count_law(
     """
     pos = lineage_starts(starts, spec.L)
     n = pos.shape[0]
-    _check_horizon(horizon)
+    _check_time(horizon, "horizon")
     if replicates < 1:
         raise ValueError(f"need at least one replicate, got {replicates}")
 

@@ -36,9 +36,8 @@ weights are formed in place on each psi strip and run through the
 axis-0 pass at once, and only the rows the caller keeps go on to the
 axis-1 pass (_dct1_rows).  The hitting transform skips the division,
 since L^2 cancels in G / G(0), and keeps only the rows 0..A that the
-`laplace` start window reads, in one (A + 1, L/2 + 1) buffer.  Heat
-strips whose weights exp(-t psi) all underflow to exact zeros are
-skipped.  Sums over the torus weight the quadrant by m(a) m(b)
+`laplace` start window reads, in one (A + 1, L/2 + 1) buffer.  Sums
+over the torus weight the quadrant by m(a) m(b)
 (torus_sum); the uniformity gap and G(0, lam) are such sums of
 weights, with no transform.  The `values` and `raw` properties unfold
 a whole-quadrant field to the full torus in the mod-L layout of
@@ -72,8 +71,9 @@ limits._quadrant_sum runs its lattice sums, and SpectralGrid.strips
 forms psi, in strips of the same budget.
 
 condition_report probes finite-size analogs of the small-ball,
-mid-ball, and far-field behavior of 1 - phi on sup-norm annuli; it
-measures and reports, and deliberately attaches no pass/fail verdict.
+mid-ball, and far-field behavior of 1 - phi on sup-norm annuli, and
+returns one ConditionRow per kernel; it measures and reports, and
+deliberately attaches no pass/fail verdict.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import JumpKernel
-from .torus import TWO_PI, TorusSpec
+from .torus import TWO_PI, TorusSpec, _check_time
 
 HEAT_NEGATIVE_TOL = 1e-12
 HEAT_SUM_TOL = 1e-9
@@ -235,8 +235,8 @@ def _check_quadrant(q: np.ndarray, spec: TorusSpec, what: str, rows: bool = Fals
 
 
 def _check_psi(psi: np.ndarray) -> None:
-    """Refuse psi = 1 - phi values outside [0, 2] beyond rounding."""
-    if float(psi.min()) < -1e-12 or float(psi.max()) > 2.0 + 1e-12:
+    """Refuse psi = 1 - phi values outside [0, 2] beyond rounding, or nan."""
+    if not (float(psi.min()) >= -1e-12 and float(psi.max()) <= 2.0 + 1e-12):
         raise ValueError("psi = 1 - phi must lie in [0, 2]")
 
 
@@ -409,20 +409,14 @@ class HeatGrid:
 
     def __post_init__(self) -> None:
         _check_quadrant(self.quadrant, self.spec, "heat values")
-        if float(self.quadrant.min()) < -HEAT_NEGATIVE_TOL:
+        if not float(self.quadrant.min()) >= -HEAT_NEGATIVE_TOL:
             raise ArithmeticError("occupation probability below the rounding floor")
-        if abs(torus_sum(self.quadrant) - 1.0) > HEAT_SUM_TOL:
+        if not abs(torus_sum(self.quadrant) - 1.0) <= HEAT_SUM_TOL:
             raise ArithmeticError("occupation probabilities must sum to one")
 
     @property
     def raw(self) -> np.ndarray:
         return unfold(self.quadrant, self.spec)
-
-
-def _check_time(t: float) -> None:
-    """Refuse a time that is negative, infinite or NaN."""
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"time must be finite and nonnegative, got {t}")
 
 
 def _live_columns(psi: np.ndarray, t: float) -> int:
@@ -440,15 +434,9 @@ def _live_columns(psi: np.ndarray, t: float) -> int:
 def heat(grid: SpectralGrid, t: float) -> HeatGrid:
     """Distribution of the walk at time t, started at the origin.
 
-    The weights exp(-t psi) are formed in place on each column strip;
-    a strip with no live column (_live_columns) holds only zeros, and
-    is skipped."""
+    The weights exp(-t psi) are formed in place on each column strip."""
     _check_time(t)
-    strips = (
-        (lo, np.exp(np.multiply(psi, -t, out=psi), out=psi))
-        for lo, psi in grid.strips()
-        if _live_columns(psi, t)
-    )
+    strips = ((lo, np.exp(np.multiply(psi, -t, out=psi), out=psi)) for lo, psi in grid.strips())
     return HeatGrid(spec=grid.spec, t=t, quadrant=_field(strips, grid.spec.L))
 
 
@@ -466,9 +454,9 @@ class GreenField:
     def __post_init__(self) -> None:
         q = self.quadrant
         _check_quadrant(q, self.spec, "resolvent values")
-        if float(q.min()) <= 0.0:
+        if not float(q.min()) > 0.0:
             raise ArithmeticError("resolvent must be strictly positive")
-        if float(q.max()) > q[0, 0] * (1.0 + 1e-12):
+        if not float(q.max()) <= q[0, 0] * (1.0 + 1e-12):
             raise ArithmeticError("resolvent must peak at the origin")
 
     @property
@@ -478,7 +466,7 @@ class GreenField:
 
 def _resolvent_weights(psi: np.ndarray, lam: float) -> np.ndarray:
     """1 / (lam + psi), formed in place in psi."""
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError(f"resolvent parameter must be positive, got {lam}")
     np.add(psi, lam, out=psi)
     return np.reciprocal(psi, out=psi)
@@ -509,7 +497,7 @@ class LaplaceField:
         _check_quadrant(q, self.spec, "transform values", rows=True)
         if q[0, 0] != 1.0:
             raise ValueError("hitting transform must equal 1 at the origin")
-        if float(q.min()) <= 0.0 or float(q.max()) > 1.0:
+        if not (float(q.min()) > 0.0 and float(q.max()) <= 1.0):
             raise ArithmeticError(f"hitting transform at lam={self.lam!r} must lie in (0, 1]")
 
     @property
@@ -602,35 +590,6 @@ class ConditionRow:
     p3_max_abs: float
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    """Measured finite-size behavior of 1 - phi for a kernel ladder.
-
-    p1_max_dev: worst relative deviation of (1-phi)/(sigma2 M^2 |theta|^2 / 2)
-    from 1 on the punctured sup-norm ball of radius delta/M.
-    p2_min: minimum of 1 - phi on the sup-norm annulus (delta/M, delta_prime].
-    p3_max_abs: maximum of |phi| on the sup-norm annulus (a, pi].
-    Measurement only: no threshold is applied.
-
-    Accuracy floor: on the small ball, 1 - phi is still formed as
-    1 - char_fn = 1 - sum q cos(theta . x), which cancels there, because
-    perfbench/reference.json pins p1_max_dev's digits.  For uniform
-    M = 128, p1_max_dev reads 0.0156860551, 1.5e-6 relative above the
-    cancellation-free 2 sum q sin^2(theta . x / 2) and above its
-    theta -> 0 supremum (129/128)^2 - 1 = 0.0156860352.  The mid and
-    far annuli take psi from its cancellation-free product form
-    (_psi_probes), within 3.2e-16 relative of a 40-digit sum on the
-    tests' probes: p2_min is min psi, and p3_max_abs is max |1 - psi|,
-    which carries psi's absolute rounding, so its relative error grows
-    as |phi| shrinks (1.0e-13 for uniform M = 128, where it reads
-    2.7e-3).  These digits do not depend on batching: char_fn and
-    _psi_probes give each probe the same value alone or among any
-    number of probes.
-    """
-
-    rows: tuple[ConditionRow, ...]
-
-
 def _supnorm_annulus_probes(inner: float, outer: float, n_angles: int, n_radii: int) -> np.ndarray:
     """Probe points of {theta : inner < ||theta||_inf <= outer} (sup-norm).
 
@@ -658,17 +617,35 @@ def condition_report(
     a: float,
     n_angles: int = N_ANGLES,
     n_radii: int = N_RADII,
-) -> ConditionReport:
-    """Measure small-ball, mid-ball, and far-field behavior of 1 - phi.
+) -> tuple[ConditionRow, ...]:
+    """Measure small-ball, mid-ball, and far-field behavior of 1 - phi,
+    one ConditionRow per kernel, in the order of `kernels`:
 
-    Probes three sup-norm regions per kernel: the punctured ball of
-    radius delta/M (relative second-order deviation, from char_fn), the
-    annulus (delta/M, delta_prime] (minimum of psi = 1 - phi) and the
-    annulus (a, pi] (maximum of |1 - psi|), both from _psi_probes.
-    Raises on empty regions and on fewer than one angle or radius, for
-    every kernel before the first probe.
+    p1_max_dev: worst relative deviation of (1-phi)/(sigma2 M^2 |theta|^2 / 2)
+    from 1 on the punctured sup-norm ball of radius delta/M (from char_fn);
+    p2_min: minimum of psi = 1 - phi on the sup-norm annulus (delta/M, delta_prime];
+    p3_max_abs: maximum of |phi| = |1 - psi| on the sup-norm annulus (a, pi],
+    both from _psi_probes.
+    Measurement only: no threshold is applied.  Raises on empty regions
+    and on fewer than one angle or radius, for every kernel before the
+    first probe.
+
+    Accuracy floor: on the small ball, 1 - phi is still formed as
+    1 - char_fn = 1 - sum q cos(theta . x), which cancels there, because
+    perfbench/reference.json pins p1_max_dev's digits.  For uniform
+    M = 128, p1_max_dev reads 0.0156860551, 1.5e-6 relative above the
+    cancellation-free 2 sum q sin^2(theta . x / 2) and above its
+    theta -> 0 supremum (129/128)^2 - 1 = 0.0156860352.  The mid and
+    far annuli take psi from its cancellation-free product form
+    (_psi_probes), within 3.2e-16 relative of a 40-digit sum on the
+    tests' probes: p2_min is min psi, and p3_max_abs is max |1 - psi|,
+    which carries psi's absolute rounding, so its relative error grows
+    as |phi| shrinks (1.0e-13 for uniform M = 128, where it reads
+    2.7e-3).  These digits do not depend on batching: char_fn and
+    _psi_probes give each probe the same value alone or among any
+    number of probes.
     """
-    if delta <= 0 or delta_prime <= 0 or not 0 < a < math.pi:
+    if not (delta > 0 and delta_prime > 0 and 0 < a < math.pi):  # also refuses nan
         raise ValueError("probe parameters must be positive with a < pi")
     for key, count in (("n_angles", n_angles), ("n_radii", n_radii)):
         if count < 1:
@@ -697,4 +674,4 @@ def condition_report(
                 p3_max_abs=float(far.max()),
             )
         )
-    return ConditionReport(rows=tuple(rows))
+    return tuple(rows)

@@ -59,6 +59,13 @@ class TorusSpec:
         return self.L * self.L
 
 
+def _check_time(t: float, what: str = "time") -> None:
+    """Refuse a time that is negative, infinite or NaN: the one rule for
+    every time on the walk's clock (transforms, horizons, CLI tables)."""
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"{what} must be finite and nonnegative, got {t}")
+
+
 def wrap(points: np.ndarray, L: int) -> np.ndarray:
     """Map integer points of Z^2 to canonical torus representatives.
 

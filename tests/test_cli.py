@@ -689,9 +689,13 @@ def test_non_finite_and_boolean_numbers_are_exit_2(tmp_path, command, cfg):
         ("uniformity", dict(UNIFORMITY_CFG, scale={"k_values": [1, -1]}), None),
         ("simulate", dict(SIMULATE_CFG, scale={"lams": [1, -1]}), None),
         ("coalesce", dict(COALESCE_CFG, scale=dict(COALESCE_CFG["scale"], sigma2=-1)), None),
+        ("coalesce", dict(COALESCE_CFG, scale={"s_values": [0.5, -1], "n": 2}), None),
         # 1e308 * 8^2 * log 8 / 2^2 and 1e308 * 16^2 / 4^2 overflow a float
         ("coalesce", dict(COALESCE_CFG, scale={"s_values": [0.5, 1e308], "n": 2}), None),
         ("uniformity", dict(UNIFORMITY_CFG, scale={"k_values": [1, 1e308]}), None),
+        # a repeated side or s would share one key of `resolved` with the first
+        ("uniformity", dict(UNIFORMITY_CFG, torus={"L": [16, 8, 16]}), None),
+        ("coalesce", dict(COALESCE_CFG, scale={"s_values": [0.5, 0.2, 0.5], "n": 3}), None),
     ],
     ids=[
         "seed-negative",
@@ -706,8 +710,11 @@ def test_non_finite_and_boolean_numbers_are_exit_2(tmp_path, command, cfg):
         "uniformity-k-negative-second",
         "simulate-lam-negative-second",
         "coalesce-sigma2-negative",
+        "coalesce-s-negative-second",
         "coalesce-horizon-overflows",
         "uniformity-time-overflows",
+        "torus-side-repeated",
+        "coalesce-s-repeated",
     ],
 )
 def test_config_errors_are_refused_before_any_numeric_work(tmp_path, monkeypatch, command, cfg, extra):
@@ -722,6 +729,35 @@ def test_config_errors_are_refused_before_any_numeric_work(tmp_path, monkeypatch
     monkeypatch.setattr("toruswalk.spectral._psi_probes", forbidden)
     code, _ = _run(tmp_path, cfg, command, extra=extra)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "command, cfg, message",
+    [
+        (
+            "uniformity",
+            dict(UNIFORMITY_CFG, scale={"k_values": [1, -2]}),
+            "the time at k=-2.0 on the torus of side 16 must be finite and nonnegative, got -32.0",
+        ),
+        (
+            "coalesce",
+            dict(COALESCE_CFG, scale={"s_values": [1e308], "n": 2}),
+            "the horizon at s=1e+308 on the torus of side 8 must be finite and nonnegative, got inf",
+        ),
+        ("uniformity", dict(UNIFORMITY_CFG, torus={"L": [16, 8, 16]}), "'L' lists 16 more than once"),
+        (
+            "uniformity",
+            dict(UNIFORMITY_CFG, kernel={"family": "uniform", "M_exponent": 1.0}),
+            "'M_exponent' must lie in (0, 1), got 1.0",
+        ),
+    ],
+    ids=["negative-time", "overflowed-horizon", "repeated-side", "M_exponent-one"],
+)
+def test_refusal_names_the_value(tmp_path, capsys, command, cfg, message):
+    code, out = _run(tmp_path, cfg, command)
+    assert code == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.rstrip("\n").endswith(message)
 
 
 @pytest.mark.parametrize("out", ["afile", "afile/sub"], ids=["a-file", "under-a-file"])

@@ -363,6 +363,21 @@ def test_lemma21_audit_validation():
         lemma21_audit(4, 8, np.array([[1.0, 0.0]]))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: target_laplace(RegimeParams(rho=0.0, sigma2=0.1875, alpha=0.5), math.nan),
+        lambda: exponential_sum_audit(64, np.array([math.nan, 0.5])),
+        lambda: lemma21_audit(64, 4, np.array([[1.0, 0.5], [math.nan, 0.5]])),
+    ],
+    ids=["target_laplace", "exponential_sum_audit", "lemma21_audit"],
+)
+def test_nan_argument_is_refused(call):
+    # a nan theta would give nan bounds, against which no assert fires
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_quadrant_sum_strips_match_one_dense_sum():
     # n = 300 runs in two strips; the dense sum forms every weight at once
     n, inner, outer = 300, 40.0, 290.5

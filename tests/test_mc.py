@@ -128,6 +128,14 @@ def test_estimate_laplace_contract():
         estimate_laplace(np.array([1.0, -2.0]), np.array([1.0]))
 
 
+def test_estimate_laplace_refuses_nan():
+    # no comparison is true of nan, so each check asks the good case
+    with pytest.raises(ValueError, match="lam grid"):
+        estimate_laplace(np.array([0.5, 1.0]), np.array([0.5, math.nan]))
+    with pytest.raises(ValueError, match="hit times"):
+        estimate_laplace(np.array([0.5, math.nan]), np.array([1.0]))
+
+
 def test_meanfield_laplace_against_closed_form():
     L = 4
     batch = simulate_hits(

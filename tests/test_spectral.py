@@ -22,6 +22,9 @@ from toruswalk.spectral import (
     EXP_UNDERFLOW,
     N_ANGLES,
     N_RADII,
+    GreenField,
+    HeatGrid,
+    LaplaceField,
     SpectralGrid,
     _live_columns,
     _psi_dct,
@@ -32,6 +35,7 @@ from toruswalk.spectral import (
     char_fn,
     condition_report,
     green,
+    green_at_origin,
     heat,
     laplace_hit,
     psi_grid,
@@ -228,8 +232,8 @@ def test_condition_report_annuli_match_char_fn(family):
     # p1 is 1 - char_fn on the small ball bit for bit; p2 and p3 come from
     # the probe form of psi and agree with 1 - char_fn to within rounding
     ladder = LADDERS[family]
-    rep = condition_report(ladder, delta=0.5, delta_prime=1.0, a=1.0)
-    for k, row in zip(ladder, rep.rows):
+    rows = condition_report(ladder, delta=0.5, delta_prime=1.0, a=1.0)
+    for k, row in zip(ladder, rows):
         M = k.M
         sigma2 = k.sigma2_limit if k.sigma2_limit is not None else k.sigma2_M / M**2
         th1 = _supnorm_annulus_probes(0.0, 0.5 / M, N_ANGLES, N_RADII)
@@ -348,8 +352,8 @@ def test_heat_rejects_negative_time():
 
 
 def test_band_limited_heat_transform_is_dctn_bit_for_bit():
-    # heat transforms only the column strips with a live column; dividing
-    # by L^2 is exact at this power-of-two side
+    # columns past the live ones hold exact zeros, and their transform is
+    # exact zeros too; dividing by L^2 is exact at this power-of-two side
     assert np.exp(-EXP_UNDERFLOW) == 0.0
     L = 512
     grid = build_grid(uniform_kernel(8), TorusSpec(L))
@@ -654,18 +658,49 @@ def test_uniformity_bound_matches_a_high_precision_sum():
 
 def test_condition_report_trends_over_uniform_ladder():
     ladder = [uniform_kernel(M) for M in (2, 8, 32)]
-    rep = condition_report(ladder, delta=0.5, delta_prime=1.0, a=1.0)
-    assert [r.M for r in rep.rows] == [2, 8, 32]
-    devs = [r.p1_max_dev for r in rep.rows]
+    rows = condition_report(ladder, delta=0.5, delta_prime=1.0, a=1.0)
+    assert [r.M for r in rows] == [2, 8, 32]
+    devs = [r.p1_max_dev for r in rows]
     # second-order match improves with range: dev is near (1 + 1/M)^2 - 1
     assert devs[0] > devs[1] > devs[2]
     assert devs[0] == pytest.approx(1.25, abs=0.05)
     assert devs[2] == pytest.approx((33 / 32) ** 2 - 1, abs=0.02)
-    for r in rep.rows:
+    for r in rows:
         assert r.p2_min > 0.0
         assert 0.0 <= r.p3_max_abs < 1.0
     # far-field mass flattens out as the range grows
-    assert rep.rows[0].p3_max_abs > rep.rows[2].p3_max_abs
+    assert rows[0].p3_max_abs > rows[2].p3_max_abs
+
+
+def _with_nan(q: np.ndarray) -> np.ndarray:
+    q = q.copy()
+    q[1, 1] = math.nan
+    return q
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda g: green(g, math.nan), ValueError),
+        (lambda g: laplace_hit(g, math.nan), ValueError),
+        (lambda g: green_at_origin(g, math.nan), ValueError),
+        (lambda g: condition_report([uniform_kernel(2)], delta=math.nan, delta_prime=1.0, a=1.0), ValueError),
+        (lambda g: dataclasses.replace(g, factors=None, quadrant=_with_nan(g.psi())), ValueError),
+        (lambda g: HeatGrid(g.spec, 1.0, _with_nan(heat(g, 1.0).quadrant)), ArithmeticError),
+        (lambda g: GreenField(g.spec, 1.0, _with_nan(green(g, 1.0).quadrant)), ArithmeticError),
+        (lambda g: LaplaceField(g.spec, 1.0, _with_nan(laplace_hit(g, 1.0).quadrant)), ArithmeticError),
+    ],
+    ids=[
+        "green", "laplace_hit", "green_at_origin", "condition_report",
+        "SpectralGrid", "HeatGrid", "GreenField", "LaplaceField",
+    ],
+)
+def test_nan_fails_each_check(call, error):
+    """A NaN argument is a bad argument (ValueError), and a NaN in a field
+    fails the field's own checks (ArithmeticError); neither passes as a
+    number that no comparison is true of."""
+    with pytest.raises(error):
+        call(build_grid(uniform_kernel(2), TorusSpec(8)))
 
 
 def test_condition_report_rejects_bad_probe_params():

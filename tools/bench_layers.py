@@ -75,7 +75,15 @@ costs; a call's result is dropped before the next call starts.
   meanfield(L), which takes the 1 - DCT-I route.  The meanfield
   kernel's (L+1)^2 mass box and the temporaries of its validation
   peak at 344 MB RSS with the grid at L=4096, so it is built
-  after peak_rss_mb is read.
+  after peak_rss_mb is read;
+* route_product_s_M{64,340,776}, route_dct_s_M{64,340,776}: for
+  L <= DCT_MAX_SIDE only, after peak_rss_mb is read, `laplace_hit` at
+  lam = 1 / L^2 on a grid of uniform(M) forced onto each of
+  `build_grid`'s two routes: a SpectralGrid built from `_psi_factors`
+  at the torus frequencies (the product route, which `build_grid`
+  takes while 10 (M/2 + 1) <= L) or from `_psi_dct` (the 1 - DCT-I
+  route).  Each grid is built untimed; psi is formed from it on every
+  transform, so the times hold each route's per-pass cost.
 
 The second, at L = 8192 and 16384, runs the window path of the
 paper's intermediate regime: `cmd_laplace` on one side, uniform M=8,
@@ -110,6 +118,7 @@ LAMS = (0.5, 1.0, 2.0)
 HEAT_KS = (0.01, 0.1, 1.0)
 M = 8
 DCT_MAX_SIDE = 4096
+ROUTE_MS = (64, 340, 776)  # kernel ranges of the route layers, at L <= DCT_MAX_SIDE
 SIDES = (4096, 8192)
 WINDOW_SIDES = (8192, 16384)
 CALLS = 5  # calls per argument of each spectral layer
@@ -236,8 +245,17 @@ def measure_spectral(L: int) -> dict:
 
     from toruswalk.cli import _sup_gap
     from toruswalk.kernels import meanfield_kernel, uniform_kernel
-    from toruswalk.spectral import build_grid, laplace_hit, uniformity_gap
-    from toruswalk.torus import Annulus, TorusSpec, _axis_footprint
+    import numpy as np
+
+    from toruswalk.spectral import (
+        SpectralGrid,
+        _psi_dct,
+        _psi_factors,
+        build_grid,
+        laplace_hit,
+        uniformity_gap,
+    )
+    from toruswalk.torus import TWO_PI, Annulus, TorusSpec, _axis_footprint
 
     kernel, spec = uniform_kernel(M), TorusSpec(L)
     build_s = call_times(lambda: build_grid(kernel, spec))
@@ -269,6 +287,15 @@ def measure_spectral(L: int) -> dict:
     if L <= DCT_MAX_SIDE:
         kernel = meanfield_kernel(L)
         out["build_grid_dct_s"] = statistics.median(call_times(lambda: build_grid(kernel, spec)))
+        theta = TWO_PI * np.arange(L // 2 + 1) / L
+        for m in ROUTE_MS:
+            kernel = uniform_kernel(m)
+            for route, grid in (
+                ("product", SpectralGrid(spec, kernel.label, factors=_psi_factors(kernel, theta, theta))),
+                ("dct", SpectralGrid(spec, kernel.label, quadrant=_psi_dct(kernel, spec))),
+            ):
+                times = call_times(lambda: laplace_hit(grid, 1.0 / L**2))
+                out[f"route_{route}_s_M{m}"] = statistics.median(times)
     return out
 
 
@@ -341,6 +368,7 @@ SUITES = {
             "laplace_peak_mb": "MB",
             "uniformity_peak_mb": "MB",
             "build_grid_dct_s": "s",
+            **{f"route_{route}_s_M{m}": "s" for route in ("product", "dct") for m in ROUTE_MS},
             "window_s": "s",
             "window_rss_mb": "MB",
             "window_peak_mb": "MB",
@@ -348,6 +376,7 @@ SUITES = {
         fields={
             "kernel": f"uniform(M={M})",
             "dct_kernel": f"meanfield(L), L <= {DCT_MAX_SIDE}",
+            "route_kernels": f"uniform(M), M in {list(ROUTE_MS)}, L <= {DCT_MAX_SIDE}, lam = 1 / L^2",
             "lams": [f"{lam:g} / L^2" for lam in LAMS],
             "laplace_window": "finite mode, alpha = 1, v = log L",
             "heat_times": [f"{k:g} L^2 / M^2" for k in HEAT_KS],

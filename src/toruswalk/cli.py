@@ -19,7 +19,10 @@ transform, after the simulation or at the quadrature of each value.
 The rest are left to the library constructors, which run for every
 torus, kernel, seed and start region up front, and to the time rule
 (torus._check_time), which each command's pre-pass applies to every
-time it forms from the config.
+time it forms from the config.  coalesce's pre-pass also forms every
+cell's pure-death target, after the time rule, so a target that is not
+finite fails before the first simulation; lemma21_audit checks every
+theta before its first sum.
 
 Each command is one row of COMMANDS: the cmd_* function that returns
 its rows and resolved metadata, its config dataclass, its CSV columns
@@ -437,22 +440,26 @@ def cmd_coalesce(run: CoalesceConfig, seed: int | None, workers: int) -> tuple[l
     # pair merges at rate PAIR_CLOCK / beta = 2 / beta.
     scale = run.scale
     n = scale.n if scale.starts is None else len(scale.starts)
-    sections = []
+    sections, betas = [], []
     for spec, kernel in run.tori():
         starts = scale.starts_on(spec.L)
         sigma2 = _kernel_sigma2(kernel, run.kernel) if scale.sigma2 is None else scale.sigma2
-        b = beta(RegimeParams(rho=0.0, sigma2=sigma2))
+        betas.append(beta(RegimeParams(rho=0.0, sigma2=sigma2)))
         horizons = [s * spec.L**2 * t_scale(spec.L, kernel.M) for s in scale.s_values]
         for s, h in zip(scale.s_values, horizons):  # a negative s or an overflow fails here
             _check_time(h, f"the horizon at s={s!r} on the torus of side {spec.L}")
-        sections.append((spec, kernel, starts, b, horizons, _torus_separation_ok(starts, spec.L)))
+        sections.append((spec, kernel, starts, horizons, _torus_separation_ok(starts, spec.L)))
+    # every target before the first simulation, and after every horizon has
+    # passed the time rule, so a config error (exit 2) outranks a target
+    # that is not finite (exit 3)
+    targets = [[death_process_dist(n, PAIR_CLOCK * s / b) for s in scale.s_values] for b in betas]
     seeds = run.mc.seeds(seed)
 
     rows: list[tuple] = []
     separation: dict[str, bool] = {}
     horizon: dict[str, float] = {}
     work: dict[str, dict[str, int]] = {}
-    for li, (spec, kernel, starts, b, horizons, separated) in enumerate(sections):
+    for li, (spec, kernel, starts, horizons, separated) in enumerate(sections):
         L = spec.L
         for si, s in enumerate(scale.s_values):
             law = lineage_count_law(
@@ -466,7 +473,7 @@ def cmd_coalesce(run: CoalesceConfig, seed: int | None, workers: int) -> tuple[l
                 workers=workers,
                 step_cap=run.mc.step_cap,
             )
-            target = death_process_dist(n, PAIR_CLOCK * s / b)
+            target = targets[li][si]
             cell = f"L={L},s={s!r}"
             separation[cell] = separated
             horizon[cell] = law.horizon
@@ -511,10 +518,7 @@ class ConditionsConfig:
 
 def cmd_conditions(run: ConditionsConfig, seed: int | None, workers: int) -> tuple[list[tuple], dict]:
     kernels = [run.kernel.build_with_M(M) for M in run.M_values]
-    rows = [
-        (row.M, row.sigma2, row.p1_max_dev, row.p2_min, row.p3_max_abs)
-        for row in condition_report(kernels, **dataclasses.asdict(run.params))
-    ]
+    rows = list(condition_report(kernels, **dataclasses.asdict(run.params)))
     p = run.params
     return rows, {"kernel": run.kernel.label(), "delta": p.delta, "delta_prime": p.delta_prime, "a": p.a}
 

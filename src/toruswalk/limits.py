@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -186,8 +186,7 @@ def quadrature_midpoint_2d(
         n *= 2
 
 
-@dataclass(frozen=True)
-class Beta0Result:
+class Beta0Result(NamedTuple):
     c: float
     value: float
     levels: tuple[tuple[int, float], ...]  # (points per axis, estimate)
@@ -282,14 +281,22 @@ def _axis_torus_sum(K: int, u: float) -> complex:
     return complex(float(_dirichlet(np.array(half), u)), 0.0)
 
 
-@dataclass(frozen=True)
-class ExponentialSumAudit:
+class ExponentialSumAudit(NamedTuple):
     K: int
     theta: tuple[float, float]
     box_abs: float
     box_bound: float
     disc_abs: float
     disc_bound: float
+
+
+def _check_theta(theta: np.ndarray) -> float:
+    """||theta||_inf of a frequency, refused unless it is a nonzero point
+    of the closed pi-ball."""
+    sup = float(np.max(np.abs(theta)))
+    if not 0.0 < sup <= math.pi + 1e-12:
+        raise ValueError("frequency must be a nonzero point of the closed pi-ball")
+    return sup
 
 
 def exponential_sum_audit(K: int, theta: np.ndarray) -> ExponentialSumAudit:
@@ -301,9 +308,7 @@ def exponential_sum_audit(K: int, theta: np.ndarray) -> ExponentialSumAudit:
     numerical violation raises AuditError.
     """
     th = np.asarray(theta, dtype=np.float64).reshape(2)
-    sup = float(np.max(np.abs(th)))
-    if not 0.0 < sup <= math.pi + 1e-12:
-        raise ValueError("frequency must be a nonzero point of the closed pi-ball")
+    sup = _check_theta(th)
     if K < 2:
         raise ValueError(f"K must be at least 2, got {K}")
     box_val = _axis_torus_sum(K, th[0]) * _axis_torus_sum(K, th[1])
@@ -376,8 +381,7 @@ def _quadrant_sum(n: int, inner: float, outer: float, end: int, thetas: np.ndarr
     return total
 
 
-@dataclass(frozen=True)
-class RingRow:
+class RingRow(NamedTuple):
     """|sum of e^{i theta . y} / |y|^2| over J/2 < |y| <= K/2 at one theta;
     the sum is real, a cosine sum over the mirror-symmetric ring."""
 
@@ -386,8 +390,7 @@ class RingRow:
     implied_constant: float  # ring_abs * min(1, J * ||theta||_inf)
 
 
-@dataclass(frozen=True)
-class Lemma21Audit:
+class Lemma21Audit(NamedTuple):
     """Numeric audit of the exponential-sum bounds and log-sum limits.
 
     exp_rows carry the proven square/disc bounds (asserted); ring_rows
@@ -413,11 +416,14 @@ def lemma21_audit(K: int, J: int, thetas: np.ndarray) -> Lemma21Audit:
     """Audit exponential-sum bounds at each theta and the log-sum limits at K.
 
     thetas has shape (m, 2), entries in the punctured closed pi-ball.
-    K > J >= 1.  Proven inequalities are asserted; ratios reported.
+    K > J >= 1.  Every theta is checked before the first sum.  Proven
+    inequalities are asserted; ratios reported.
     """
     if not K > J >= 1:
         raise ValueError(f"need K > J >= 1, got K={K}, J={J}")
     thetas = np.asarray(thetas, dtype=np.float64).reshape(-1, 2)
+    for th in thetas:
+        _check_theta(th)
     exp_rows = tuple(exponential_sum_audit(K, th) for th in thetas)
     ring_abs = np.abs(_quadrant_sum(K // 2, J / 2.0, K / 2.0, 2, thetas))
     ring_rows = tuple(

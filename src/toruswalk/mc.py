@@ -40,6 +40,7 @@ from __future__ import annotations
 import ctypes
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,8 +99,7 @@ class SeedSpec:
         return np.random.Generator(np.random.PCG64(seq))
 
 
-@dataclass(frozen=True)
-class HitBatch:
+class HitBatch(NamedTuple):
     """Vectorized hit samples; starts[i] produced (n_jumps[i], hit_times[i])."""
 
     starts: np.ndarray
@@ -262,8 +262,7 @@ def estimate_laplace(
 # Coalescing walkers
 
 
-@dataclass(frozen=True)
-class MergeEvent:
+class MergeEvent(NamedTuple):
     """Lineages are labeled by the index of their starting point; the
     absorbed label disappears and the survivor carries on."""
 
@@ -272,8 +271,7 @@ class MergeEvent:
     absorbed: int
 
 
-@dataclass(frozen=True)
-class CoalescenceTrace:
+class CoalescenceTrace(NamedTuple):
     starts: np.ndarray  # (n, 2) wrapped initial positions
     horizon: float
     events: tuple[MergeEvent, ...]
@@ -329,8 +327,7 @@ def simulate_coalescent(
     )
 
 
-@dataclass(frozen=True)
-class LineageCountLaw:
+class LineageCountLaw(NamedTuple):
     """Empirical law of the lineage count at one horizon, and the work
     that measured it."""
 

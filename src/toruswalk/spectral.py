@@ -81,6 +81,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -581,8 +582,10 @@ def uniformity_gap(grid: SpectralGrid, t: float | Sequence[float]) -> float | li
 # Finite-size condition diagnostics
 
 
-@dataclass(frozen=True)
-class ConditionRow:
+class ConditionRow(NamedTuple):
+    """One kernel's diagnostics; the fields are the conditions CSV's
+    columns, in order, so a row is written as it comes."""
+
     M: int
     sigma2: float
     p1_max_dev: float

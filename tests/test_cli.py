@@ -826,12 +826,38 @@ def test_input_too_big_for_memory_is_exit_2(tmp_path, command, cfg):
 
 
 def test_coalesce_target_that_is_not_finite_is_exit_3(tmp_path, capsys):
-    # the Monte Carlo runs to full coalescence, but expm(t Q) breaks down at
-    # the death clock 2 s / beta, far below a float's overflow
+    # the horizon passes the time rule, but expm(t Q) breaks down at the
+    # death clock 2 s / beta, far below a float's overflow, before the
+    # Monte Carlo runs
     cfg = dict(COALESCE_CFG, scale={"s_values": [1e300], "n": 3})
     code, out = _run(tmp_path, cfg, "coalesce")
     assert code == 3 and not out.exists()
     assert capsys.readouterr().err.startswith("numeric failure: the pure-death law from n=3 at t=")
+
+
+def test_coalesce_forms_every_target_before_the_first_simulation(tmp_path, monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a cell was simulated before every target was formed")
+
+    monkeypatch.setattr("toruswalk.cli.lineage_count_law", forbidden)
+    cfg = dict(COALESCE_CFG, scale={"s_values": [0.5, 1e300], "n": 3})
+    code, out = _run(tmp_path, cfg, "coalesce")
+    assert code == 3 and not out.exists()
+    assert capsys.readouterr().err.startswith("numeric failure: the pure-death law from n=3 at t=")
+
+    # a horizon that overflows is a config error, and outranks an earlier
+    # cell's target that is not finite
+    cfg = dict(COALESCE_CFG, scale={"s_values": [1e300, 1e308], "n": 3})
+    code, out = _run(tmp_path, cfg, "coalesce")
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr().err.rstrip("\n").endswith("must be finite and nonnegative, got inf")
+
+
+def test_condition_rows_are_the_csv_rows():
+    # cmd_conditions writes condition_report's rows as they come
+    from toruswalk.spectral import ConditionRow
+
+    assert ConditionRow._fields == COMMANDS["conditions"].columns
 
 
 def test_too_many_diagonal_starts_are_refused_before_they_are_built(tmp_path):

@@ -378,6 +378,19 @@ def test_nan_argument_is_refused(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "bad", [[0.0, 0.0], [1.0, -4.0], [math.nan, 0.5]], ids=["zero", "outside-pi-ball", "nan"]
+)
+def test_lemma21_audit_checks_every_theta_before_its_first_sum(monkeypatch, bad):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a lattice sum ran before every theta was checked")
+
+    monkeypatch.setattr("toruswalk.limits._axis_torus_sum", forbidden)
+    monkeypatch.setattr("toruswalk.limits._quadrant_sum", forbidden)
+    with pytest.raises(ValueError, match="frequency must be a nonzero point of the closed pi-ball"):
+        lemma21_audit(4096, 16, np.array([[0.5, 0.5], [1.0, 2.0], bad]))
+
+
 def test_quadrant_sum_strips_match_one_dense_sum():
     # n = 300 runs in two strips; the dense sum forms every weight at once
     n, inner, outer = 300, 40.0, 290.5

@@ -31,12 +31,15 @@ factors or sliced from the stored quadrant, so no consumer of a
 product-route grid holds the psi quadrant.
 
 Each field is the DCT-I of its frequency weights divided by L^2,
-along axis 0 and then axis 1 as in scipy.fft.dctn, bit for bit: the
-weights are formed in place on each psi strip and run through the
-axis-0 pass at once, and only the rows the caller keeps go on to the
-axis-1 pass (_dct1_rows).  The hitting transform skips the division,
-since L^2 cancels in G / G(0), and keeps only the rows 0..A that the
-`laplace` start window reads, in one (A + 1, L/2 + 1) buffer.  Sums
+along axis 0 and then axis 1 as in scipy.fft.dctn, bit for bit, on
+numpy's own pocketfft: the DCT-I of a line is the real part of
+numpy.fft.rfft of its even extension, which is how scipy.fft.dct
+(type=1) computes it, so no transform loads scipy.  The weights of each
+psi strip run through the axis-0 pass at once, and only the rows the
+caller keeps go on to the axis-1 pass (_dct1_rows).  The hitting
+transform divides by its own origin value instead, since L^2 cancels
+in G / G(0), and keeps only the rows 0..A that the `laplace` start
+window reads, in one (A + 1, L/2 + 1) buffer.  Sums
 over the torus weight the quadrant by m(a) m(b)
 (torus_sum); the uniformity gap and G(0, lam) are such sums of
 weights, with no transform.  The `values` and `raw` properties unfold
@@ -263,35 +266,88 @@ def torus_sum(q: np.ndarray) -> float:
     return float(m @ q @ m[: q.shape[1]])
 
 
-def _dct1_rows(strips: Iterable[tuple[int, np.ndarray]], n: int, rows: int) -> np.ndarray:
+def _line_buffers(lines: int, n: int, memory: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The even extensions (lines, 2(n - 1)) and the complex spectra
+    (lines, n) of `lines` DCT-I lines, 4 n lines entries in all: laid
+    out in the float64 array `memory` when it holds that many, else new."""
+    N = 2 * (n - 1)
+    if memory is None or memory.size < 4 * n * lines:
+        memory = np.empty(4 * n * lines)
+    flat = memory.reshape(-1)
+    spec = flat[lines * N : lines * (N + 2 * n)].view(np.complex128)
+    return flat[: lines * N].reshape(lines, N), spec.reshape(lines, n)
+
+
+def _dct1_lines(a: np.ndarray, keep: int, ext: np.ndarray, spec: np.ndarray, norm=None) -> None:
+    """Replace each row of a by its DCT-I, cut to the first `keep`
+    entries, block by block through the buffers of _line_buffers: the
+    real part of numpy.fft.rfft of the row's even extension.  With norm,
+    the rows are divided by norm(the first row's value at 0)."""
+    n, b = a.shape[1], ext.shape[0]
+    d = None
+    for i in range(0, a.shape[0], b):
+        e = ext[: min(b, a.shape[0] - i)]
+        e[:, :n] = a[i : i + b]
+        e[:, n:] = a[i : i + b, n - 2 : 0 : -1]
+        s = np.fft.rfft(e, out=spec[: e.shape[0]]).real[:, :keep]
+        if norm is None:
+            a[i : i + b, :keep] = s
+        else:
+            d = norm(s[0, 0]) if d is None else d
+            np.divide(s, d, out=a[i : i + b, :keep])
+
+
+def _dct1_rows(strips: Iterable[tuple[int, np.ndarray]], n: int, rows: int, weights, norm=None) -> np.ndarray:
     """Rows 0..rows-1 of the unnormalized DCT-I, along axis 0 and then
     axis 1 as in scipy.fft.dctn, of the n x n array whose columns
-    lo..lo+w-1 hold each (lo, strip) of `strips` and whose other columns
-    hold zeros.
+    lo..lo+m-1 hold weights(strip) for each (lo, strip) of `strips`
+    (m <= _tile_rows(n) columns each) and whose other columns hold
+    zeros; with norm, divided by norm(g0), g0 the transform's value at
+    the origin.  weights(src, dst) writes the weights of src into dst.
 
-    Each strip's axis-0 pass runs in place on the strip, and only its
-    rows 0..rows-1 are kept: output row i of the axis-1 pass is the
-    transform of row i of the axis-0 pass alone.  So a call holds one
-    (rows, n) buffer and at most two strips (the one being formed and
-    the one before it), whatever n.  Every column and row goes through
-    the same 1-D transform as in dctn, so the result equals
-    dctn(a, type=1)[:rows] bit for bit.
+    The engine is numpy's pocketfft (numpy.fft, which numpy loads on
+    first use): the DCT-I of a line x of n entries is the real part of
+    numpy.fft.rfft of its even extension x_0 .. x_{n-1}, x_{n-2} .. x_1,
+    of length 2(n - 1).  scipy.fft.dct(type=1) computes it the same way,
+    with the same pocketfft real-FFT plan for that length (radix passes,
+    or Bluestein's algorithm for a large prime factor), on an exact copy
+    of the same extension, so every line equals scipy's bit for bit, and
+    the result equals dctn(a, type=1)[:rows] (over norm(g0)).
+
+    Lines are transformed as contiguous rows, a few at a time.  Each
+    strip's weights are written transposed into one (m, n) buffer, and
+    the strip is dropped; its memory then holds the extensions and the
+    spectra of m/4 lines (_line_buffers), the rows 0..rows-1 of each
+    transformed line return to the buffer, and the buffer goes to its
+    columns of one (rows, n) row buffer.  Output row i of the axis-1
+    pass is the transform of row i of the axis-0 pass alone, so the
+    axis-1 pass runs on the rows kept, in place, through the buffers of
+    w/2 lines once no strip is left (w = _tile_rows(n)).  So at most
+    one strip is alive while the next is formed, and a call holds the
+    row buffer and at most two strips' worth, (rows + 2 w) n entries,
+    whatever the kernel.
     """
-    import scipy.fft  # costs about 0.1 s, so only processes that transform pay it
-
+    w = min(_tile_rows(n), n)
     out = np.zeros((rows, n))
+    lines = np.empty((w, n))
     for lo, strip in strips:
-        strip = scipy.fft.dct(strip, type=1, axis=0, overwrite_x=True)
-        out[:, lo : lo + strip.shape[1]] = strip[:rows]
-    return scipy.fft.dct(out, type=1, axis=1, overwrite_x=True)
-
-
-def _field(strips: Iterable[tuple[int, np.ndarray]], L: int) -> np.ndarray:
-    """L^-2 sum_y weights(y) c(y, x) on the quadrant, from the column
-    strips of the weights (_dct1_rows)."""
-    out = _dct1_rows(strips, L // 2 + 1, L // 2 + 1)
-    out /= L * L
+        m = strip.shape[1]
+        weights(strip.T, lines[:m])
+        ext, spec = _line_buffers(max(1, m // 4), n, strip)
+        del strip  # its memory now holds ext and spec alone
+        _dct1_lines(lines[:m], rows, ext, spec)
+        out[:, lo : lo + m] = lines[:m, :rows].T
+        del ext, spec
+    del lines
+    _dct1_lines(out, n, *_line_buffers(max(1, min(rows, w // 2)), n), norm=norm)
     return out
+
+
+def _field(grid: SpectralGrid, weights) -> np.ndarray:
+    """L^-2 sum_y weights(y) c(y, x) on the quadrant, from psi's column
+    strips (_dct1_rows)."""
+    L = grid.spec.L
+    return _dct1_rows(grid.strips(), L // 2 + 1, L // 2 + 1, weights, lambda g0: L * L)
 
 
 @dataclass(frozen=True)
@@ -360,14 +416,22 @@ class SpectralGrid:
 def _psi_dct(kernel: JumpKernel, spec: TorusSpec) -> np.ndarray:
     """psi on the quadrant as 1 minus the DCT-I of the kernel mass wrapped
     onto it, with psi(0) pinned to 0.  The mass fills the quadrant's
-    first M/2 + 1 columns, which go through _dct1_rows as one strip."""
+    first M/2 + 1 columns, which go through _dct1_rows in strips of
+    _tile_rows(L/2 + 1) columns."""
     n, h = spec.L // 2 + 1, kernel.M // 2
-    mass = np.zeros((n, h + 1))
-    mass[: h + 1] = kernel.box[h:, h:]
+    box = kernel.box[h:, h:].copy()
     if kernel.M == spec.L:  # the mirror pre-images -L/2 and L/2 are one torus point
-        mass[h] *= 2.0
-        mass[:, h] *= 2.0
-    out = _dct1_rows([(0, mass)], n, n)
+        box[h] *= 2.0
+        box[:, h] *= 2.0
+
+    def strips():
+        w = _tile_rows(n)
+        for lo in range(0, h + 1, w):
+            mass = np.zeros((n, min(w, h + 1 - lo)))
+            mass[: h + 1] = box[:, lo : lo + w]
+            yield lo, mass
+
+    out = _dct1_rows(strips(), n, n, lambda mass, dst: np.copyto(dst, mass))
     psi = np.subtract(1.0, out, out=out)
     psi[0, 0] = 0.0
     return psi
@@ -435,10 +499,13 @@ def _live_columns(psi: np.ndarray, t: float) -> int:
 def heat(grid: SpectralGrid, t: float) -> HeatGrid:
     """Distribution of the walk at time t, started at the origin.
 
-    The weights exp(-t psi) are formed in place on each column strip."""
+    The weights exp(-t psi) are formed from each column strip."""
     _check_time(t)
-    strips = ((lo, np.exp(np.multiply(psi, -t, out=psi), out=psi)) for lo, psi in grid.strips())
-    return HeatGrid(spec=grid.spec, t=t, quadrant=_field(strips, grid.spec.L))
+
+    def weights(psi: np.ndarray, out: np.ndarray) -> None:
+        np.exp(np.multiply(psi, -t, out=out), out=out)
+
+    return HeatGrid(spec=grid.spec, t=t, quadrant=_field(grid, weights))
 
 
 @dataclass(frozen=True)
@@ -465,19 +532,22 @@ class GreenField:
         return unfold(self.quadrant, self.spec)
 
 
-def _resolvent_weights(psi: np.ndarray, lam: float) -> np.ndarray:
-    """1 / (lam + psi), formed in place in psi."""
+def _resolvent_weights(lam: float):
+    """weights(psi, out), which writes 1 / (lam + psi) into out (which may
+    be psi); a lam that is not positive is refused here, before any work."""
     if not lam > 0:
         raise ValueError(f"resolvent parameter must be positive, got {lam}")
-    np.add(psi, lam, out=psi)
-    return np.reciprocal(psi, out=psi)
+
+    def weights(psi: np.ndarray, out: np.ndarray) -> None:
+        np.reciprocal(np.add(psi, lam, out=out), out=out)
+
+    return weights
 
 
 def green(grid: SpectralGrid, lam: float) -> GreenField:
     """Resolvent G(x, lam) = integral exp(-lam s) P_x(X_s = 0) ds, all x,
     transformed from the weights 1 / (lam + psi)."""
-    strips = ((lo, _resolvent_weights(psi, lam)) for lo, psi in grid.strips())
-    return GreenField(spec=grid.spec, lam=lam, quadrant=_field(strips, grid.spec.L))
+    return GreenField(spec=grid.spec, lam=lam, quadrant=_field(grid, _resolvent_weights(lam)))
 
 
 @dataclass(frozen=True)
@@ -513,8 +583,9 @@ def laplace_hit(grid: SpectralGrid, lam: float, rows: int | None = None) -> Lapl
 
     One DCT-I of the resolvent weights 1 / (lam + psi), formed strip by
     strip from psi's column strips (_dct1_rows, which keeps the rows
-    asked for in one (rows, L/2 + 1) buffer), divided in place by its
-    origin value: the L^-2 of G cancels in the ratio and is never
+    asked for in one (rows, L/2 + 1) buffer), divided by its origin
+    value as the second pass writes each block of rows, so no pass of
+    its own divides: the L^-2 of G cancels in the ratio and is never
     applied, so at a power-of-two L, where dividing by L^2 is exact,
     F is green(grid, lam).quadrant over its origin value bit for bit,
     and F on rows 0..rows-1 equals the whole quadrant's rows bit for
@@ -526,19 +597,22 @@ def laplace_hit(grid: SpectralGrid, lam: float, rows: int | None = None) -> Lapl
     rows = n if rows is None else rows
     if not 1 <= rows <= n:
         raise ValueError(f"rows must lie in 1..L/2 + 1 = {n}, got {rows}")
-    strips = ((lo, _resolvent_weights(psi, lam)) for lo, psi in grid.strips())
-    q = _dct1_rows(strips, n, rows)
-    g0 = q[0, 0]
-    if not g0 > 0.0:
-        raise ArithmeticError(f"resolvent at lam={lam!r} must be strictly positive")
-    q /= g0
+
+    def origin(g0: float) -> float:
+        if not g0 > 0.0:
+            raise ArithmeticError(f"resolvent at lam={lam!r} must be strictly positive")
+        return g0
+
+    q = _dct1_rows(grid.strips(), n, rows, _resolvent_weights(lam), origin)
     return LaplaceField(spec=grid.spec, lam=lam, quadrant=q)
 
 
 def green_at_origin(grid: SpectralGrid, lam: float) -> float:
     """G(0, lam) = L^-2 sum_y 1 / (lam + psi_y), summed on the quadrant
     with no transform."""
-    return torus_sum(_resolvent_weights(grid.psi(), lam)) / grid.spec.n_points
+    weights, psi = _resolvent_weights(lam), grid.psi()
+    weights(psi, psi)
+    return torus_sum(psi) / grid.spec.n_points
 
 
 def uniformity_gap(grid: SpectralGrid, t: float | Sequence[float]) -> float | list[float]:

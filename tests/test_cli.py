@@ -282,20 +282,55 @@ def test_simulate_exact_column_matches_the_dense_oracle(tmp_path, block, kernel)
         assert float(row[4]) == pytest.approx((F.sum() - 1.0) / (spec.n_points - 1), rel=1e-12)
 
 
+def _scipy_modules_after(code: str) -> str:
+    """The sorted list of scipy modules, as printed, that a child
+    interpreter holds after running code."""
+    code += "\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
+
+
 def test_simulate_on_a_product_route_grid_loads_no_scipy_fft(tmp_path):
-    # L = 32 >= 10 (M/2 + 1) for M = 2: the grid is the product form, and
-    # the exact column sums on it with no transform
+    # the exact column sums on the grid with no transform, and the
+    # transforms run on numpy.fft anyway: no scipy module loads
     cfg = {**SIMULATE_CFG, "torus": {"L": [32]}, "mc": {"replicates": 8, "seed": 3}}
     cfg_path = _write_cfg(tmp_path / "simulate.json", cfg)
     code = (
-        "import sys\n"
         "from toruswalk.cli import main\n"
-        f"assert main(['simulate', '--config', {cfg_path!r}, '--out', {str(tmp_path)!r}]) == 0\n"
-        "print('scipy.fft' in sys.modules)"
+        f"assert main(['simulate', '--config', {cfg_path!r}, '--out', {str(tmp_path)!r}]) == 0"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_src_env())
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "False"
+    assert _scipy_modules_after(code) == "[]"
+
+
+def test_spectral_commands_load_no_scipy(tmp_path):
+    # the DCT-I runs on numpy.fft: laplace on the product route (L = 32,
+    # M = 2) at alpha = 1 and 0.5, meanfield laplace on the 1 - DCT-I
+    # route, uniformity, and one green and one heat call
+    product = {
+        "command": "laplace",
+        "torus": {"L": [32]},
+        "kernel": {"family": "uniform", "M": 2},
+        "scale": {"lams": [1.0], "mode": "finite", "rho": 0.0},
+    }
+    runs = [
+        ("laplace", {**product, "scale": {**product["scale"], "alpha": 1.0}}),
+        ("laplace", {**product, "scale": {**product["scale"], "alpha": 0.5}}),
+        ("laplace", MEANFIELD_LAPLACE),
+        ("uniformity", UNIFORMITY_CFG),
+    ]
+    code = "from toruswalk.cli import main\n"
+    for i, (command, cfg) in enumerate(runs):
+        cfg_path = _write_cfg(tmp_path / f"{i}.json", cfg)
+        out = str(tmp_path / f"out{i}")
+        code += f"assert main([{command!r}, '--config', {cfg_path!r}, '--out', {out!r}]) == 0\n"
+    code += (
+        "import toruswalk\n"
+        "grid = toruswalk.build_grid(toruswalk.uniform_kernel(2), toruswalk.TorusSpec(32))\n"
+        "toruswalk.green(grid, 0.5)\n"
+        "toruswalk.heat(grid, 3.0)"
+    )
+    assert _scipy_modules_after(code) == "[]"
 
 
 def test_seed_flag_overrides_config_seed(tmp_path):
@@ -1058,8 +1093,6 @@ def test_cli_import_loads_no_compiler_hash_or_thread_pool_modules():
 
 def test_cli_import_loads_no_scipy():
     # scipy (about a quarter second to import) loads only in the
-    # functions that transform or solve, not with the CLI
-    code = "import sys, toruswalk.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_src_env())
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    # functions that solve: coalesce's pure-death expm and the dense
+    # oracle; the transforms run on numpy.fft
+    assert _scipy_modules_after("import toruswalk.cli") == "[]"

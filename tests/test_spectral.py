@@ -26,6 +26,9 @@ from toruswalk.spectral import (
     HeatGrid,
     LaplaceField,
     SpectralGrid,
+    _dct1_lines,
+    _dct1_rows,
+    _line_buffers,
     _live_columns,
     _psi_dct,
     _psi_probes,
@@ -562,6 +565,36 @@ def test_strip_transforms_equal_the_whole_quadrant_bit_for_bit(L):
             assert np.array_equal(laplace_hit(grid, lam).quadrant, full)
             for A in windows:
                 assert np.array_equal(laplace_hit(grid, lam, rows=A + 1).quadrant, full[: A + 1])
+
+
+@pytest.mark.parametrize("L", [2, 4, 106, 422, 2018])
+def test_dct1_engine_is_scipy_dct_bit_for_bit(L):
+    # the real FFT of each line's even extension (length L, with the odd
+    # factors 53, 211 and 1009 at the three larger sides, the last two
+    # through Bluestein's algorithm) is scipy.fft.dct(type=1)'s own
+    # computation: each line equals scipy's DCT-I, and the strip-wise
+    # engine equals dctn's rows, for 1, A + 1 (the alpha = 0.5 window)
+    # and L/2 + 1 rows; meanfield's psi (M = L, the mass in every
+    # column) is 1 - dctn of the wrapped mass
+    spec, n = TorusSpec(L), L // 2 + 1
+    a = np.random.default_rng(L).uniform(0.5, 2.0, (n, n))
+    lines = a.copy()
+    _dct1_lines(lines, n, *_line_buffers(3, n))
+    assert np.array_equal(lines, scipy.fft.dct(a, type=1, axis=1))
+    full = scipy.fft.dctn(a, type=1)
+    A = _axis_footprint(Annulus(0.5, math.log(L), L), spec)[0]
+    w = _tile_rows(n)
+    for rows in (1, A + 1, n):
+        strips = ((lo, a[:, lo : lo + w].copy()) for lo in range(0, n, w))
+        out = _dct1_rows(strips, n, rows, lambda src, dst: np.copyto(dst, src))
+        assert np.array_equal(out, full[:rows])
+    kernel = meanfield_kernel(L)
+    mass = kernel.box[L // 2 :, L // 2 :].copy()
+    mass[-1] *= 2.0  # the mirror pre-images -L/2 and L/2 are one torus point
+    mass[:, -1] *= 2.0
+    ref = 1.0 - scipy.fft.dctn(mass, type=1)
+    ref[0, 0] = 0.0
+    assert np.array_equal(_psi_dct(kernel, spec), ref)
 
 
 @pytest.mark.parametrize("L", [64, 100, 250, 1024])

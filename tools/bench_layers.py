@@ -44,14 +44,18 @@ The second times the tree's Tier-1 suite:
 
 * tier1_s: `python -m pytest -q` from the tree's root.
 
-spectral-large runs two variants per side.  The first, at L = 4096
-and 8192, imports scipy.fft first (so no timing below pays a lazy
-import), builds one grid (uniform M=8) on the torus of side L, runs the
-CLI's hitting transforms and uniformity gaps on it, and measures the
-following.  Every layer is timed as the median of CALLS (5) calls per
-argument, after one untimed warm-up call, so that a 10% change stands
-out of the machine's jitter and no timing pays a first call's one-off
-costs; a call's result is dropped before the next call starts.
+spectral-large runs three variants.  The first, at L = 4096 and 8192,
+runs one small `laplace_hit` (L = 64) of the tree's own code first, so
+no timing below pays a lazy import and the tree's memory is charged for
+what it loads itself, builds one grid (uniform M=8) on the torus of side
+L, runs the CLI's hitting transforms and uniformity gaps on it, and
+measures the following.  Every layer is timed as the median of CALLS
+(5) calls per argument, after one untimed warm-up call, so that a 10%
+change stands out of the machine's jitter and no timing pays a first
+call's one-off costs; a call's result is dropped before the next call
+starts.  At L <= DCT_MAX_SIDE a layer whose warm-up call takes more
+than SLOW_S (50 ms) gets SLOW_CALLS (15) calls per argument, since 5
+such calls read up to 8% apart for identical code.
 
 * build_grid_s: `build_grid` (the product route);
 * laplace_hit_s: `laplace_hit` plus the CLI's sup of |F - target|
@@ -88,11 +92,18 @@ costs; a call's result is dropped before the next call starts.
 The second, at L = 8192 and 16384, runs the window path of the
 paper's intermediate regime: `cmd_laplace` on one side, uniform M=8,
 rho = 0, alpha = 0.5, v = log L and one lam = 1, in a fresh interpreter
-that imports scipy.fft first.  It measures window_s, the median of
+that runs the same small `laplace_hit` first.  It measures window_s,
+the median of
 WINDOW_CALLS (3) calls after one untimed warm-up call; window_rss_mb,
 the interpreter's peak resident set after them; and window_peak_mb,
 the tracemalloc peak of one more call.  A tree that forms the whole
 quadrant needs about 1.1 GB of RSS at L = 16384.
+
+The third measures oneshot_laplace_s: the wall time of one fresh
+interpreter, from its start to its exit, that runs `cli.main` on the
+`laplace` command for meanfield(L) at L = 64 (lams 1 and 2, meanfield
+mode), the median of CALLS runs after one untimed run: what a user
+pays for one small table, imports included.
 
 Metric names carry the side, as `laplace_hit_s_L4096`.
 """
@@ -122,6 +133,9 @@ ROUTE_MS = (64, 340, 776)  # kernel ranges of the route layers, at L <= DCT_MAX_
 SIDES = (4096, 8192)
 WINDOW_SIDES = (8192, 16384)
 CALLS = 5  # calls per argument of each spectral layer
+SLOW_S = 0.05  # a layer's warm-up time above which, at L <= DCT_MAX_SIDE, it gets SLOW_CALLS
+SLOW_CALLS = 15
+ONESHOT_SIDE = 64
 WINDOW_CALLS = 3
 COALESCE_STARTS = [[8 * i, 8 * i] for i in range(8)]  # the CLI's 8 diagonal starts at L=64
 
@@ -213,12 +227,15 @@ def measure_tier1(_: int) -> dict:
     return {"tier1_s": time.perf_counter() - t0}
 
 
-def call_times(fn) -> list[float]:
+def call_times(fn, slow_calls: int = CALLS) -> list[float]:
     """Seconds of each of CALLS calls of fn() after one untimed warm-up
-    call; each result is dropped at once."""
+    call, or of slow_calls calls when the warm-up took more than SLOW_S;
+    each result is dropped at once."""
+    t0 = time.perf_counter()
     fn()
+    calls = slow_calls if time.perf_counter() - t0 > SLOW_S else CALLS
     out = []
-    for _ in range(CALLS):
+    for _ in range(calls):
         t0 = time.perf_counter()
         fn()
         out.append(time.perf_counter() - t0)
@@ -237,12 +254,21 @@ def _cli_run(command: str, L: int, scale: dict):
     return lambda: run.run(config, None, 1)
 
 
+def warm_up() -> None:
+    """One small hitting transform of the tree's own code, so that no
+    timing pays a lazy import or a first call's one-off costs."""
+    from toruswalk.kernels import uniform_kernel
+    from toruswalk.spectral import build_grid, laplace_hit
+    from toruswalk.torus import TorusSpec
+
+    laplace_hit(build_grid(uniform_kernel(M), TorusSpec(64)), 1.0 / 64**2)
+
+
 def measure_spectral(L: int) -> dict:
     """The spectral layer timings of one tree at side L, in this interpreter."""
     import dataclasses
 
-    import scipy.fft  # noqa: F401  (imported up front, so no timing pays it)
-
+    warm_up()
     from toruswalk.cli import _sup_gap
     from toruswalk.kernels import meanfield_kernel, uniform_kernel
     import numpy as np
@@ -258,18 +284,19 @@ def measure_spectral(L: int) -> dict:
     from toruswalk.torus import TWO_PI, Annulus, TorusSpec, _axis_footprint
 
     kernel, spec = uniform_kernel(M), TorusSpec(L)
-    build_s = call_times(lambda: build_grid(kernel, spec))
+    slow = SLOW_CALLS if L <= DCT_MAX_SIDE else CALLS
+    build_s = call_times(lambda: build_grid(kernel, spec), slow)
     grid = build_grid(kernel, spec)
     window = _axis_footprint(Annulus(1.0, math.log(L), L), spec)
     laplace_hit_s, validate_s = [], []
     for lam in LAMS:
-        laplace_hit_s += call_times(lambda: _sup_gap(laplace_hit(grid, lam / L**2).quadrant, 0.5, window))
+        laplace_hit_s += call_times(lambda: _sup_gap(laplace_hit(grid, lam / L**2).quadrant, 0.5, window), slow)
         field = laplace_hit(grid, lam / L**2)
-        validate_s += call_times(lambda: dataclasses.replace(field))
+        validate_s += call_times(lambda: dataclasses.replace(field), slow)
         del field  # one field at a time, as in the CLI
     uniformity_gap_s = []
     for k in HEAT_KS:
-        uniformity_gap_s += call_times(lambda: uniformity_gap(grid, k * L**2 / M**2))
+        uniformity_gap_s += call_times(lambda: uniformity_gap(grid, k * L**2 / M**2), slow)
     del grid
     laplace_cmd = _cli_run("laplace", L, {"lams": list(LAMS), "mode": "finite", "rho": 0})
     uniformity_cmd = _cli_run("uniformity", L, {"k_values": list(HEAT_KS)})
@@ -278,15 +305,15 @@ def measure_spectral(L: int) -> dict:
         "laplace_hit_s": statistics.median(laplace_hit_s),
         "validate_s": statistics.median(validate_s),
         "uniformity_gap_s": statistics.median(uniformity_gap_s),
-        "laplace_cmd_s": statistics.median(call_times(laplace_cmd)),
-        "uniformity_cmd_s": statistics.median(call_times(uniformity_cmd)),
+        "laplace_cmd_s": statistics.median(call_times(laplace_cmd, slow)),
+        "uniformity_cmd_s": statistics.median(call_times(uniformity_cmd, slow)),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "laplace_peak_mb": traced_peak_mb(laplace_cmd),
         "uniformity_peak_mb": traced_peak_mb(uniformity_cmd),
     }
     if L <= DCT_MAX_SIDE:
         kernel = meanfield_kernel(L)
-        out["build_grid_dct_s"] = statistics.median(call_times(lambda: build_grid(kernel, spec)))
+        out["build_grid_dct_s"] = statistics.median(call_times(lambda: build_grid(kernel, spec), slow))
         theta = TWO_PI * np.arange(L // 2 + 1) / L
         for m in ROUTE_MS:
             kernel = uniform_kernel(m)
@@ -294,15 +321,14 @@ def measure_spectral(L: int) -> dict:
                 ("product", SpectralGrid(spec, kernel.label, factors=_psi_factors(kernel, theta, theta))),
                 ("dct", SpectralGrid(spec, kernel.label, quadrant=_psi_dct(kernel, spec))),
             ):
-                times = call_times(lambda: laplace_hit(grid, 1.0 / L**2))
+                times = call_times(lambda: laplace_hit(grid, 1.0 / L**2), slow)
                 out[f"route_{route}_s_M{m}"] = statistics.median(times)
     return out
 
 
 def measure_window(L: int) -> dict:
     """The window path's time and memory of one tree at side L, in this interpreter."""
-    import scipy.fft  # noqa: F401  (imported up front, so no timing pays it)
-
+    warm_up()
     window = _cli_run("laplace", L, {"lams": [1.0], "mode": "finite", "rho": 0, "alpha": 0.5})
     window()
     times = []
@@ -317,11 +343,38 @@ def measure_window(L: int) -> dict:
     }
 
 
+def measure_oneshot(L: int) -> dict:
+    """The wall time of one fresh interpreter that writes the meanfield
+    `laplace` table at side L, imports included."""
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "laplace.json")
+        with open(cfg, "w") as fh:
+            json.dump(
+                {
+                    "command": "laplace",
+                    "torus": {"L": [L]},
+                    "kernel": {"family": "meanfield"},
+                    "scale": {"lams": [1.0, 2.0], "mode": "meanfield"},
+                },
+                fh,
+            )
+        argv = ["laplace", "--config", cfg, "--out", os.path.join(tmp, "out")]
+        code = f"import sys\nfrom toruswalk.cli import main\nsys.exit(main({argv!r}))"
+
+        def run():
+            subprocess.run([sys.executable, "-c", code], stdout=subprocess.DEVNULL, check=True)
+
+        return {"oneshot_laplace_s": statistics.median(call_times(run))}
+
+
 MEASURES = {
     "mc-lattice": measure_mc_lattice,
     "tier1": measure_tier1,
     "spectral-large": measure_spectral,
     "spectral-window": measure_window,
+    "oneshot": measure_oneshot,
 }
 
 
@@ -356,7 +409,8 @@ SUITES = {
     ),
     "spectral-large": Suite(
         variants=lambda r: [("spectral-large", L, f"_L{L}") for L in SIDES]
-        + [("spectral-window", L, f"_L{L}") for L in WINDOW_SIDES],
+        + [("spectral-window", L, f"_L{L}") for L in WINDOW_SIDES]
+        + [("oneshot", ONESHOT_SIDE, "")],
         units={
             "build_grid_s": "s",
             "laplace_hit_s": "s",
@@ -372,6 +426,7 @@ SUITES = {
             "window_s": "s",
             "window_rss_mb": "MB",
             "window_peak_mb": "MB",
+            "oneshot_laplace_s": "s",
         },
         fields={
             "kernel": f"uniform(M={M})",
@@ -381,6 +436,8 @@ SUITES = {
             "laplace_window": "finite mode, alpha = 1, v = log L",
             "heat_times": [f"{k:g} L^2 / M^2" for k in HEAT_KS],
             "window_path": "cmd_laplace, finite mode, rho = 0, alpha = 0.5, v = log L, lams [1]",
+            "oneshot": f"a fresh interpreter's cli.main laplace, meanfield(L = {ONESHOT_SIDE}), lams [1, 2]",
+            "slow_calls": f"{SLOW_CALLS} calls per argument for layers above {SLOW_S * 1e3:g} ms at L <= {DCT_MAX_SIDE}",
         },
     ),
 }

@@ -309,10 +309,11 @@ def _dct1_rows(strips: Iterable[tuple[int, np.ndarray]], n: int, rows: int, weig
     first use): the DCT-I of a line x of n entries is the real part of
     numpy.fft.rfft of its even extension x_0 .. x_{n-1}, x_{n-2} .. x_1,
     of length 2(n - 1).  scipy.fft.dct(type=1) computes it the same way,
-    with the same pocketfft real-FFT plan for that length (radix passes,
-    or Bluestein's algorithm for a large prime factor), on an exact copy
-    of the same extension, so every line equals scipy's bit for bit, and
-    the result equals dctn(a, type=1)[:rows] (over norm(g0)).
+    with the same pocketfft real FFT (radix passes, or Bluestein's
+    algorithm for a large prime factor) on an exact copy of the same
+    extension, so every line equals scipy's bit for bit, and the result
+    equals dctn(a, type=1)[:rows] (over norm(g0)); the tests check this
+    at odd-factor and Bluestein lengths.
 
     Lines are transformed as contiguous rows, a few at a time.  Each
     strip's weights are written transposed into one (m, n) buffer, and
@@ -324,8 +325,8 @@ def _dct1_rows(strips: Iterable[tuple[int, np.ndarray]], n: int, rows: int, weig
     axis-1 pass runs on the rows kept, in place, through the buffers of
     w/2 lines once no strip is left (w = _tile_rows(n)).  So at most
     one strip is alive while the next is formed, and a call holds the
-    row buffer and at most two strips' worth, (rows + 2 w) n entries,
-    whatever the kernel.
+    row buffer and at most two strips' worth, (rows + 2 w) n entries
+    for n >= 8, whatever the kernel.
     """
     w = min(_tile_rows(n), n)
     out = np.zeros((rows, n))

@@ -570,9 +570,10 @@ def test_strip_transforms_equal_the_whole_quadrant_bit_for_bit(L):
 @pytest.mark.parametrize("L", [2, 4, 106, 422, 2018])
 def test_dct1_engine_is_scipy_dct_bit_for_bit(L):
     # the real FFT of each line's even extension (length L, with the odd
-    # factors 53, 211 and 1009 at the three larger sides, the last two
-    # through Bluestein's algorithm) is scipy.fft.dct(type=1)'s own
-    # computation: each line equals scipy's DCT-I, and the strip-wise
+    # factors 53, 211 and 1009 at the three larger sides, which pocketfft
+    # takes by a generic radix pass or by Bluestein's algorithm) is
+    # scipy.fft.dct(type=1)'s own computation: each line equals scipy's
+    # DCT-I, and the strip-wise
     # engine equals dctn's rows, for 1, A + 1 (the alpha = 0.5 window)
     # and L/2 + 1 rows; meanfield's psi (M = L, the mass in every
     # column) is 1 - dctn of the wrapped mass

@@ -297,16 +297,17 @@ def _dct1_lines(a: np.ndarray, keep: int, ext: np.ndarray, spec: np.ndarray, nor
             np.divide(s, d, out=a[i : i + b, :keep])
 
 
-def _dct1_rows(strips: Iterable[tuple[int, np.ndarray]], n: int, rows: int, weights, norm=None) -> np.ndarray:
+def _dct1_rows(strips: Iterable[tuple[int, np.ndarray]], n: int, rows: int, weights=None, norm=None) -> np.ndarray:
     """Rows 0..rows-1 of the unnormalized DCT-I, along axis 0 and then
     axis 1 as in scipy.fft.dctn, of the n x n array whose columns
     lo..lo+m-1 hold weights(strip) for each (lo, strip) of `strips`
-    (m <= _tile_rows(n) columns each) and whose other columns hold
-    zeros; with norm, divided by norm(g0), g0 the transform's value at
-    the origin.  weights(src, dst) writes the weights of src into dst.
+    (m <= _tile_rows(n) columns each, arrays this call may overwrite)
+    and whose other columns hold zeros; with norm, divided by norm(g0),
+    g0 the transform's value at the origin.  weights(strip), if given,
+    forms the weights in place.
 
-    The engine is numpy's pocketfft (numpy.fft, which numpy loads on
-    first use): the DCT-I of a line x of n entries is the real part of
+    The engine is numpy's pocketfft (numpy.fft of numpy 2.0 or later,
+    whose rfft takes `out`; numpy loads it on first use): the DCT-I of a line x of n entries is the real part of
     numpy.fft.rfft of its even extension x_0 .. x_{n-1}, x_{n-2} .. x_1,
     of length 2(n - 1).  scipy.fft.dct(type=1) computes it the same way,
     with the same pocketfft real FFT (radix passes, or Bluestein's
@@ -316,24 +317,33 @@ def _dct1_rows(strips: Iterable[tuple[int, np.ndarray]], n: int, rows: int, weig
     at odd-factor and Bluestein lengths.
 
     Lines are transformed as contiguous rows, a few at a time.  Each
-    strip's weights are written transposed into one (m, n) buffer, and
-    the strip is dropped; its memory then holds the extensions and the
-    spectra of m/4 lines (_line_buffers), the rows 0..rows-1 of each
-    transformed line return to the buffer, and the buffer goes to its
-    columns of one (rows, n) row buffer.  Output row i of the axis-1
-    pass is the transform of row i of the axis-0 pass alone, so the
-    axis-1 pass runs on the rows kept, in place, through the buffers of
-    w/2 lines once no strip is left (w = _tile_rows(n)).  So at most
-    one strip is alive while the next is formed, and a call holds the
-    row buffer and at most two strips' worth, (rows + 2 w) n entries
-    for n >= 8, whatever the kernel.
+    strip's weights are formed in place and copied transposed into one
+    (m, n) line buffer, and the strip is dropped; its memory then holds
+    the extensions and the spectra of m/4 lines (_line_buffers), the
+    rows 0..rows-1 of each transformed line return to the line buffer,
+    and the line buffer goes to its columns of one (rows, n) row buffer.
+    Output row i of the axis-1 pass is the transform of row i of the
+    axis-0 pass alone, so the axis-1 pass runs on the rows kept, in
+    place, through the buffers of w/2 lines once no strip is left
+    (w = _tile_rows(n)).  So at most one strip is alive while the next
+    is formed, and a call holds the row buffer and at most two strips'
+    worth, (rows + 2 w) n entries for n >= 8, whatever the kernel.
+
+    That bound fixes the lines per rfft call: w/4 on axis 0 and w/2 on
+    axis 1, each line costing 4 n entries of buffers.  An rfft call
+    costs a fixed part besides its lines (about 15 us at L = 8192,
+    against 35 us a line), so the 2 lines of a call at L >= 8192, where
+    w = 8, cost more per line than a block of 8 would; that block needs
+    four strips' worth of buffers.
     """
     w = min(_tile_rows(n), n)
     out = np.zeros((rows, n))
     lines = np.empty((w, n))
     for lo, strip in strips:
         m = strip.shape[1]
-        weights(strip.T, lines[:m])
+        if weights is not None:
+            weights(strip)
+        lines[:m] = strip.T
         ext, spec = _line_buffers(max(1, m // 4), n, strip)
         del strip  # its memory now holds ext and spec alone
         _dct1_lines(lines[:m], rows, ext, spec)
@@ -418,21 +428,23 @@ def _psi_dct(kernel: JumpKernel, spec: TorusSpec) -> np.ndarray:
     """psi on the quadrant as 1 minus the DCT-I of the kernel mass wrapped
     onto it, with psi(0) pinned to 0.  The mass fills the quadrant's
     first M/2 + 1 columns, which go through _dct1_rows in strips of
-    _tile_rows(L/2 + 1) columns."""
+    _tile_rows(L/2 + 1) columns, each copied from the kernel's box."""
     n, h = spec.L // 2 + 1, kernel.M // 2
-    box = kernel.box[h:, h:].copy()
-    if kernel.M == spec.L:  # the mirror pre-images -L/2 and L/2 are one torus point
-        box[h] *= 2.0
-        box[:, h] *= 2.0
+    box = kernel.box[h:, h:]
+    w = _tile_rows(n)
 
     def strips():
-        w = _tile_rows(n)
         for lo in range(0, h + 1, w):
             mass = np.zeros((n, min(w, h + 1 - lo)))
             mass[: h + 1] = box[:, lo : lo + w]
+            if kernel.M == spec.L:  # the mirror pre-images -L/2 and L/2 are one torus point
+                mass[h] *= 2.0
+                if h < lo + w:
+                    mass[:, h - lo] *= 2.0
             yield lo, mass
+            del mass  # the consumer has dropped this strip; so does this frame
 
-    out = _dct1_rows(strips(), n, n, lambda mass, dst: np.copyto(dst, mass))
+    out = _dct1_rows(strips(), n, n)
     psi = np.subtract(1.0, out, out=out)
     psi[0, 0] = 0.0
     return psi
@@ -500,11 +512,11 @@ def _live_columns(psi: np.ndarray, t: float) -> int:
 def heat(grid: SpectralGrid, t: float) -> HeatGrid:
     """Distribution of the walk at time t, started at the origin.
 
-    The weights exp(-t psi) are formed from each column strip."""
+    The weights exp(-t psi) are formed in place on each column strip."""
     _check_time(t)
 
-    def weights(psi: np.ndarray, out: np.ndarray) -> None:
-        np.exp(np.multiply(psi, -t, out=out), out=out)
+    def weights(psi: np.ndarray) -> None:
+        np.exp(np.multiply(psi, -t, out=psi), out=psi)
 
     return HeatGrid(spec=grid.spec, t=t, quadrant=_field(grid, weights))
 
@@ -534,13 +546,13 @@ class GreenField:
 
 
 def _resolvent_weights(lam: float):
-    """weights(psi, out), which writes 1 / (lam + psi) into out (which may
-    be psi); a lam that is not positive is refused here, before any work."""
+    """weights(psi), which forms 1 / (lam + psi) in place in psi; a lam
+    that is not positive is refused here, before any work."""
     if not lam > 0:
         raise ValueError(f"resolvent parameter must be positive, got {lam}")
 
-    def weights(psi: np.ndarray, out: np.ndarray) -> None:
-        np.reciprocal(np.add(psi, lam, out=out), out=out)
+    def weights(psi: np.ndarray) -> None:
+        np.reciprocal(np.add(psi, lam, out=psi), out=psi)
 
     return weights
 
@@ -612,7 +624,7 @@ def green_at_origin(grid: SpectralGrid, lam: float) -> float:
     """G(0, lam) = L^-2 sum_y 1 / (lam + psi_y), summed on the quadrant
     with no transform."""
     weights, psi = _resolvent_weights(lam), grid.psi()
-    weights(psi, psi)
+    weights(psi)
     return torus_sum(psi) / grid.spec.n_points
 
 

@@ -519,6 +519,16 @@ def test_meanfield_grid_costs_about_its_box(traced_peak):
     assert peak < 4 * 8 * 1025**2  # four (L + 1)^2 float64 mass boxes
 
 
+def test_psi_dct_working_set_is_its_quadrant(traced_peak):
+    # 1 - DCT-I of the wrapped mass holds the psi quadrant and at most
+    # two strips of w columns, never a copy of the box: the mass strip
+    # before this one is gone when the next is formed
+    L = 1024
+    spec, n, kernel = TorusSpec(L), L // 2 + 1, meanfield_kernel(L)
+    _psi_dct(kernel, spec)
+    assert traced_peak(lambda: _psi_dct(kernel, spec)) <= 8 * (n * n + 2 * n * _tile_rows(n)) + 2**16
+
+
 def _strip_kernels(L):
     """A kernel of each family: three on the product route, meanfield on
     the DCT-I route."""
@@ -587,7 +597,7 @@ def test_dct1_engine_is_scipy_dct_bit_for_bit(L):
     w = _tile_rows(n)
     for rows in (1, A + 1, n):
         strips = ((lo, a[:, lo : lo + w].copy()) for lo in range(0, n, w))
-        out = _dct1_rows(strips, n, rows, lambda src, dst: np.copyto(dst, src))
+        out = _dct1_rows(strips, n, rows)
         assert np.array_equal(out, full[:rows])
     kernel = meanfield_kernel(L)
     mass = kernel.box[L // 2 :, L // 2 :].copy()

@@ -53,9 +53,10 @@ measures the following.  Every layer is timed as the median of CALLS
 (5) calls per argument, after one untimed warm-up call, so that a 10%
 change stands out of the machine's jitter and no timing pays a first
 call's one-off costs; a call's result is dropped before the next call
-starts.  At L <= DCT_MAX_SIDE a layer whose warm-up call takes more
-than SLOW_S (50 ms) gets SLOW_CALLS (15) calls per argument, since 5
-such calls read up to 8% apart for identical code.
+starts.  At L = 4096 a layer's median still moves between
+interpreters running identical code (laplace_hit_s from 0.133 to
+0.185 s in one eight-process run), so a comparison of trees wants more
+--repeats, not more calls.
 
 * build_grid_s: `build_grid` (the product route);
 * laplace_hit_s: `laplace_hit` plus the CLI's sup of |F - target|
@@ -93,11 +94,10 @@ The second, at L = 8192 and 16384, runs the window path of the
 paper's intermediate regime: `cmd_laplace` on one side, uniform M=8,
 rho = 0, alpha = 0.5, v = log L and one lam = 1, in a fresh interpreter
 that runs the same small `laplace_hit` first.  It measures window_s,
-the median of
-WINDOW_CALLS (3) calls after one untimed warm-up call; window_rss_mb,
-the interpreter's peak resident set after them; and window_peak_mb,
-the tracemalloc peak of one more call.  A tree that forms the whole
-quadrant needs about 1.1 GB of RSS at L = 16384.
+the median of WINDOW_CALLS (3) calls after one untimed warm-up call;
+window_rss_mb, the interpreter's peak resident set after them; and
+window_peak_mb, the tracemalloc peak of one more call.  A tree that
+forms the whole quadrant needs about 1.1 GB of RSS at L = 16384.
 
 The third measures oneshot_laplace_s: the wall time of one fresh
 interpreter, from its start to its exit, that runs `cli.main` on the
@@ -133,8 +133,6 @@ ROUTE_MS = (64, 340, 776)  # kernel ranges of the route layers, at L <= DCT_MAX_
 SIDES = (4096, 8192)
 WINDOW_SIDES = (8192, 16384)
 CALLS = 5  # calls per argument of each spectral layer
-SLOW_S = 0.05  # a layer's warm-up time above which, at L <= DCT_MAX_SIDE, it gets SLOW_CALLS
-SLOW_CALLS = 15
 ONESHOT_SIDE = 64
 WINDOW_CALLS = 3
 COALESCE_STARTS = [[8 * i, 8 * i] for i in range(8)]  # the CLI's 8 diagonal starts at L=64
@@ -227,15 +225,12 @@ def measure_tier1(_: int) -> dict:
     return {"tier1_s": time.perf_counter() - t0}
 
 
-def call_times(fn, slow_calls: int = CALLS) -> list[float]:
+def call_times(fn) -> list[float]:
     """Seconds of each of CALLS calls of fn() after one untimed warm-up
-    call, or of slow_calls calls when the warm-up took more than SLOW_S;
-    each result is dropped at once."""
-    t0 = time.perf_counter()
+    call; each result is dropped at once."""
     fn()
-    calls = slow_calls if time.perf_counter() - t0 > SLOW_S else CALLS
     out = []
-    for _ in range(calls):
+    for _ in range(CALLS):
         t0 = time.perf_counter()
         fn()
         out.append(time.perf_counter() - t0)
@@ -284,19 +279,18 @@ def measure_spectral(L: int) -> dict:
     from toruswalk.torus import TWO_PI, Annulus, TorusSpec, _axis_footprint
 
     kernel, spec = uniform_kernel(M), TorusSpec(L)
-    slow = SLOW_CALLS if L <= DCT_MAX_SIDE else CALLS
-    build_s = call_times(lambda: build_grid(kernel, spec), slow)
+    build_s = call_times(lambda: build_grid(kernel, spec))
     grid = build_grid(kernel, spec)
     window = _axis_footprint(Annulus(1.0, math.log(L), L), spec)
     laplace_hit_s, validate_s = [], []
     for lam in LAMS:
-        laplace_hit_s += call_times(lambda: _sup_gap(laplace_hit(grid, lam / L**2).quadrant, 0.5, window), slow)
+        laplace_hit_s += call_times(lambda: _sup_gap(laplace_hit(grid, lam / L**2).quadrant, 0.5, window))
         field = laplace_hit(grid, lam / L**2)
-        validate_s += call_times(lambda: dataclasses.replace(field), slow)
+        validate_s += call_times(lambda: dataclasses.replace(field))
         del field  # one field at a time, as in the CLI
     uniformity_gap_s = []
     for k in HEAT_KS:
-        uniformity_gap_s += call_times(lambda: uniformity_gap(grid, k * L**2 / M**2), slow)
+        uniformity_gap_s += call_times(lambda: uniformity_gap(grid, k * L**2 / M**2))
     del grid
     laplace_cmd = _cli_run("laplace", L, {"lams": list(LAMS), "mode": "finite", "rho": 0})
     uniformity_cmd = _cli_run("uniformity", L, {"k_values": list(HEAT_KS)})
@@ -305,15 +299,15 @@ def measure_spectral(L: int) -> dict:
         "laplace_hit_s": statistics.median(laplace_hit_s),
         "validate_s": statistics.median(validate_s),
         "uniformity_gap_s": statistics.median(uniformity_gap_s),
-        "laplace_cmd_s": statistics.median(call_times(laplace_cmd, slow)),
-        "uniformity_cmd_s": statistics.median(call_times(uniformity_cmd, slow)),
+        "laplace_cmd_s": statistics.median(call_times(laplace_cmd)),
+        "uniformity_cmd_s": statistics.median(call_times(uniformity_cmd)),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "laplace_peak_mb": traced_peak_mb(laplace_cmd),
         "uniformity_peak_mb": traced_peak_mb(uniformity_cmd),
     }
     if L <= DCT_MAX_SIDE:
         kernel = meanfield_kernel(L)
-        out["build_grid_dct_s"] = statistics.median(call_times(lambda: build_grid(kernel, spec), slow))
+        out["build_grid_dct_s"] = statistics.median(call_times(lambda: build_grid(kernel, spec)))
         theta = TWO_PI * np.arange(L // 2 + 1) / L
         for m in ROUTE_MS:
             kernel = uniform_kernel(m)
@@ -321,7 +315,7 @@ def measure_spectral(L: int) -> dict:
                 ("product", SpectralGrid(spec, kernel.label, factors=_psi_factors(kernel, theta, theta))),
                 ("dct", SpectralGrid(spec, kernel.label, quadrant=_psi_dct(kernel, spec))),
             ):
-                times = call_times(lambda: laplace_hit(grid, 1.0 / L**2), slow)
+                times = call_times(lambda: laplace_hit(grid, 1.0 / L**2))
                 out[f"route_{route}_s_M{m}"] = statistics.median(times)
     return out
 
@@ -437,7 +431,6 @@ SUITES = {
             "heat_times": [f"{k:g} L^2 / M^2" for k in HEAT_KS],
             "window_path": "cmd_laplace, finite mode, rho = 0, alpha = 0.5, v = log L, lams [1]",
             "oneshot": f"a fresh interpreter's cli.main laplace, meanfield(L = {ONESHOT_SIDE}), lams [1, 2]",
-            "slow_calls": f"{SLOW_CALLS} calls per argument for layers above {SLOW_S * 1e3:g} ms at L <= {DCT_MAX_SIDE}",
         },
     ),
 }

@@ -24,8 +24,18 @@ exactly).  The integrand is formed as 1/(c + (1 - c) psi) from
 spectral.psi_grid's psi = 1 - q0_hat, with no cancellation in 1 - q0_hat.
 
 death_process_dist is the lineage-count law of the n-to-1 pure death
-chain with rate k(k-1)/2 in state k: the last row of the matrix
-exponential of its bidiagonal generator.
+chain with rate k(k-1)/2 in state k (Tavare 1984): the last row of the
+matrix exponential of its bidiagonal generator Q, by scaling and
+squaring on numpy alone (Moler & Van Loan 2003).  The degree-12 Taylor
+series of tQ / 2^s, with s the least power that brings its norm to
+1/4 or less, is squared s times, and after each squaring every row is
+divided by its sum.  Q's rows sum to 0, so every row of exp(tQ) sums to
+1 and the division leaves the exact result fixed; it stops the rounding
+of the rows' sums from growing like 2^s.  Against a 60-digit reference
+the law is within 1.1e-16 of every entry on the tested cells (scipy's
+expm: 1.0e-15).  It refuses C(n,2) t > 2^52, past which P(D_t = n) =
+exp(-C(n,2) t) has a relative condition number in t, C(n,2) t, above
+1/eps = 2^52.
 
 lemma21_audit numerically audits the exponential-sum inequalities and
 logarithmic lattice-sum limits used by the asymptotic analysis:
@@ -231,29 +241,47 @@ def death_process_dist(n: int, t: float) -> np.ndarray:
     """P(D_t = k) for k = 1..n; D is the pure death chain from n with
     rate k(k-1)/2 in state k.
 
-    The law is the last row of expm(t Q) for the bidiagonal generator Q.
+    The law is the last row of exp(tQ) for the bidiagonal generator Q,
+    formed by scaling and squaring: the Taylor series of degree 12 of
+    A = tQ / 2^s, where s is the least integer with
+    ||A||_inf = n(n-1) t / 2^s <= 1/4, so that the series' remainder,
+    (1/4)^13 / 13! = 2.4e-18, is below 2^-53 ||A||; then s squarings,
+    each followed by dividing every row by its sum.  That division is
+    exact in principle: Q's rows sum to 0, so every power of exp(A) is a
+    stochastic matrix whose rows sum to 1.  In floating point it keeps
+    the rows' sums from drifting by a rounding per squaring, a drift
+    that would grow like 2^s.  Every entry is within 4 ulp of 1 of the
+    60-digit law on the tested cells (max 1.1e-16).
 
     Returns an array p of length n with p[k-1] = P(D_t = k).  Raises
-    ValueError for a negative or NaN t, and ArithmeticError where expm
-    breaks down and the row is not finite, for t past about 1e35
-    (n = 40) to 1e39 (n = 2), and for an infinite t, which never
-    reaches expm.
+    ValueError for a negative or NaN t, and ArithmeticError for an
+    infinite t and for C(n,2) t > 2^52: there
+    P(D_t = n) = exp(-C(n,2) t) has a relative condition number in t,
+    C(n,2) t, above 1/eps = 2^52, so the rounding of t alone can move
+    it by half its value.
     """
     if n < 1:
         raise ValueError(f"need at least one lineage, got {n}")
     if not t >= 0:
         raise ValueError(f"time must be nonnegative, got {t}")
+    if t == math.inf or n * (n - 1) // 2 * t > 2.0**52:
+        raise ArithmeticError(
+            f"the pure-death law from n={n} at t={t!r} needs a finite t with C(n,2)*t <= 2**52"
+        )
+    s = max(0, math.frexp(4.0 * n * (n - 1) * t)[1])  # ||tQ||_inf / 2^s <= 1/4
     k = np.arange(2, n + 1)
-    rates = k * (k - 1) / 2.0
-    Q = np.zeros((n, n))
-    Q[k - 1, k - 1] = -rates
-    Q[k - 1, k - 2] = rates
-    import scipy.linalg  # imported here so that importing the CLI loads no scipy
-
-    p = scipy.linalg.expm(t * Q)[n - 1] if t < math.inf else None  # inf * Q holds inf * 0
-    if p is None or not np.all(np.isfinite(p)):
-        raise ArithmeticError(f"the pure-death law from n={n} at t={t!r} is not finite")
-    return p
+    rates = k * (k - 1) / 2.0 * t / 2.0**s
+    A = np.zeros((n, n))
+    A[k - 1, k - 1] = -rates
+    A[k - 1, k - 2] = rates
+    eye = np.eye(n)
+    P = eye.copy()
+    for j in range(12, 0, -1):  # Horner: I + A(I + A/2(I + ...))
+        P = eye + (A @ P) / j
+    for _ in range(s):
+        P = P @ P
+        P /= P.sum(axis=1, keepdims=True)
+    return P[n - 1]
 
 
 # ---------------------------------------------------------------------------

@@ -333,6 +333,26 @@ def test_spectral_commands_load_no_scipy(tmp_path):
     assert _scipy_modules_after(code) == "[]"
 
 
+def test_no_cli_command_loads_scipy(tmp_path):
+    # every command, coalesce's pure-death law included, runs on numpy
+    runs = [
+        ("simulate", SIMULATE_CFG),
+        ("coalesce", COALESCE_CFG),
+        ("coalesce", dict(COALESCE_CFG, scale={"s_values": [0.2], "n": 3})),
+        ("conditions", CONDITIONS_CFG),
+        ("audit", AUDIT_CFG),
+        ("beta0", {"command": "beta0", "q0": {"family": "uniform", "M": 2}, "c_values": [0.5]}),
+        ("laplace", MEANFIELD_LAPLACE),
+        ("uniformity", UNIFORMITY_CFG),
+    ]
+    code = "from toruswalk.cli import main\n"
+    for i, (command, cfg) in enumerate(runs):
+        cfg_path = _write_cfg(tmp_path / f"{i}.json", cfg)
+        out = str(tmp_path / f"out{i}")
+        code += f"assert main([{command!r}, '--config', {cfg_path!r}, '--out', {out!r}]) == 0\n"
+    assert _scipy_modules_after(code) == "[]"
+
+
 def test_seed_flag_overrides_config_seed(tmp_path):
     code, out_a = _run(tmp_path, SIMULATE_CFG, "simulate", extra=["--seed", "99"], out="a")
     assert code == 0
@@ -861,9 +881,9 @@ def test_input_too_big_for_memory_is_exit_2(tmp_path, command, cfg):
 
 
 def test_coalesce_target_that_is_not_finite_is_exit_3(tmp_path, capsys):
-    # the horizon passes the time rule, but expm(t Q) breaks down at the
-    # death clock 2 s / beta, far below a float's overflow, before the
-    # Monte Carlo runs
+    # the horizon passes the time rule, but the death clock 2 s / beta
+    # puts C(n,2) t past 2^52, where the pure-death law is refused, far
+    # below a float's overflow, before the Monte Carlo runs
     cfg = dict(COALESCE_CFG, scale={"s_values": [1e300], "n": 3})
     code, out = _run(tmp_path, cfg, "coalesce")
     assert code == 3 and not out.exists()
@@ -1092,7 +1112,7 @@ def test_cli_import_loads_no_compiler_hash_or_thread_pool_modules():
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy (about a quarter second to import) loads only in the
-    # functions that solve: coalesce's pure-death expm and the dense
-    # oracle; the transforms run on numpy.fft
+    # scipy (about a quarter second to import) loads only in the dense
+    # oracle's functions that solve; the transforms run on numpy.fft and
+    # coalesce's pure-death law on numpy's matrix products
     assert _scipy_modules_after("import toruswalk.cli") == "[]"

@@ -186,6 +186,25 @@ def test_death_dist_matches_matrix_exponential():
         assert np.max(np.abs(death_process_dist(n, t) - ref)) < 1e-14
 
 
+def test_death_dist_is_within_four_ulp_of_the_reference():
+    # scaling and squaring with its rows renormalized: every entry within
+    # 4 ulp of 1 of the 60-digit law, from s = 0 squarings to s = 19
+    for n, t in ((40, 50.0), (40, 1e-6), (8, 1.6), (20, 5.0), (2, 1e-8)):
+        ref = _death_dist_reference(n, t)
+        assert np.max(np.abs(death_process_dist(n, t) - ref)) <= 4 * np.finfo(float).eps
+
+
+def test_death_dist_refuses_past_the_conditioning_limit():
+    # P(D_t = n) = exp(-C(n,2) t) has relative condition number C(n,2) t
+    # in t; the law is formed up to 2^52 and refused just past it
+    for n, t in ((2, 2.0**52), (40, 2.0**52 / 780)):
+        p = death_process_dist(n, t)
+        assert np.all(np.isfinite(p)) and p.sum() == pytest.approx(1.0, abs=1e-12)
+    for n, t in ((2, math.nextafter(2.0**52, math.inf)), (40, 2.0**52 / 780 * (1 + 2.0**-40))):
+        with pytest.raises(ArithmeticError, match=rf"^the pure-death law from n={n} at t="):
+            death_process_dist(n, t)
+
+
 def test_death_dist_large_n_path():
     p = death_process_dist(35, 0.05)
     assert p.shape == (35,)
@@ -222,7 +241,7 @@ def test_death_dist_validation():
         for t in (-0.1, math.nan):
             with pytest.raises(ValueError):
                 death_process_dist(3, t)
-        # expm(t Q) breaks down long before t overflows: its row is NaN
+        # the law is refused long before t overflows: C(n,2) t > 2^52
         with pytest.raises(ArithmeticError, match=r"n=3 at t=1e\+300"):
             death_process_dist(3, 1e300)
         with pytest.raises(ArithmeticError, match="n=2 at t=inf"):

@@ -12,7 +12,7 @@ JSON document: per tree and metric, the median, the quartiles and every
 run.  This driver uses only the standard library; the measurements use
 the tree's own dependencies.
 
-mc-lattice runs two variants per repeat.  The first measures:
+mc-lattice runs three variants per repeat.  The first measures:
 
 * simulate_hits_s: `simulate_hits` on the mc-lattice config (uniform
   M=8, L=64, 8192 replicates, seed = repeat + 1);
@@ -40,7 +40,18 @@ mc-lattice runs two variants per repeat.  The first measures:
   `lemma21_audit` on the mc-lattice config (K=4096, J=16, 4 thetas),
   and of the beta0 pair, each traced alone after the timed calls.
 
-The second times the tree's Tier-1 suite:
+The second runs `cli.main` on the `coalesce` command (uniform(2),
+L = 16, n = 3 diagonal starts, s = 0.5, 200 replicates) in one fresh
+interpreter per run, CALLS runs after one untimed run (which also
+compiles the skeleton library if the tree has none cached):
+
+* oneshot_coalesce_s: the median wall time of a run, from the
+  interpreter's start to its exit, imports included: what a user pays
+  for one small coalescence table;
+* oneshot_coalesce_rss_mb: the median of the runs' peak resident sets
+  (`ru_maxrss` of the interpreter, read after `cli.main` returns).
+
+The third times the tree's Tier-1 suite:
 
 * tier1_s: `python -m pytest -q` from the tree's root.
 
@@ -134,6 +145,7 @@ SIDES = (4096, 8192)
 WINDOW_SIDES = (8192, 16384)
 CALLS = 5  # calls per argument of each spectral layer
 ONESHOT_SIDE = 64
+ONESHOT_COALESCE_SIDE = 16
 WINDOW_CALLS = 3
 COALESCE_STARTS = [[8 * i, 8 * i] for i in range(8)]  # the CLI's 8 diagonal starts at L=64
 
@@ -337,30 +349,62 @@ def measure_window(L: int) -> dict:
     }
 
 
-def measure_oneshot(L: int) -> dict:
-    """The wall time of one fresh interpreter that writes the meanfield
-    `laplace` table at side L, imports included."""
+def oneshot_runs(config: dict) -> list[tuple[float, float]]:
+    """(wall seconds, peak RSS in MB) of each of CALLS fresh interpreters
+    that run `cli.main` on config, after one untimed run; the wall time
+    spans the interpreter's start to its exit, imports included."""
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = os.path.join(tmp, "laplace.json")
+        cfg = os.path.join(tmp, "config.json")
         with open(cfg, "w") as fh:
-            json.dump(
-                {
-                    "command": "laplace",
-                    "torus": {"L": [L]},
-                    "kernel": {"family": "meanfield"},
-                    "scale": {"lams": [1.0, 2.0], "mode": "meanfield"},
-                },
-                fh,
-            )
-        argv = ["laplace", "--config", cfg, "--out", os.path.join(tmp, "out")]
-        code = f"import sys\nfrom toruswalk.cli import main\nsys.exit(main({argv!r}))"
+            json.dump(config, fh)
+        argv = [config["command"], "--config", cfg, "--out", os.path.join(tmp, "out")]
+        code = (
+            "import resource, sys\nfrom toruswalk.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\nsys.exit(code)"
+        )
+        rss_kb = []
 
         def run():
-            subprocess.run([sys.executable, "-c", code], stdout=subprocess.DEVNULL, check=True)
+            proc = subprocess.run([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True, check=True)
+            rss_kb.append(int(proc.stdout.split()[-1]))
 
-        return {"oneshot_laplace_s": statistics.median(call_times(run))}
+        times = call_times(run)
+        return [(t, kb / 1024.0) for t, kb in zip(times, rss_kb[1:])]
+
+
+def measure_oneshot(L: int) -> dict:
+    """The wall time of one fresh interpreter that writes the meanfield
+    `laplace` table at side L, imports included."""
+    runs = oneshot_runs(
+        {
+            "command": "laplace",
+            "torus": {"L": [L]},
+            "kernel": {"family": "meanfield"},
+            "scale": {"lams": [1.0, 2.0], "mode": "meanfield"},
+        }
+    )
+    return {"oneshot_laplace_s": statistics.median(t for t, _ in runs)}
+
+
+def measure_oneshot_coalesce(L: int) -> dict:
+    """The wall time and peak RSS of one fresh interpreter that writes
+    the small `coalesce` table at side L, imports included."""
+    runs = oneshot_runs(
+        {
+            "command": "coalesce",
+            "torus": {"L": [L]},
+            "kernel": {"family": "uniform", "M": 2},
+            "scale": {"s_values": [0.5], "n": 3},
+            "mc": {"replicates": 200, "seed": 1},
+        }
+    )
+    return {
+        "oneshot_coalesce_s": statistics.median(t for t, _ in runs),
+        "oneshot_coalesce_rss_mb": statistics.median(mb for _, mb in runs),
+    }
 
 
 MEASURES = {
@@ -369,6 +413,7 @@ MEASURES = {
     "spectral-large": measure_spectral,
     "spectral-window": measure_window,
     "oneshot": measure_oneshot,
+    "oneshot-coalesce": measure_oneshot_coalesce,
 }
 
 
@@ -383,7 +428,11 @@ class Suite(NamedTuple):
 
 SUITES = {
     "mc-lattice": Suite(
-        variants=lambda r: [("mc-lattice", r + 1, ""), ("tier1", 0, "")],
+        variants=lambda r: [
+            ("mc-lattice", r + 1, ""),
+            ("oneshot-coalesce", ONESHOT_COALESCE_SIDE, ""),
+            ("tier1", 0, ""),
+        ],
         units={
             "simulate_hits_s": "s",
             "skeleton_ns_per_step": "ns/step",
@@ -397,9 +446,14 @@ SUITES = {
             "conditions_peak_mb": "MB",
             "audit_peak_mb": "MB",
             "beta0_peak_mb": "MB",
+            "oneshot_coalesce_s": "s",
+            "oneshot_coalesce_rss_mb": "MB",
             "tier1_s": "s",
         },
-        fields={},
+        fields={
+            "oneshot_coalesce": f"a fresh interpreter's cli.main coalesce, uniform(2), L = {ONESHOT_COALESCE_SIDE}, "
+            "n = 3, s = 0.5, 200 replicates",
+        },
     ),
     "spectral-large": Suite(
         variants=lambda r: [("spectral-large", L, f"_L{L}") for L in SIDES]

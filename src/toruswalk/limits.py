@@ -275,7 +275,7 @@ def death_process_dist(n: int, t: float) -> np.ndarray:
     A[k - 1, k - 1] = -rates
     A[k - 1, k - 2] = rates
     eye = np.eye(n)
-    P = eye.copy()
+    P = eye
     for j in range(12, 0, -1):  # Horner: I + A(I + A/2(I + ...))
         P = eye + (A @ P) / j
     for _ in range(s):

@@ -22,6 +22,10 @@ with its controls in a QuadratureSpec (the integrand is smooth and
 periodic, so refinement converges fast; c = 1 gives 12/pi + 1
 exactly).  The integrand is formed as 1/(c + (1 - c) psi) from
 spectral.psi_grid's psi = 1 - q0_hat, with no cancellation in 1 - q0_hat.
+Each level is evaluated and summed in row strips of at most
+TILE_ENTRIES values (the budget of _quadrant_sum and
+spectral.char_fn), whose sums combine to numpy's sum of the whole
+level bit for bit, so a level of any size holds about 0.5 MB.
 
 death_process_dist is the lineage-count law of the n-to-1 pure death
 chain with rate k(k-1)/2 in state k (Tavare 1984): the last row of the
@@ -57,7 +61,7 @@ import numpy as np
 
 from .kernels import JumpKernel, check_range
 from .spectral import char_fn  # noqa: F401  (wrapped by perfbench/tracer.py)
-from .spectral import TILE_ENTRIES, psi_grid
+from .spectral import TILE_ENTRIES, _psi_left, _psi_right, _tile_rows
 from .torus import TWO_PI, TorusSpec
 
 RING_LOG2_LIMIT = TWO_PI * math.log(2.0)
@@ -155,6 +159,26 @@ class QuadratureError(RuntimeError):
         self.previous = previous
 
 
+def _level_sum(func: Callable[[np.ndarray, np.ndarray], np.ndarray], mids: np.ndarray) -> float:
+    """Sum of func over the sparse meshgrid of mids, in row strips.
+
+    A strip is T = min(n, _tile_rows(n)) rows of the grid, so it holds at
+    most TILE_ENTRIES values for n <= 8192; func gets the strip's rows,
+    shape (T, 1), and the whole column axis, shape (1, n), one array for
+    every strip.  The strip sums are combined by pairwise halving: n is
+    a power of two, so each strip is one node of numpy's pairwise
+    summation over the whole level, and the result equals
+    float(np.sum(func(x1, x2))) of the n x n grid bit for bit.
+    """
+    n = mids.size
+    T = min(n, _tile_rows(n))
+    x1, x2 = mids[:, None], mids[None, :]
+    sums = [float(np.sum(func(x1[lo : lo + T], x2))) for lo in range(0, n, T)]
+    while len(sums) > 1:
+        sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
+    return sums[0]
+
+
 def quadrature_midpoint_2d(
     func: Callable[[np.ndarray, np.ndarray], np.ndarray],
     half_width: float,
@@ -162,11 +186,16 @@ def quadrature_midpoint_2d(
 ) -> tuple[float, int, list[tuple[int, float]]]:
     """Integrate func over the square [-h, h]^2 by refined midpoint sums.
 
-    func receives the midpoints of a level as the axes of a sparse
-    meshgrid (indexing "ij"), shapes (n, 1) and (1, n), and returns the
-    n x n integrand values, by broadcasting or as a tensor grid.  The
-    per-axis resolution doubles from quad.base until two successive
-    estimates agree within quad.tol.  When one more doubling would pass
+    func receives a level's row strips: T consecutive midpoints of the
+    first axis and all n of the second, as the axes of a sparse meshgrid
+    (indexing "ij"), shapes (T, 1) and (1, n), with one second-axis
+    array for the whole level.  It returns the T x n integrand values,
+    by broadcasting or as a tensor grid.  T = min(n, _tile_rows(n)), so
+    a level holds one strip of at most TILE_ENTRIES values (n <= 8192)
+    whatever its size, and each level's sum equals numpy's pairwise sum
+    of the whole n x n grid bit for bit (_level_sum).  The per-axis
+    resolution doubles from quad.base until two successive estimates
+    agree within quad.tol.  When one more doubling would pass
     quad.max_axis, QuadratureError is raised carrying the last two
     estimates.
 
@@ -180,9 +209,7 @@ def quadrature_midpoint_2d(
     n = quad.base
     while True:
         h = 2.0 * half_width / n
-        mids = -half_width + h * (np.arange(n) + 0.5)
-        x1, x2 = np.meshgrid(mids, mids, indexing="ij", sparse=True)
-        val = float(np.sum(func(x1, x2))) * h * h
+        val = _level_sum(func, -half_width + h * (np.arange(n) + 0.5)) * h * h
         history.append((n, val))
         if abs(val - prev) < quad.tol:
             return val, n, history
@@ -202,29 +229,45 @@ class Beta0Result(NamedTuple):
     levels: tuple[tuple[int, float], ...]  # (points per axis, estimate)
 
 
+def _beta0_integrand(c: float, q0: JumpKernel) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """1/(c + (1 - c) psi) on a strip of a level, psi = 1 - q0_hat.
+
+    psi is psi_grid's product _psi_left(t1) @ _psi_right(t2).T.  The
+    right factor is formed on the first strip of a level, when a new
+    second axis arrives, and kept for the level's other strips, so each
+    strip forms only its own rows' factor.
+    """
+    level = (None, None)  # (the level's second axis, psi's right factor on it)
+
+    def integrand(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
+        nonlocal level
+        if level[0] is not t2:
+            level = (t2, _psi_right(q0, t2))
+        # 1 - (1 - c) q_hat = c + (1 - c) psi, in the storage of psi
+        w = _psi_left(q0, t1) @ level[1].T
+        w *= 1.0 - c
+        w += c
+        return np.reciprocal(w, out=w)
+
+    return integrand
+
+
 def beta0(c: float, q0: JumpKernel, quad: QuadratureSpec = QuadratureSpec()) -> Beta0Result:
     """Limiting mean constant 12/(c pi) + (2 pi)^-2 int 1/(1 - (1-c) q0_hat).
 
     The integral runs over the full period square [-pi, pi]^2, with the
-    integrand 1/(c + (1 - c) psi) taken from psi = 1 - q0_hat on each
-    level's tensor grid (spectral.psi_grid); the denominator is bounded
-    below by c, so the integrand is smooth.
+    integrand 1/(c + (1 - c) psi) formed from psi = 1 - q0_hat on each
+    row strip of a level (_beta0_integrand): the level's values and
+    sum are psi_grid's and np.sum's over the whole tensor grid, bit for
+    bit, in a working set of one strip and the per-axis factors.  The
+    denominator is bounded below by c, so the integrand is smooth.
     Raises QuadratureError (carrying the last two estimates) if one
     more doubling would pass quad.max_axis before two levels agree
     within quad.tol.
     """
     if not 0.0 < c <= 1.0:
         raise ValueError(f"mixture weight must lie in (0, 1], got {c}")
-
-    def integrand(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
-        # t1, t2 are the grid's axes, (n, 1) and (1, n);
-        # 1 - (1 - c) q_hat = c + (1 - c) psi, in the storage of psi
-        w = psi_grid(q0, t1, t2)
-        w *= 1.0 - c
-        w += c
-        return np.reciprocal(w, out=w)
-
-    value, _, history = quadrature_midpoint_2d(integrand, math.pi, quad)
+    value, _, history = quadrature_midpoint_2d(_beta0_integrand(c, q0), math.pi, quad)
     lead = 12.0 / (c * math.pi)
     return Beta0Result(
         c=c,

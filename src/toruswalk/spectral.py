@@ -20,8 +20,9 @@ Every weight is formed from psi itself, not from 1 - phi.
 psi_grid and _psi_probes evaluate psi at arbitrary angles through one
 set of per-axis factors (_psi_factors), a product form that does not
 cancel near theta = 0: psi_grid reduces them by one matrix product on
-a tensor grid of angles (limits.beta0), _psi_probes by a row-wise dot
-per probe (condition_report's mid and far annuli).  build_grid keeps
+a tensor grid of angles (limits.beta0 forms that product one row strip
+at a time), _psi_probes by a row-wise dot per probe
+(condition_report's mid and far annuli).  build_grid keeps
 those factors at the torus frequencies (O(L M) memory), or, when the
 kernel's extent M/2 + 1 exceeds L/10 as for meanfield, stores psi on
 the quadrant as 1 minus one type-I discrete cosine transform (DCT-I)
@@ -70,8 +71,9 @@ digits perfbench/reference.json pins; _psi_probes costs 3(M/2 + 1)
 sines and cosines and one product row of M/2 + 1 terms per probe, in
 tiles of the same kind whose working set is at most TILE_ENTRIES
 entries.
-limits._quadrant_sum runs its lattice sums, and SpectralGrid.strips
-forms psi, in strips of the same budget.
+limits._quadrant_sum runs its lattice sums, limits.quadrature_midpoint_2d
+its levels, and SpectralGrid.strips forms psi, in strips of the same
+budget.
 
 condition_report probes finite-size analogs of the small-ball,
 mid-ball, and far-field behavior of 1 - phi on sup-norm annuli, and
@@ -171,22 +173,33 @@ def _sin2(phases: np.ndarray) -> np.ndarray:
     return phases
 
 
-def _psi_factors(kernel: JumpKernel, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows [c(u_i) Q | s(u_i) r] and [s(v_j) | 1], of e + 1 entries each,
-    whose dot product is psi(u_i, v_j): psi_grid's identity split into
-    one factor per axis, e = M/2 + 1 sines or cosines per angle."""
+def _psi_left(kernel: JumpKernel, u: np.ndarray) -> np.ndarray:
+    """Rows [c(u_i) Q | s(u_i) r], of e + 1 entries each: psi_grid's
+    factor of the first axis, e = M/2 + 1 cosines and sines per angle."""
     h = kernel.M // 2
     m = np.full(h + 1, 2.0)
     m[0] = 1.0
     Q = kernel.box[h:, h:] * np.outer(m, m)
-    a = np.arange(h + 1.0)
-    ua = np.outer(u, a)  # the phases t a of the first axis
+    ua = np.outer(u, np.arange(h + 1.0))  # the phases t a of the first axis
     left = np.empty((ua.shape[0], h + 2))
     np.matmul(np.cos(ua), Q, out=left[:, :-1])
     left[:, -1] = _sin2(ua) @ Q.sum(axis=1)
+    return left
+
+
+def _psi_right(kernel: JumpKernel, v: np.ndarray) -> np.ndarray:
+    """Rows [s(v_j) | 1], of e + 1 entries each: psi_grid's factor of
+    the second axis, e = M/2 + 1 sines per angle."""
+    h = kernel.M // 2
     right = np.ones((np.size(v), h + 2))
-    _sin2(np.outer(v, a, out=right[:, :-1]))
-    return left, right
+    _sin2(np.outer(v, np.arange(h + 1.0), out=right[:, :-1]))
+    return right
+
+
+def _psi_factors(kernel: JumpKernel, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_psi_left(u) and _psi_right(v), whose rows' dot product is
+    psi(u_i, v_j): psi_grid's identity split into one factor per axis."""
+    return _psi_left(kernel, u), _psi_right(kernel, v)
 
 
 def psi_grid(kernel: JumpKernel, u: np.ndarray, v: np.ndarray) -> np.ndarray:

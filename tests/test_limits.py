@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -25,7 +26,10 @@ from toruswalk.limits import (
     death_process_dist,
     exponential_sum_audit,
     lemma21_audit,
+    _beta0_integrand,
+    _level_sum,
     _quadrant_sum,
+    quadrature_midpoint_2d,
     t_scale,
     target_laplace,
     target_mean,
@@ -124,16 +128,47 @@ def test_beta0_strict_cap_raises():
     assert np.isfinite(exc.value.last)
 
 
-def test_beta0_level_holds_one_grid(traced_peak):
-    n = 1024
-
-    def one_level():
+def test_beta0_level_holds_one_strip(traced_peak):
+    def one_level(n):
         with pytest.raises(QuadratureError):  # one level, then the cap
             beta0(0.003, uniform_kernel(4), QuadratureSpec(base=n, max_axis=n))
 
-    # the integrand is formed in the storage of the n x n characteristic
-    # grid: 8.5 MB
-    assert traced_peak(one_level) <= 1.25 * 8 * n * n
+    # the integrand is formed one strip of TILE_ENTRIES values at a time,
+    # besides per-axis vectors of a few floats per point: 0.57 MB at
+    # n = 1024 and 0.70 MB at n = 4096, against 8.4 MB and 134 MB for
+    # the whole grid
+    for n in (1024, 4096):
+        assert traced_peak(lambda: one_level(n)) <= 2 * 8 * TILE_ENTRIES + 64 * n
+
+
+@pytest.mark.parametrize("n", [64, 1024, 4096])
+@pytest.mark.parametrize("c", [0.01, 0.003])
+def test_beta0_level_sum_is_the_whole_grid_sum(n, c):
+    # the strip sums, combined by pairwise halving, are numpy's pairwise
+    # sum of the whole level, bit for bit
+    integrand = _beta0_integrand(c, uniform_kernel(4))
+    h = 2.0 * math.pi / n
+    mids = -math.pi + h * (np.arange(n) + 0.5)
+    whole = float(np.sum(integrand(mids[:, None], mids[None, :])))
+    assert _level_sum(integrand, mids) == whole
+
+
+def test_quadrature_level_in_strips_is_the_one_grid_sum():
+    n = 2048
+    seen = []
+
+    def func(a, b):
+        seen.append((a.shape, b))
+        return np.cos(a) * np.exp(b)
+
+    with pytest.raises(QuadratureError) as exc:  # one level, then the cap
+        quadrature_midpoint_2d(func, 1.0, QuadratureSpec(base=n, max_axis=n))
+    # 64 strips of 32 rows, each with the level's one second axis
+    assert [shape for shape, _ in seen] == [(32, 1)] * 64
+    assert all(b is seen[0][1] for _, b in seen) and seen[0][1].shape == (1, n)
+    h = 2.0 / n
+    mids = -1.0 + h * (np.arange(n) + 0.5)
+    assert exc.value.last == float(np.sum(func(mids[:, None], mids[None, :]))) * h * h
 
 
 def test_beta0_rejects_bad_weight():
@@ -169,15 +204,41 @@ def test_death_dist_single_lineage():
 
 
 def _death_dist_reference(n: int, t: float) -> np.ndarray:
-    # last row of expm(t Q) in 60-digit arithmetic
+    # the pure-death law in closed form (Tavare 1984): with the distinct
+    # rates r_k = C(k, 2), P(D_t = j) is the sum over i = j..n of
+    # e^{-r_i t} prod_{k=j+1..n} r_k / prod_{m=j..n, m != i} (r_m - r_i).
+    # The coefficients are exact rationals, formed in O(n^2) products.
+    # Their terms cancel down to a law in [0, 1], so the sum carries 60
+    # digits beyond the largest coefficient's size.
+    r = [k * (k - 1) // 2 for k in range(n + 1)]
+    coef, den, num = {}, {}, 1  # den[i] = prod_{m=j..n, m != i} (r_m - r_i)
+    for j in range(n, 0, -1):
+        for i in den:
+            den[i] *= r[j] - r[i]
+        den[j] = math.prod(r[m] - r[j] for m in range(j + 1, n + 1))
+        coef[j] = [(i, Fraction(num, d)) for i, d in den.items()]
+        num *= r[j]
+    big = max(abs(c) for row in coef.values() for _, c in row)
+    with mpmath.workdps(60 + max(0, math.ceil(math.log10(big)))):
+        decay = [mpmath.exp(-r[i] * mpmath.mpf(t)) for i in range(n + 1)]
+        return np.array(
+            [
+                float(mpmath.fsum(mpmath.mpf(c.numerator) / c.denominator * decay[i] for i, c in coef[j]))
+                for j in range(1, n + 1)
+            ]
+        )
+
+
+def test_death_dist_reference_matches_a_60_digit_expm():
+    # the closed form against the last row of expm(t Q) in 60 digits
+    n, t = 6, 0.7
     with mpmath.workdps(60):
         Q = mpmath.zeros(n, n)
         for k in range(2, n + 1):
-            r = mpmath.mpf(k * (k - 1)) / 2
-            Q[k - 1, k - 1] = -r
-            Q[k - 1, k - 2] = r
+            Q[k - 1, k - 1] = -mpmath.mpf(k * (k - 1)) / 2
+            Q[k - 1, k - 2] = mpmath.mpf(k * (k - 1)) / 2
         row = mpmath.expm(mpmath.mpf(t) * Q)[n - 1, :]
-        return np.array([float(v) for v in row])
+        assert _death_dist_reference(n, t).tolist() == [float(v) for v in row]
 
 
 def test_death_dist_matches_matrix_exponential():

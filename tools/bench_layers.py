@@ -38,7 +38,11 @@ mc-lattice runs three variants per repeat.  The first measures:
   the tracemalloc peak, in MB, of one more `char_fn(uniform M=128,
   4096 probes)` call, of one more `condition_report` on the ladder, of
   `lemma21_audit` on the mc-lattice config (K=4096, J=16, 4 thetas),
-  and of the beta0 pair, each traced alone after the timed calls.
+  and of the beta0 pair, each traced alone after the timed calls;
+* beta0_level4096_peak_mb: the tracemalloc peak, in MB, of one `beta0`
+  level at n = 4096 points per axis, QuadratureSpec's default cap
+  (q0 uniform M=4, c = 0.003, base = max_axis = 4096, so the call
+  stops with QuadratureError after that one level).
 
 The second runs `cli.main` on the `coalesce` command (uniform(2),
 L = 16, n = 3 diagonal starts, s = 0.5, 200 replicates) in one fresh
@@ -165,7 +169,7 @@ def measure_mc_lattice(seed: int) -> dict:
     import numpy as np
 
     from toruswalk.kernels import sample_jumps, uniform_kernel
-    from toruswalk.limits import QuadratureSpec, beta0, lemma21_audit, t_scale
+    from toruswalk.limits import QuadratureError, QuadratureSpec, beta0, lemma21_audit, t_scale
     from toruswalk.mc import SeedSpec, lineage_count_law, simulate_hits
     from toruswalk.spectral import char_fn, condition_report
     from toruswalk.torus import TorusSpec
@@ -211,6 +215,13 @@ def measure_mc_lattice(seed: int) -> dict:
 
     coalesce_s = statistics.median(call_times(coalesce))
     thetas = np.array([[0.1, 0.0], [0.5, 0.5], [1.0, -2.0], [3.0, 3.0]])
+
+    def beta0_level4096():
+        try:
+            beta0(0.003, q0, QuadratureSpec(base=4096, max_axis=4096))
+        except QuadratureError:  # one level, then the cap
+            pass
+
     return {
         "simulate_hits_s": hits_s,
         "skeleton_ns_per_step": hits_s / int(batch.n_jumps.sum()) * 1e9,
@@ -224,6 +235,7 @@ def measure_mc_lattice(seed: int) -> dict:
         "conditions_peak_mb": traced_peak_mb(conditions),
         "audit_peak_mb": traced_peak_mb(lambda: lemma21_audit(4096, 16, thetas)),
         "beta0_peak_mb": traced_peak_mb(lambda: [beta0(c, q0, quad) for c in (0.01, 0.003)]),
+        "beta0_level4096_peak_mb": traced_peak_mb(beta0_level4096),
     }
 
 
@@ -446,6 +458,7 @@ SUITES = {
             "conditions_peak_mb": "MB",
             "audit_peak_mb": "MB",
             "beta0_peak_mb": "MB",
+            "beta0_level4096_peak_mb": "MB",
             "oneshot_coalesce_s": "s",
             "oneshot_coalesce_rss_mb": "MB",
             "tier1_s": "s",

@@ -25,7 +25,8 @@ spectral.psi_grid's psi = 1 - q0_hat, with no cancellation in 1 - q0_hat.
 Each level is evaluated and summed in row strips of at most
 TILE_ENTRIES values (the budget of _quadrant_sum and
 spectral.char_fn), whose sums combine to numpy's sum of the whole
-level bit for bit, so a level of any size holds about 0.5 MB.
+level bit for bit, so a level of any size holds one 0.5 MB strip
+besides its per-axis factors.
 
 death_process_dist is the lineage-count law of the n-to-1 pure death
 chain with rate k(k-1)/2 in state k (Tavare 1984): the last row of the

@@ -235,10 +235,11 @@ def test_death_dist_reference_matches_a_60_digit_expm():
     with mpmath.workdps(60):
         Q = mpmath.zeros(n, n)
         for k in range(2, n + 1):
-            Q[k - 1, k - 1] = -mpmath.mpf(k * (k - 1)) / 2
-            Q[k - 1, k - 2] = mpmath.mpf(k * (k - 1)) / 2
-        row = mpmath.expm(mpmath.mpf(t) * Q)[n - 1, :]
-        assert _death_dist_reference(n, t).tolist() == [float(v) for v in row]
+            r = mpmath.mpf(k * (k - 1)) / 2
+            Q[k - 1, k - 1] = -r
+            Q[k - 1, k - 2] = r
+        row = [float(v) for v in mpmath.expm(mpmath.mpf(t) * Q)[n - 1, :]]
+    assert _death_dist_reference(n, t).tolist() == row
 
 
 def test_death_dist_matches_matrix_exponential():
